@@ -6,14 +6,25 @@ immutable after construction and safe to share between tasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 QUAD_ABS_TOL = 1e-10
-_QUAD_MEMO_CAP = 1 << 20
+# probe of the array contract: two distinct nodes, arguments of both signs
+_PROBE_K = np.array([1, 2])
+_PROBE_T = np.array([0.5, -1.25])
+
+
+def quad(func, a, b, **kwargs):
+    """scipy.integrate.quad, imported on first use.
+
+    Only potential-less callables and check_consistency integrate, and
+    importing scipy costs more than the rest of ``import dplap`` together.
+    """
+    from scipy.integrate import quad as scipy_quad
+    return scipy_quad(func, a, b, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -61,14 +72,67 @@ class GridFunction:
         return float(self.values[k])
 
 
+def _broadcasts(fn) -> bool:
+    """Whether fn(k, t) maps equal-length arrays elementwise: one call on the
+    2-element probe must return shape (2,) and match fn's own per-element
+    values to rtol 1e-12."""
+    try:
+        with np.errstate(all="ignore"):
+            out = np.asarray(fn(_PROBE_K, _PROBE_T), dtype=float)
+            ref = np.array([fn(int(k), float(t)) for k, t in zip(_PROBE_K, _PROBE_T)],
+                           dtype=float)
+    except Exception:  # a scalar-only callable may raise anything on arrays
+        return False
+    return out.shape == _PROBE_T.shape and bool(
+        np.allclose(out, ref, rtol=1e-12, atol=0.0, equal_nan=True))
+
+
+def _array_callable(fn):
+    """fn itself when it broadcasts, else fn wrapped once in np.vectorize."""
+    if fn is None or _broadcasts(fn):
+        return fn
+    return np.vectorize(fn, otypes=[float])
+
+
+class TablePotential:
+    """The exact potential of a piecewise-linear f: from_table's, or one
+    derived from it by scaled_per_node or truncate_nonnegative.
+
+    check_consistency does not compare these against quadrature: adaptive
+    quadrature of the kinked f is the less accurate side (2.5e-7 relative
+    at xi = 1.7 on a 4801-point table, over the check's 1e-8).
+    """
+
+    def __init__(self, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+        self.fn = fn
+
+    def __call__(self, k, xi):
+        return self.fn(k, xi)
+
+    @staticmethod
+    def carry(base, fn):
+        """fn, marked as a table potential when it derives from one (base)."""
+        return TablePotential(fn) if isinstance(base, TablePotential) else fn
+
+
 @dataclass(eq=False)
 class Nonlinearity:
     """Right-hand side f(k, t) together with its node potentials F_k.
 
+    The callables follow an array contract: ``f(k, t)``, ``potential(k, xi)``
+    and ``df(k, t)`` are called with equal-length 1-D arrays of node indices
+    k (1-based) and arguments, and return the values elementwise; scalar
+    arguments must work too.  A callable written for scalars only
+    (``math.exp``, an ``if`` on t) is adapted at construction: each callable
+    is called once on a 2-element probe array, and one that raises, returns
+    the wrong shape or disagrees with its own per-element values (rtol 1e-12)
+    is wrapped in ``np.vectorize``.  ``f_vec``, ``F_vec`` and ``df_vec`` are
+    then one call each over the interior nodes.
+
     ``potential``, when given, must be the closed form of
     F_k(xi) = integral of f(k, s) ds over [0, xi]; otherwise F_k is
-    computed by adaptive quadrature (absolute tolerance 1e-10) and
-    memoised per (k, xi).
+    computed by adaptive quadrature (absolute tolerance 1e-10), one
+    integral per value, with nothing cached.
 
     ``is_nonnegative`` declares that f(k, t) >= 0 for t >= 0 and that each
     F_k attains its maximum over [-eps, eps] at xi = eps.  That holds when
@@ -81,50 +145,67 @@ class Nonlinearity:
     user-supplied metadata).  A scalar means one value for every node.
     """
 
-    f: Callable[[int, float], float]
-    potential: Callable[[int, float], float] | None = None
-    df: Callable[[int, float], float] | None = None
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    potential: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    df: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     is_nonnegative: bool = False
     gamma: float | Sequence[float] | None = None
     name: str = ""
-    _quad_memo: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        self.f = _array_callable(self.f)
+        self.potential = _array_callable(self.potential)
+        self.df = _array_callable(self.df)
 
     def eval_f(self, k: int, t: float) -> float:
         return float(self.f(k, t))
 
     def eval_F(self, k: int, xi: float) -> float:
         """Potential F_k(xi); exact 0 at xi = 0 on every path."""
-        if self.potential is not None:
-            return float(self.potential(k, xi))
-        xi = float(xi)
-        if xi == 0.0:
-            return 0.0
-        key = (k, xi)
-        val = self._quad_memo.get(key)
-        if val is None:
-            val, _ = quad(lambda s: self.f(k, s), 0.0, xi,
-                          epsabs=QUAD_ABS_TOL, epsrel=1e-12, limit=200)
-            if len(self._quad_memo) >= _QUAD_MEMO_CAP:
-                self._quad_memo.clear()
-            self._quad_memo[key] = val
-        return val
+        return float(self.F_at(k, xi))
 
     def eval_df(self, k: int, t: float) -> float:
         """df/dt, analytic when supplied, else a central difference."""
+        return float(self.df_at(k, t))
+
+    def _quad_F(self, k: int, xi: float) -> float:
+        xi = float(xi)
+        if xi == 0.0:
+            return 0.0
+        # quadrature calls f one point at a time: skip the np.vectorize adapter
+        f = self.f.pyfunc if isinstance(self.f, np.vectorize) else self.f
+        val, _ = quad(lambda s: f(k, s), 0.0, xi,
+                      epsabs=QUAD_ABS_TOL, epsrel=1e-12, limit=200)
+        return val
+
+    def F_at(self, k, xi) -> np.ndarray:
+        """F_k(xi) elementwise over the node indices k and the arguments xi."""
+        if self.potential is not None:
+            return np.asarray(self.potential(k, xi), dtype=float)
+        k, xi = np.broadcast_arrays(k, xi)
+        vals = [self._quad_F(int(kk), x) for kk, x in zip(k.ravel(), xi.ravel())]
+        return np.array(vals, dtype=float).reshape(xi.shape)
+
+    def df_at(self, k, t) -> np.ndarray:
+        """df/dt elementwise, analytic when supplied, else a central difference."""
         if self.df is not None:
-            return float(self.df(k, t))
-        h = 1e-7 * (1.0 + abs(t))
+            return np.asarray(self.df(k, t), dtype=float)
+        h = 1e-7 * (1.0 + np.abs(t))
         return (self.f(k, t + h) - self.f(k, t - h)) / (2.0 * h)
 
-    # vector helpers over the interior nodes k = 1..T
+    # one kernel call over the interior nodes k = 1..T: the solvers evaluate
+    # each energy, gradient and Jacobian through exactly one of these
     def f_vec(self, u_interior: np.ndarray) -> np.ndarray:
-        return np.array([self.eval_f(k, t) for k, t in enumerate(u_interior, start=1)])
+        u = np.asarray(u_interior, dtype=float)
+        return np.asarray(self.f(np.arange(1, u.size + 1), u), dtype=float)
 
     def F_vec(self, u_interior: np.ndarray) -> np.ndarray:
-        return np.array([self.eval_F(k, t) for k, t in enumerate(u_interior, start=1)])
+        u = np.asarray(u_interior, dtype=float)
+        return self.F_at(np.arange(1, u.size + 1), u)
 
     def df_vec(self, u_interior: np.ndarray) -> np.ndarray:
-        return np.array([self.eval_df(k, t) for k, t in enumerate(u_interior, start=1)])
+        u = np.asarray(u_interior, dtype=float)
+        return self.df_at(np.arange(1, u.size + 1), u)
 
     def gamma_tuple(self, T: int) -> tuple[float, ...] | None:
         """Declared gamma as a length-T tuple (scalars broadcast)."""
@@ -138,13 +219,19 @@ class Nonlinearity:
         return g
 
     def check_consistency(self, T: int, xi_samples: Sequence[float] = (0.5, 1.7, 3.0)) -> None:
-        """Verify F_k(0) = 0 and, for closed-form potentials, agreement
-        with direct quadrature of f to 1e-8 relative on sample points."""
-        for k in range(1, T + 1):
-            F0 = self.eval_F(k, 0.0)
-            if abs(F0) > 1e-12:
-                raise ValueError(f"potential must vanish at 0: F_{k}(0) = {F0!r}")
-        if self.potential is None:
+        """Verify F_k(0) = 0 at every node k = 1..T and, for closed-form
+        potentials other than table ones, agreement with direct quadrature
+        of f to 1e-8 relative on sample points.
+
+        Evaluating the potential over all T nodes also makes per-node data
+        shorter than T (table rows, scale factors) fail here, by name.
+        """
+        F0 = self.F_at(np.arange(1, T + 1), np.zeros(T))
+        bad = np.flatnonzero(np.abs(F0) > 1e-12)
+        if bad.size:
+            k = int(bad[0]) + 1
+            raise ValueError(f"potential must vanish at 0: F_{k}(0) = {float(F0[k - 1])!r}")
+        if self.potential is None or isinstance(self.potential, TablePotential):
             return
         samples = list(xi_samples)
         if not self.is_nonnegative:
@@ -152,8 +239,7 @@ class Nonlinearity:
         for k in (1, T):
             for xi in samples:
                 closed = self.eval_F(k, xi)
-                direct, _ = quad(lambda s: self.f(k, s), 0.0, xi,
-                                 epsabs=QUAD_ABS_TOL, epsrel=1e-12, limit=200)
+                direct = self._quad_F(k, xi)
                 if abs(closed - direct) > 1e-8 * (1.0 + abs(closed)):
                     raise ValueError(
                         f"closed-form potential disagrees with quadrature of f at "

@@ -66,60 +66,68 @@ class DecayReport:
     verdict: bool
 
 
-def _golden_max(fun, lo: float, hi: float, tol: float = 1e-12, iters: int = 200):
-    """Golden-section maximization of a continuous fun on [lo, hi]."""
+def _golden_max(fun, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-12,
+                iters: int = 200) -> np.ndarray:
+    """Golden-section maximization of continuous functions, one per row.
+
+    fun(rows, x) evaluates the functions of the given rows at x.  Row i
+    searches [lo[i], hi[i]] and stops on its own tolerance, so it takes the
+    same iterates as a search of that row alone.  Returns the row maxima.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
-    f1, f2 = fun(x1), fun(x2)
+    rows = np.arange(a.size)
+    f1, f2 = fun(rows, x1), fun(rows, x2)
     for _ in range(iters):
-        if b - a <= tol * (1.0 + abs(a) + abs(b)):
+        act = np.flatnonzero(~(b - a <= tol * (1.0 + np.abs(a) + np.abs(b))))
+        if act.size == 0:
             break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = fun(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = fun(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+        up = f1[act] < f2[act]
+        a[act] = np.where(up, x1[act], a[act])
+        b[act] = np.where(up, b[act], x2[act])
+        aa, bb = a[act], b[act]
+        new = np.where(up, aa + invphi * (bb - aa), bb - invphi * (bb - aa))
+        fnew = fun(act, new)
+        x1[act], x2[act] = np.where(up, x2[act], new), np.where(up, new, x1[act])
+        f1[act], f2[act] = np.where(up, f2[act], fnew), np.where(up, fnew, f1[act])
+    return np.where(f1 >= f2, f1, f2)
 
 
-def _max_potential_on_interval(prob: ProblemSpec, k: int, eps: float) -> float:
-    """max of F_k over [-eps, eps]: dense sampling plus golden-section polish."""
+def _max_potentials(prob: ProblemSpec, eps: float) -> np.ndarray:
+    """max of F_k over [-eps, eps] for k = 1..T: dense sampling plus
+    golden-section polish, each evaluated over all nodes at once."""
     nl = prob.nonlinearity
+    nodes = np.arange(1, prob.T + 1)
     if nl.is_nonnegative:
         # F_k is nondecreasing on [0, eps] and dominates the negative side,
         # so the max sits at the right endpoint.
-        return nl.eval_F(k, eps)
+        return nl.F_at(nodes, np.full(prob.T, float(eps)))
     xs = np.linspace(-eps, eps, CHI_SAMPLES)
-    vals = np.array([nl.eval_F(k, x) for x in xs])
-    i = int(np.argmax(vals))
-    lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, CHI_SAMPLES - 1)]
-    _, polished = _golden_max(lambda x: nl.eval_F(k, x), lo, hi)
-    return max(float(vals[i]), float(polished))
+    vals = nl.F_at(np.repeat(nodes, CHI_SAMPLES), np.tile(xs, prob.T))
+    vals = vals.reshape(prob.T, CHI_SAMPLES)
+    i = np.argmax(vals, axis=1)
+    lo = xs[np.maximum(i - 1, 0)]
+    hi = xs[np.minimum(i + 1, CHI_SAMPLES - 1)]
+    polished = _golden_max(lambda rows, x: nl.F_at(nodes[rows], x), lo, hi)
+    return np.maximum(vals[np.arange(prob.T), i], polished)
 
 
 def chi(eps: float, prob: ProblemSpec) -> float:
     """sum_k max_{|xi| <= eps} F_k(xi), divided by eps^p."""
     if not eps > 0.0:
         raise ValueError("eps must be positive")
-    total = 0.0
-    for k in range(1, prob.T + 1):
-        total += _max_potential_on_interval(prob, k, eps)
-    return total / eps ** prob.p
+    return float(np.sum(_max_potentials(prob, eps))) / eps ** prob.p
 
 
 def h(xi: float, prob: ProblemSpec) -> float:
     """sum_k F_k(xi) / xi^p for xi > 0."""
     if not xi > 0.0:
         raise ValueError("xi must be positive")
-    nl = prob.nonlinearity
-    total = sum(nl.eval_F(k, xi) for k in range(1, prob.T + 1))
-    return total / xi ** prob.p
+    F = prob.nonlinearity.F_at(np.arange(1, prob.T + 1), np.full(prob.T, float(xi)))
+    return float(np.sum(F)) / xi ** prob.p
 
 
 def check_thm_esistenza(prob: ProblemSpec, eps: float) -> ExistenceCertificate:
@@ -166,8 +174,8 @@ def estimate_gamma(prob: ProblemSpec, k: int,
     xs = np.asarray(xi_samples, dtype=float)
     if xs.size == 0 or np.any(xs <= 0.0) or np.any(np.diff(xs) >= 0.0):
         raise ValueError("xi_samples must be strictly decreasing and positive")
-    nl = prob.nonlinearity
-    return float(min(nl.eval_F(k, x) / x ** prob.p for x in xs))
+    F = prob.nonlinearity.F_at(np.full(xs.size, k), xs)
+    return float(np.min(F / xs ** prob.p))
 
 
 def alpha_threshold(prob: ProblemSpec, gamma=None,

@@ -19,9 +19,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
+from numpy.linalg import LinAlgError
 
-from .core import GridFunction, Nonlinearity, ProblemSpec, p_laplacian, sup_norm
+from .core import (GridFunction, Nonlinearity, ProblemSpec, TablePotential,
+                   p_laplacian, sup_norm)
 from .energy import energy, gradient
 from .spectrum import EigenConvergenceError, EigenPair, first_eigenpair
 
@@ -110,6 +111,12 @@ def _grad(prob: ProblemSpec, alpha: float, vec: np.ndarray) -> np.ndarray:
     return -np.diff(flux) - alpha * prob.nonlinearity.f_vec(vec)
 
 
+def _check_descent(Ju: float, Jc: float) -> None:
+    """An accepted step never raises the energy (beyond float noise)."""
+    if not Jc <= Ju + 1e-12 * (1.0 + abs(Ju)):
+        raise RuntimeError(f"accepted step raised the energy from {Ju!r} to {Jc!r}")
+
+
 def _finish(prob: ProblemSpec, alpha: float, vec: np.ndarray, res: float,
             iters: int, opts: SolverOptions, boundary_hit: bool = False) -> SolveOutcome:
     gf = GridFunction.from_interior(vec)
@@ -129,17 +136,21 @@ def truncate_nonnegative(nl: Nonlinearity) -> Nonlinearity:
     original one, since the two right-hand sides agree on positive values.
     """
     def f(k, t):
-        return nl.eval_f(k, t) if t >= 0.0 else nl.eval_f(k, 0.0)
+        return nl.f(k, np.where(t >= 0.0, t, 0.0))
 
     def potential(k, xi):
-        return nl.eval_F(k, xi) if xi >= 0.0 else nl.eval_f(k, 0.0) * xi
+        pos = xi >= 0.0
+        return np.where(pos, nl.F_at(k, np.where(pos, xi, 0.0)),
+                        nl.f(k, np.zeros(np.shape(xi))) * xi)
 
     df = None
     if nl.df is not None:
         def df(k, t):
-            return nl.eval_df(k, t) if t >= 0.0 else 0.0
+            pos = t >= 0.0
+            return np.where(pos, nl.df(k, np.where(pos, t, 0.0)), 0.0)
 
-    return Nonlinearity(f=f, potential=potential, df=df,
+    return Nonlinearity(f=f, potential=TablePotential.carry(nl.potential, potential),
+                        df=df,
                         is_nonnegative=nl.is_nonnegative,
                         gamma=nl.gamma,
                         name=f"{nl.name}~trunc")
@@ -155,6 +166,8 @@ def _polish_stationarity(prob: ProblemSpec, alpha: float, u: np.ndarray,
     pushes to the tolerance.  Declines (returns the input) when a Jacobian
     weight (p-1)|du|^(p-2) is infinite, i.e. at a p < 2 kink.
     """
+    from scipy.linalg import solve_banded
+
     p = prob.p
     nl = prob.nonlinearity
     g = _grad(prob, alpha, u)
@@ -233,7 +246,7 @@ def solve_descent(prob: ProblemSpec, alpha: float, u0: GridFunction,
             t *= opts.backtrack
         if not moved:
             break  # line search stalled below the minimum step
-        assert Jc <= Ju + 1e-12 * (1.0 + abs(Ju))
+        _check_descent(Ju, Jc)
         u, Ju, step = cand, Jc, t
         g = _grad(prob, alpha, u)
         res = float(np.max(np.abs(g)))
@@ -255,6 +268,8 @@ def _newton_direction(dfv: np.ndarray, alpha: float, g: np.ndarray) -> np.ndarra
     indefinite away from minima; shifting restores descent, degrading
     gracefully toward a scaled gradient step).
     """
+    from scipy.linalg import solve_banded
+
     n = g.size
     base = 2.0 - alpha * dfv
     for tau in (0.0, 1e-10, 1e-6, 1e-2, 1.0, 1e2, 1e4):
@@ -316,7 +331,7 @@ def solve_newton_p2(prob: ProblemSpec, alpha: float, u0: GridFunction,
                 break
         if not moved:
             break
-        assert Jc <= Ju + 1e-12 * (1.0 + abs(Ju))
+        _check_descent(Ju, Jc)
         u, Ju = cand, Jc
         if direction is not s:
             step = t  # remember the accepted plain-descent step size

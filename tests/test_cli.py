@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -409,3 +412,12 @@ def test_invalid_threads_env_exits_1(tmp_path, capsys, monkeypatch):
     rc = main(["solve", esempio0_cfg(tmp_path), "--out", str(tmp_path / "r.txt")])
     assert rc == EXIT_ERROR
     assert "DPLAP_THREADS must be an integer" in capsys.readouterr().err
+
+
+def test_import_does_not_load_scipy():
+    # every CLI call is a fresh process; scipy is imported only where used
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dplap.core.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, dplap.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+

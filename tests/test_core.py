@@ -1,12 +1,16 @@
 """Grid functions, difference operators, and the embedding constants."""
 
+import math
+
 import numpy as np
 import pytest
 
-from dplap.core import (GridFunction, Nonlinearity, ProblemSpec, c_const,
-                        forward_difference, kappa, p_laplacian, p_norm,
+from dplap.core import (GridFunction, Nonlinearity, ProblemSpec, TablePotential,
+                        c_const, forward_difference, kappa, p_laplacian, p_norm,
                         phi_p, sup_norm, theta)
-from dplap.nonlinearities import bounded_rational, linear
+from dplap.nonlinearities import (bounded_rational, constant, from_table, linear,
+                                  power, scaled_per_node, zero)
+from dplap.solver import truncate_nonnegative
 
 
 # ---------------------------------------------------------------- phi_p
@@ -226,7 +230,7 @@ def test_quadrature_potential_matches_closed_form():
         assert quaddy.eval_F(1, xi) == pytest.approx(closed.eval_F(1, xi), abs=1e-9)
 
 
-def test_quadrature_memoisation_returns_same_object_value():
+def test_quadrature_potential_is_deterministic():
     nl = Nonlinearity(f=lambda k, t: t / (1.0 + t * t))
     first = nl.eval_F(2, 1.5)
     second = nl.eval_F(2, 1.5)
@@ -240,12 +244,103 @@ def test_eval_df_fd_fallback_matches_analytic():
         assert bare.eval_df(1, t) == pytest.approx(nl.eval_df(1, t), abs=1e-6)
 
 
+TABLE_T = np.array([-3.0, -1.0, 0.0, 0.5, 2.0, 4.0])
+TABLE_F = TABLE_T / (1.0 + TABLE_T ** 2)
+
+
+def _exp_decay():
+    # scalar-only callables: math.exp raises on arrays, so the adapter wraps them
+    return Nonlinearity(f=lambda k, t: math.exp(-t),
+                        potential=lambda k, xi: 1.0 - math.exp(-xi),
+                        df=lambda k, t: -math.exp(-t), name="exp_decay")
+
+
+VECTOR_CASES = {
+    "zero": zero,
+    "constant": lambda: constant(-2.5),
+    "linear": lambda: linear(-1.5),
+    "power(3)": lambda: power(3.0, 0.5),
+    "power(0.5) fd df": lambda: power(0.5),
+    "bounded_rational": bounded_rational,
+    "scaled_per_node": lambda: scaled_per_node(bounded_rational(), np.linspace(0.5, 1.5, 7)),
+    "truncate_nonnegative": lambda: truncate_nonnegative(bounded_rational()),
+    "table 1-D": lambda: from_table(TABLE_T, TABLE_F),
+    "table 2-D": lambda: from_table(TABLE_T, np.outer(np.arange(1.0, 8.0), TABLE_F)),
+    "scalar-only exp": _exp_decay,
+}
+
+
 def test_vector_helpers_match_scalar_evaluations():
-    nl = bounded_rational()
-    u = np.array([0.5, -1.5, 2.0])
-    assert np.allclose(nl.f_vec(u), [nl.eval_f(k, u[k - 1]) for k in (1, 2, 3)])
-    assert np.allclose(nl.F_vec(u), [nl.eval_F(k, u[k - 1]) for k in (1, 2, 3)])
-    assert np.allclose(nl.df_vec(u), [nl.eval_df(k, u[k - 1]) for k in (1, 2, 3)])
+    # both signs, 0, breakpoints and arguments outside the table range
+    u = np.array([0.5, -1.5, 2.0, 0.0, -7.0, 9.0, -1.0])
+    nodes = range(1, u.size + 1)
+    for case, make in VECTOR_CASES.items():
+        nl = make()
+        # equal arithmetic is bit-identical; numpy's array pow may differ from
+        # the scalar one in the last ulp
+        rtol = 4 * np.finfo(float).eps if case.startswith("power") else 0.0
+        np.testing.assert_allclose(nl.f_vec(u), [nl.eval_f(k, float(u[k - 1])) for k in nodes],
+                                   rtol=rtol, atol=0.0, err_msg=case)
+        np.testing.assert_allclose(nl.F_vec(u), [nl.eval_F(k, float(u[k - 1])) for k in nodes],
+                                   rtol=rtol, atol=0.0, err_msg=case)
+        np.testing.assert_allclose(nl.df_vec(u), [nl.eval_df(k, float(u[k - 1])) for k in nodes],
+                                   rtol=1e-12, atol=0.0, err_msg=case)
+        assert isinstance(nl.f, np.vectorize) == (case == "scalar-only exp"), case
+
+
+def test_table_f_is_np_interp_row_by_row():
+    rows = np.outer([1.0, -2.0, 0.5], TABLE_F) + 0.1
+    nl = from_table(TABLE_T, rows)
+    t = np.concatenate((TABLE_T, np.linspace(-5.0, 5.0, 41)))
+    k = np.arange(t.size) % 3 + 1
+    expect = [np.interp(x, TABLE_T, rows[kk - 1]) for kk, x in zip(k, t)]
+    np.testing.assert_array_equal(nl.f(k, t), expect)
+
+
+def _trapezoid_potential(ts, fs, xi):
+    """Integral over [0, xi] of np.interp(., ts, fs) by the trapezoid rule on
+    the breakpoints inside [0, xi] (exact for a piecewise-linear integrand)."""
+    lo, hi = min(0.0, xi), max(0.0, xi)
+    pts = np.concatenate(([lo], ts[(ts > lo) & (ts < hi)], [hi]))
+    vals = np.interp(pts, ts, fs)
+    area = math.fsum((vals[1:] + vals[:-1]) * np.diff(pts) / 2.0)
+    return area if xi >= 0.0 else -area
+
+
+@pytest.mark.parametrize("ts", [
+    TABLE_T,                                   # 0 is a breakpoint
+    np.array([-3.3, -0.7, 0.45, 1.9, 4.1]),    # 0 between two breakpoints
+    np.array([0.5, 1.0, 2.5, 4.0]),            # 0 left of the sampled range
+    np.array([-4.0, -2.0, -0.25]),             # 0 right of the sampled range
+])
+def test_table_potential_matches_trapezoid_sum(ts):
+    fs = np.cos(ts) + 0.3 * ts
+    nl = from_table(ts, np.vstack((fs, -2.0 * fs)))
+    xis = np.concatenate((ts, [-9.0, -3.5, -1e-3, 0.0, 1e-3, 0.3, 1.1, 3.7, 9.0]))
+    for xi in xis:
+        ref = _trapezoid_potential(ts, fs, xi)
+        got = nl.F_at(np.array([1, 2]), np.array([xi, xi]))
+        assert got[0] == pytest.approx(ref, rel=1e-12, abs=1e-15)
+        assert got[1] == pytest.approx(-2.0 * ref, rel=1e-12, abs=1e-15)
+    assert nl.eval_F(1, 0.0) == 0.0
+
+
+def test_table_potentials_keep_their_type_through_scaling_and_truncation():
+    table = from_table(TABLE_T, TABLE_F)
+    assert isinstance(table.potential, TablePotential)
+    assert isinstance(scaled_per_node(table, [2.0, 3.0]).potential, TablePotential)
+    assert isinstance(truncate_nonnegative(table).potential, TablePotential)
+    assert not isinstance(scaled_per_node(bounded_rational(), [2.0]).potential, TablePotential)
+    assert not isinstance(truncate_nonnegative(bounded_rational()).potential, TablePotential)
+
+
+def test_dense_table_problem_skips_the_quadrature_comparison():
+    # quad(limit=200) of this kinked f is off by 2.5e-7 relative at xi = 1.7,
+    # past the check's 1e-8, and warns; the exact potential must not meet it
+    t = np.linspace(-60.0, 60.0, 4801)
+    table = from_table(t, np.clip(t ** 3, -1000.0, 1000.0), is_nonnegative=True)
+    for nl in (table, scaled_per_node(table, [1.0, 2.0]), truncate_nonnegative(table)):
+        ProblemSpec(T=2, p=2.0, nonlinearity=nl)
 
 
 def test_gamma_tuple_broadcasts_scalars():
@@ -282,6 +377,22 @@ def test_problem_spec_validates_T_and_p():
         ProblemSpec(T=5, p=1.0, nonlinearity=nl)
     prob = ProblemSpec(T=5, p=2.0, nonlinearity=nl)
     assert prob.T == 5 and prob.p == 2.0
+
+
+def test_problem_spec_rejects_table_with_fewer_rows_than_T():
+    nl = from_table(TABLE_T, np.vstack((TABLE_F, TABLE_F)))
+    ProblemSpec(T=2, p=2.0, nonlinearity=nl)
+    with pytest.raises(ValueError, match=r"f_samples rows \(2\) fewer than T=3"):
+        ProblemSpec(T=3, p=2.0, nonlinearity=nl)
+
+
+def test_problem_spec_rejects_scale_shorter_than_T():
+    nl = scaled_per_node(bounded_rational(), [1.0, 2.0, 3.0])
+    ProblemSpec(T=3, p=2.0, nonlinearity=nl)
+    with pytest.raises(ValueError, match=r"scale entries \(3\) fewer than T=5"):
+        ProblemSpec(T=5, p=2.0, nonlinearity=nl)
+    with pytest.raises(ValueError, match="node indices start at 1"):
+        nl.eval_f(0, 1.0)
 
 
 def test_problem_spec_runs_consistency_check():
