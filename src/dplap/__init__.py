@@ -20,8 +20,8 @@ from .nonlinearities import (bounded_rational, constant, from_table, linear,
 from .solver import (INDEFINITE, POSITIVE, ZERO, SolveOutcome, SolverOptions,
                      SweepRow, check_positivity, minimize_on_sublevel,
                      multistart_solve, nontriviality_certificate,
-                     solve_descent, solve_newton_p2, sweep_alpha,
-                     truncate_nonnegative)
+                     solve_descent, solve_newton, solve_newton_p2,
+                     sweep_alpha, truncate_nonnegative)
 from .spectrum import (EigenConvergenceError, EigenPair, eigenvalues_p2,
                        first_eigenpair, lambda1_closed_form_p2, matrix_A,
                        rayleigh_quotient)
@@ -42,7 +42,7 @@ __all__ = [
     "check_three_solutions_window",
     "SolverOptions", "SolveOutcome", "SweepRow",
     "POSITIVE", "ZERO", "INDEFINITE",
-    "truncate_nonnegative", "solve_descent", "solve_newton_p2",
+    "truncate_nonnegative", "solve_descent", "solve_newton", "solve_newton_p2",
     "minimize_on_sublevel", "check_positivity", "nontriviality_certificate",
     "multistart_solve", "sweep_alpha",
     "zero", "constant", "linear", "power", "bounded_rational", "from_table",

@@ -22,7 +22,7 @@ from .existence import (alpha_threshold, check_thm_esistenza,
                         check_three_solutions_window, find_admissible_eps)
 from .nonlinearities import (bounded_rational, constant, from_table, linear,
                              power, scaled_per_node, zero)
-from .solver import (POSITIVE, SolverOptions, multistart_solve, sweep_alpha)
+from .solver import SolverOptions, multistart_solve, pick_reported, sweep_alpha
 from .spectrum import (EigenConvergenceError, eigenvalues_p2, first_eigenpair,
                        matrix_A)
 
@@ -205,16 +205,6 @@ def read_result(path: str):
     return headers, GridFunction(np.array([v for _, v in nodes]))
 
 
-def _pick_reported(sols):
-    """Lowest energy wins; a positive solution breaks exact-energy ties."""
-    best = sols[0]
-    cutoff = best.energy + 1e-12 * (1.0 + abs(best.energy))
-    for s in sols:
-        if s.energy <= cutoff and s.positivity == POSITIVE:
-            return s
-    return best
-
-
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     prob, alpha_field, _ = build_problem(cfg)
@@ -224,7 +214,7 @@ def cmd_solve(args) -> int:
     if not sols:
         print("no converged solution")
         return EXIT_NO_RESULT
-    best = _pick_reported(sols)
+    best = pick_reported(sols)
     write_result(args.out, prob, alpha, opts.seed, best.residual, best.energy, best.u)
     print(f"wrote {args.out}: {len(sols)} distinct solution(s); best energy "
           f"{_fmt(best.energy)}, residual {_fmt(best.residual)}, "

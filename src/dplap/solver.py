@@ -1,21 +1,31 @@
 """Critical-point computation for the energy J_alpha.
 
 Routes:
-  - solve_descent: Armijo-backtracked gradient descent on J (any p > 1).
-  - solve_newton_p2: damped Newton on the stationarity system for p = 2,
-    globalized by the same energy line search as solve_descent (with a
-    regularization ladder), so it cross-validates descent step for step.
-  - minimize_on_sublevel: projected descent on the closed ball ||u||^p <= sigma,
-    realizing the constrained-minimum existence argument.
+  - solve_newton: globalised Newton on J (any p > 1).  Each iteration solves
+    the tridiagonal Newton system, shifted down a ladder until the step is a
+    descent direction, and accepts it through an Armijo test on the energy,
+    falling back to a gradient step.  At p < 2 the small differences take
+    secant weights, so a plateau (du = 0) is reached instead of overshot.
+    multistart_solve runs every start through it; solve_newton_p2 is the
+    same routine behind a p = 2 guard.
+  - solve_descent: the same loop with plain gradient directions.
+  - minimize_on_sublevel: gradient steps projected radially onto the closed
+    ball ||u||^p <= sigma, realizing the constrained-minimum existence
+    argument.
   - multistart_solve / sweep_alpha: batching, deduplication, continuation.
+
+All three share one Armijo loop (_descend).  It stops when the residual
+reaches tol, when an accepted step no longer lowers J in floating point
+(the energy floor), when the residual stalls for _STALL_WINDOW iterations,
+when the line search fails, or at max_iters; outcomes name the reason in
+stop_reason.  Below the energy floor a residual-driven Newton polish, with
+the same tridiagonal assembly, finishes the job.
 
 Positivity classification and the nontriviality certificate live here too.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +40,18 @@ POSITIVE = "positive"
 ZERO = "zero"
 INDEFINITE = "indefinite"
 
+# why the Armijo loop ended (SolveOutcome.stop_reason)
+CONVERGED = "converged"
+ENERGY_FLOOR = "energy_floor"
+STALL_WINDOW = "stall_window"
+LINE_SEARCH = "line_search"
+MAX_ITERS = "max_iters"
+
 _MIN_STEP = 1e-20
 _BOUNDARY_SLACK = 1e-8
 _STALL_WINDOW = 2000  # iterations without residual progress before giving up
+_TAU_LADDER = (0.0, 1e-10, 1e-6, 1e-2, 1.0, 1e2, 1e4)  # Newton diagonal shifts
+_SECANT_SHARE = 1e-2  # p < 2: secant weights on |du| below this share of max|du|
 
 
 @dataclass(frozen=True)
@@ -77,6 +96,7 @@ class SolveOutcome:
     boundary_hit: bool = False
     positivity: str = INDEFINITE
     seed: int | None = None
+    stop_reason: str = ""  # why the Armijo loop ended: one of the names above
 
 
 def _check_alpha(alpha: float) -> None:
@@ -118,14 +138,15 @@ def _check_descent(Ju: float, Jc: float) -> None:
 
 
 def _finish(prob: ProblemSpec, alpha: float, vec: np.ndarray, res: float,
-            iters: int, opts: SolverOptions, boundary_hit: bool = False) -> SolveOutcome:
+            iters: int, opts: SolverOptions, stop_reason: str,
+            boundary_hit: bool = False) -> SolveOutcome:
     gf = GridFunction.from_interior(vec)
     converged = res <= opts.tol
     pos = check_positivity(gf, prob, alpha, opts.tol) if converged else INDEFINITE
     return SolveOutcome(u=gf, residual=float(res), energy=float(_J(prob, alpha, vec)),
                         iterations=int(iters), converged=bool(converged),
                         boundary_hit=bool(boundary_hit), positivity=pos,
-                        seed=opts.seed)
+                        seed=opts.seed, stop_reason=stop_reason)
 
 
 def truncate_nonnegative(nl: Nonlinearity) -> Nonlinearity:
@@ -156,6 +177,48 @@ def truncate_nonnegative(nl: Nonlinearity) -> Nonlinearity:
                         name=f"{nl.name}~trunc")
 
 
+def _newton_weights(p: float, du: np.ndarray) -> np.ndarray:
+    """Edge weights of the tridiagonal Newton matrix.
+
+    p >= 2: the tangent (p-1)|du|^(p-2) of phi_p.  Below p = 2 the tangent
+    blows up at du = 0, and on |d|^p/p a tangent step maps d to
+    d (p-2)/(p-1) (-d at p = 1.5): a difference that should vanish flips
+    sign for thousands of iterations.  So differences below _SECANT_SHARE of
+    the largest take the secant |du|^(p-2), whose step lands on 0, with
+    |du| floored at the largest one's float resolution so du = 0 stays finite.
+    """
+    if p >= 2.0:
+        return (p - 1.0) * np.abs(du) ** (p - 2.0)
+    top = float(np.max(np.abs(du)))
+    a = np.maximum(np.abs(du), max(np.finfo(float).eps * top, np.finfo(float).tiny))
+    return np.where(a >= _SECANT_SHARE * top, p - 1.0, 1.0) * a ** (p - 2.0)
+
+
+def _newton_steps(prob: ProblemSpec, alpha: float, u: np.ndarray, g: np.ndarray):
+    """Yield the finite solutions s of (H + tau I) s = -g down the tau ladder.
+
+    H is the tridiagonal Newton matrix of J at u (edge weights from
+    _newton_weights, minus alpha f' on the diagonal).  Callers take the
+    first step that suits them; larger shifts degrade gracefully toward a
+    scaled gradient step.
+    """
+    from scipy.linalg import solve_banded
+
+    w = _newton_weights(prob.p, np.diff(_pad(u)))
+    diag = w[:-1] + w[1:] - alpha * prob.nonlinearity.df_vec(u)
+    ab = np.zeros((3, u.size))
+    ab[0, 1:] = -w[1:-1]
+    ab[2, :-1] = -w[1:-1]
+    for tau in _TAU_LADDER:
+        ab[1] = diag + tau
+        try:
+            s = solve_banded((1, 1), ab, -g)
+        except (LinAlgError, ValueError):
+            continue
+        if np.all(np.isfinite(s)):
+            yield s
+
+
 def _polish_stationarity(prob: ProblemSpec, alpha: float, u: np.ndarray,
                          tol: float, max_steps: int = 60) -> tuple[np.ndarray, float]:
     """Damped Newton on the stationarity system, driven by the residual.
@@ -163,37 +226,16 @@ def _polish_stationarity(prob: ProblemSpec, alpha: float, u: np.ndarray,
     Energy line searches bottom out once per-step decreases drop below the
     float resolution of J (residuals around 1e-8 when |J| is order one);
     contracting the residual directly needs no energy comparisons and
-    pushes to the tolerance.  Declines (returns the input) when a Jacobian
-    weight (p-1)|du|^(p-2) is infinite, i.e. at a p < 2 kink.
+    pushes to the tolerance.  Returns the input when no shifted Newton step
+    lowers the residual.
     """
-    from scipy.linalg import solve_banded
-
-    p = prob.p
-    nl = prob.nonlinearity
     g = _grad(prob, alpha, u)
     res = float(np.max(np.abs(g)))
     for _ in range(max_steps):
         if res <= 0.5 * tol:
             break
-        d = np.diff(_pad(u))
-        with np.errstate(divide="ignore"):
-            w = (p - 1.0) * np.abs(d) ** (p - 2.0)
-        if not np.all(np.isfinite(w)):
-            break
-        dfv = nl.df_vec(u)
-        n = u.size
         improved = False
-        for tau in (0.0, 1e-10, 1e-6, 1e-2, 1.0, 1e2, 1e4):
-            ab = np.zeros((3, n))
-            ab[0, 1:] = -w[1:-1]
-            ab[1, :] = w[:-1] + w[1:] - alpha * dfv + tau
-            ab[2, :-1] = -w[1:-1]
-            try:
-                s = solve_banded((1, 1), ab, -g)
-            except (LinAlgError, ValueError):
-                continue
-            if not np.all(np.isfinite(s)):
-                continue
+        for s in _newton_steps(prob, alpha, u, g):
             t = 1.0
             while t >= 1e-12:
                 cand = u + t * s
@@ -211,117 +253,48 @@ def _polish_stationarity(prob: ProblemSpec, alpha: float, u: np.ndarray,
     return u, res
 
 
-def solve_descent(prob: ProblemSpec, alpha: float, u0: GridFunction,
-                  opts: SolverOptions | None = None) -> SolveOutcome:
-    """Gradient descent on J_alpha with Armijo backtracking.
+def _descend(prob: ProblemSpec, alpha: float, u: np.ndarray, opts: SolverOptions,
+             newton: bool, project=None) -> tuple[np.ndarray, float, int, str]:
+    """The Armijo loop behind every route; returns (u, residual, iterations,
+    stop_reason).
 
-    The trial step doubles after every accepted step, so flat stretches do
-    not trap the iteration at a tiny step size.  Energy is non-increasing
-    across accepted iterates by construction.  When the line search stalls
-    or the residual stops improving for a long stretch (energy comparisons
-    bottom out in float noise near stationary points; degenerate directions
-    produce sublinear crawls), a residual-driven Newton polish finishes the
-    job; if that cannot reach the tolerance either, the outcome comes back
-    flagged non-converged.
+    With newton, each iteration first tries the first shifted Newton step
+    that is a descent direction, from t = 1; otherwise, or when its line
+    search fails, a gradient step whose trial size doubles after every
+    accepted one, so flat stretches do not trap the iteration at a tiny
+    step.  project, when given, maps every trial point (the sublevel
+    route's radial pull-back).  Energy is non-increasing across accepted
+    iterates.  An accepted step that leaves J unchanged in floating point
+    means Armijo can no longer see progress: the loop stops there
+    (ENERGY_FLOOR) instead of idling until the stall window, and the
+    caller's residual polish takes over.
     """
-    opts = opts if opts is not None else SolverOptions()
-    _check_alpha(alpha)
-    u = _check_start(prob, u0)
     Ju = _J(prob, alpha, u)
     g = _grad(prob, alpha, u)
     res = float(np.max(np.abs(g)))
     step = 1.0
     iters = 0
     best_res, best_at = res, 0
-    while res > opts.tol and iters < opts.max_iters:
-        gg = float(g @ g)
-        t = min(2.0 * step, 1e6)
-        moved = False
-        while t >= _MIN_STEP:
-            cand = u - t * g
-            Jc = _J(prob, alpha, cand)
-            if np.isfinite(Jc) and Jc <= Ju - opts.armijo_c * t * gg:
-                moved = True
-                break
-            t *= opts.backtrack
-        if not moved:
-            break  # line search stalled below the minimum step
-        _check_descent(Ju, Jc)
-        u, Ju, step = cand, Jc, t
-        g = _grad(prob, alpha, u)
-        res = float(np.max(np.abs(g)))
-        iters += 1
-        if res < 0.99 * best_res:
-            best_res, best_at = res, iters
-        elif iters - best_at >= _STALL_WINDOW:
-            break
-    if res > opts.tol:
-        u, res = _polish_stationarity(prob, alpha, u, opts.tol)
-    return _finish(prob, alpha, u, res, iters, opts)
-
-
-def _newton_direction(dfv: np.ndarray, alpha: float, g: np.ndarray) -> np.ndarray | None:
-    """Regularized tridiagonal Newton solve.
-
-    Walks a ladder of diagonal shifts until the system solves AND the
-    resulting step is a descent direction for J (the Hessian may be
-    indefinite away from minima; shifting restores descent, degrading
-    gracefully toward a scaled gradient step).
-    """
-    from scipy.linalg import solve_banded
-
-    n = g.size
-    base = 2.0 - alpha * dfv
-    for tau in (0.0, 1e-10, 1e-6, 1e-2, 1.0, 1e2, 1e4):
-        ab = np.zeros((3, n))
-        ab[0, 1:] = -1.0
-        ab[1, :] = base + tau
-        ab[2, :-1] = -1.0
-        try:
-            s = solve_banded((1, 1), ab, -g)
-        except (LinAlgError, ValueError):
-            continue
-        if np.all(np.isfinite(s)) and float(g @ s) < 0.0:
-            return s
-    return None
-
-
-def solve_newton_p2(prob: ProblemSpec, alpha: float, u0: GridFunction,
-                    opts: SolverOptions | None = None) -> SolveOutcome:
-    """Damped Newton on J_alpha for p = 2, O(T) per iteration.
-
-    Each step solves the tridiagonal Newton system (with a regularization
-    ladder when it is singular or produces an ascent direction) and is
-    accepted through the same Armijo test on the energy as solve_descent,
-    falling back to a plain descent step when the Newton step is rejected.
-    Near a nondegenerate minimum the full step passes and convergence is
-    quadratic.  A stalled line search hands over to the residual-driven
-    polish (which can land on a nearby saddle: legitimate critical point);
-    only when that fails too does the outcome come back non-converged.
-    """
-    if prob.p != 2.0:
-        raise ValueError("solve_newton_p2 requires p = 2")
-    opts = opts if opts is not None else SolverOptions()
-    _check_alpha(alpha)
-    u = _check_start(prob, u0)
-    nl = prob.nonlinearity
-    Ju = _J(prob, alpha, u)
-    g = _grad(prob, alpha, u)
-    res = float(np.max(np.abs(g)))
-    step = 1.0
-    iters = 0
-    best_res, best_at = res, 0
-    while res > opts.tol and iters < opts.max_iters:
+    while True:
+        if res <= opts.tol:
+            return u, res, iters, CONVERGED
+        if iters >= opts.max_iters:
+            return u, res, iters, MAX_ITERS
+        descent = -g
         candidates = []
-        s = _newton_direction(nl.df_vec(u), alpha, g)
-        if s is not None:
-            candidates.append((s, float(g @ s), 1.0))
-        candidates.append((-g, -float(g @ g), min(2.0 * step, 1e6)))
+        if newton:
+            for s in _newton_steps(prob, alpha, u, g):
+                slope = float(g @ s)
+                if slope < 0.0:
+                    candidates.append((s, slope, 1.0))
+                    break
+        candidates.append((descent, -float(g @ g), min(2.0 * step, 1e6)))
         moved = False
-        for direction, slope, t0 in candidates:
-            t = t0
+        for direction, slope, t in candidates:
             while t >= _MIN_STEP:
                 cand = u + t * direction
+                if project is not None:
+                    cand = project(cand)
                 Jc = _J(prob, alpha, cand)
                 if np.isfinite(Jc) and Jc <= Ju + opts.armijo_c * t * slope:
                     moved = True
@@ -330,21 +303,68 @@ def solve_newton_p2(prob: ProblemSpec, alpha: float, u0: GridFunction,
             if moved:
                 break
         if not moved:
-            break
+            return u, res, iters, LINE_SEARCH
         _check_descent(Ju, Jc)
+        at_floor = Jc >= Ju
+        if direction is descent:
+            step = t  # remember the accepted gradient step size
         u, Ju = cand, Jc
-        if direction is not s:
-            step = t  # remember the accepted plain-descent step size
         g = _grad(prob, alpha, u)
         res = float(np.max(np.abs(g)))
         iters += 1
+        if res <= opts.tol:
+            continue
+        if at_floor:
+            return u, res, iters, ENERGY_FLOOR
         if res < 0.99 * best_res:
             best_res, best_at = res, iters
         elif iters - best_at >= _STALL_WINDOW:
-            break  # residual crawl (e.g. circling a saddle): stop and polish
+            return u, res, iters, STALL_WINDOW  # residual crawl (e.g. circling a saddle)
+
+
+def _solve(prob: ProblemSpec, alpha: float, u0: GridFunction,
+           opts: SolverOptions | None, newton: bool) -> SolveOutcome:
+    opts = opts if opts is not None else SolverOptions()
+    _check_alpha(alpha)
+    u, res, iters, reason = _descend(prob, alpha, _check_start(prob, u0), opts, newton)
     if res > opts.tol:
         u, res = _polish_stationarity(prob, alpha, u, opts.tol)
-    return _finish(prob, alpha, u, res, iters, opts)
+    return _finish(prob, alpha, u, res, iters, opts, reason)
+
+
+def solve_newton(prob: ProblemSpec, alpha: float, u0: GridFunction,
+                 opts: SolverOptions | None = None) -> SolveOutcome:
+    """Globalised Newton on J_alpha for any p > 1, O(T) per iteration.
+
+    Each step solves the tridiagonal Newton system (shifted when it is
+    singular or gives an ascent direction) and is accepted through an
+    Armijo test on the energy, falling back to a gradient step when the
+    Newton step is rejected.  Near a nondegenerate minimum the full step
+    passes and convergence is quadratic.  When Armijo stops seeing progress
+    a residual-driven polish finishes (it can land on a nearby saddle: a
+    legitimate critical point); only when that fails too does the outcome
+    come back non-converged.
+    """
+    return _solve(prob, alpha, u0, opts, newton=True)
+
+
+def solve_descent(prob: ProblemSpec, alpha: float, u0: GridFunction,
+                  opts: SolverOptions | None = None) -> SolveOutcome:
+    """Gradient descent on J_alpha with Armijo backtracking.
+
+    The same loop and polish as solve_newton, with plain gradient
+    directions; a cross-check of the Newton route, step for step slower.
+    """
+    return _solve(prob, alpha, u0, opts, newton=False)
+
+
+def solve_newton_p2(prob: ProblemSpec, alpha: float, u0: GridFunction,
+                    opts: SolverOptions | None = None) -> SolveOutcome:
+    """solve_newton restricted to p = 2, where the Newton matrix is exact
+    and constant in the Dirichlet part."""
+    if prob.p != 2.0:
+        raise ValueError("solve_newton_p2 requires p = 2")
+    return solve_newton(prob, alpha, u0, opts)
 
 
 def _psi(vec: np.ndarray, p: float) -> float:
@@ -376,48 +396,20 @@ def minimize_on_sublevel(prob: ProblemSpec, alpha: float, sigma: float,
     p, T = prob.p, prob.T
     from .core import kappa  # local import keeps module top uncluttered
 
+    def project(vec: np.ndarray) -> np.ndarray:
+        n = _psi(vec, p)
+        return vec * (sigma / n) ** (1.0 / p) if n > sigma else vec
+
     def run(start: np.ndarray) -> SolveOutcome:
-        u = start
-        n = _psi(u, p)
-        if n > sigma:
-            u = u * (sigma / n) ** (1.0 / p)
-        Ju = _J(prob, alpha, u)
-        g = _grad(prob, alpha, u)
-        res = float(np.max(np.abs(g)))
-        step = 1.0
-        iters = 0
-        best_res, best_at = res, 0
-        while res > opts.tol and iters < opts.max_iters:
-            gg = float(g @ g)
-            t = min(2.0 * step, 1e6)
-            moved = False
-            while t >= _MIN_STEP:
-                cand = u - t * g
-                n = _psi(cand, p)
-                if n > sigma:
-                    cand = cand * (sigma / n) ** (1.0 / p)
-                Jc = _J(prob, alpha, cand)
-                if np.isfinite(Jc) and Jc <= Ju - opts.armijo_c * t * gg:
-                    moved = True
-                    break
-                t *= opts.backtrack
-            if not moved:
-                break  # stalled: either stationary or pinned to the boundary
-            u, Ju, step = cand, Jc, t
-            g = _grad(prob, alpha, u)
-            res = float(np.max(np.abs(g)))
-            iters += 1
-            if res < 0.99 * best_res:
-                best_res, best_at = res, iters
-            elif iters - best_at >= _STALL_WINDOW:
-                break  # residual crawl: give up on this start
+        u, res, iters, reason = _descend(prob, alpha, project(start), opts,
+                                         newton=False, project=project)
         hit = _psi(u, p) >= sigma * (1.0 - _BOUNDARY_SLACK)
         if not hit and res > opts.tol:
             # interior stall: unconstrained polish, kept only if it stays inside
             cand, cres = _polish_stationarity(prob, alpha, u, opts.tol)
             if _psi(cand, p) < sigma * (1.0 - _BOUNDARY_SLACK):
                 u, res = cand, cres
-        return _finish(prob, alpha, u, res, iters, opts, boundary_hit=hit)
+        return _finish(prob, alpha, u, res, iters, opts, reason, boundary_hit=hit)
 
     rng = np.random.Generator(np.random.Philox(opts.seed))
     starts = [np.zeros(T)]
@@ -489,17 +481,6 @@ def nontriviality_certificate(prob: ProblemSpec, alpha: float, eigen: EigenPair,
     return None
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("DPLAP_THREADS")
-    if raw is None or raw.strip() == "":
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError("DPLAP_THREADS must be an integer") from exc
-    return max(1, n)
-
-
 def _eigen_best_effort(p: float, T: int) -> EigenPair:
     try:
         return first_eigenpair(p, T)
@@ -514,9 +495,8 @@ def multistart_solve(prob: ProblemSpec, alpha: float, n_starts: int,
     starts, and n_starts seeded uniform random starts; return the distinct
     converged solutions sorted by energy.
 
-    Distinctness is sup-norm distance >= opts.dedup_dist, keeping the
-    lowest-energy representative.  Runs are order-stable regardless of the
-    DPLAP_THREADS worker count.
+    Every start runs through solve_newton.  Distinctness is sup-norm
+    distance >= opts.dedup_dist, keeping the lowest-energy representative.
     """
     opts = opts if opts is not None else SolverOptions()
     _check_alpha(alpha)
@@ -533,19 +513,8 @@ def multistart_solve(prob: ProblemSpec, alpha: float, n_starts: int,
     for _ in range(n_starts):
         starts.append(rng.uniform(-2.0, 2.0, T))
 
-    if prob.p == 2.0:
-        def solve_one(vec):
-            return solve_newton_p2(prob, alpha, GridFunction.from_interior(vec), opts)
-    else:
-        def solve_one(vec):
-            return solve_descent(prob, alpha, GridFunction.from_interior(vec), opts)
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(solve_one, starts))
-    else:
-        outcomes = [solve_one(s) for s in starts]
+    outcomes = [solve_newton(prob, alpha, GridFunction.from_interior(vec), opts)
+                for vec in starts]
 
     kept: list[SolveOutcome] = []
     for cand in sorted((o for o in outcomes if o.converged), key=lambda o: o.energy):
@@ -553,6 +522,17 @@ def multistart_solve(prob: ProblemSpec, alpha: float, n_starts: int,
                for seen in kept):
             kept.append(cand)
     return kept
+
+
+def pick_reported(sols: list[SolveOutcome]) -> SolveOutcome:
+    """The solution a report shows, from multistart_solve's energy-sorted list.
+
+    Lowest energy wins; a positive solution wins an exact-energy tie (odd
+    nonlinearities pair u with -u at equal energy).
+    """
+    best = sols[0]
+    cutoff = best.energy + 1e-12 * (1.0 + abs(best.energy))
+    return next((s for s in sols if s.energy <= cutoff and s.positivity == POSITIVE), best)
 
 
 @dataclass(frozen=True)
@@ -596,13 +576,7 @@ def sweep_alpha(prob: ProblemSpec, alphas, opts: SolverOptions | None = None,
             cert = nontriviality_certificate(prob, a, eig)
             zeta = cert[0] if cert is not None else None
             if sols:
-                best = sols[0]
-                ties = [s for s in sols
-                        if s.energy <= best.energy + 1e-12 * (1.0 + abs(best.energy))]
-                for s in ties:
-                    if s.positivity == POSITIVE:
-                        best = s
-                        break
+                best = pick_reported(sols)
                 rows.append(SweepRow(alpha=a, n_solutions=len(sols),
                                      min_energy=best.energy,
                                      sup_norm=sup_norm(best.u),

@@ -407,13 +407,6 @@ def test_selftest_fault_injection(capsys, monkeypatch):
 
 # ---------------------------------------------------------------- environment
 
-def test_invalid_threads_env_exits_1(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DPLAP_THREADS", "abc")
-    rc = main(["solve", esempio0_cfg(tmp_path), "--out", str(tmp_path / "r.txt")])
-    assert rc == EXIT_ERROR
-    assert "DPLAP_THREADS must be an integer" in capsys.readouterr().err
-
-
 def test_import_does_not_load_scipy():
     # every CLI call is a fresh process; scipy is imported only where used
     src = os.path.dirname(os.path.dirname(os.path.abspath(dplap.core.__file__)))

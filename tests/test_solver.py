@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 
+import dplap.solver
 from dplap.core import GridFunction, Nonlinearity, ProblemSpec, kappa, sup_norm
 from dplap.energy import energy, gradient, strong_residual, weak_residual
 from dplap.nonlinearities import bounded_rational, constant, linear, zero
-from dplap.solver import (INDEFINITE, POSITIVE, ZERO, SolveOutcome,
-                          SolverOptions, SweepRow, _worker_count,
+from dplap.solver import (CONVERGED, ENERGY_FLOOR, INDEFINITE, LINE_SEARCH,
+                          MAX_ITERS, POSITIVE, STALL_WINDOW, ZERO,
+                          SolveOutcome, SolverOptions, SweepRow,
                           check_positivity, minimize_on_sublevel,
                           multistart_solve, nontriviality_certificate,
-                          solve_descent, solve_newton_p2, sweep_alpha,
-                          truncate_nonnegative)
+                          pick_reported, solve_descent, solve_newton,
+                          solve_newton_p2, sweep_alpha, truncate_nonnegative)
 from dplap.spectrum import first_eigenpair
 
 from test_existence import clipped_cubic
@@ -24,6 +26,36 @@ def esempio0(T=5, p=2.0):
 def eigen_start(prob, scale=0.1):
     pair = first_eigenpair(prob.p, prob.T)
     return GridFunction(scale * pair.phi.values)
+
+
+def multistart_starts(prob, seed, n_starts):
+    """The starts multistart_solve builds: 0, +/- the sup-normalised first
+    eigenfunction, then n_starts uniform draws from Philox(seed)."""
+    phi = first_eigenpair(prob.p, prob.T).phi.interior
+    profile = phi / np.max(np.abs(phi))
+    rng = np.random.Generator(np.random.Philox(seed))
+    return ([np.zeros(prob.T), profile, -profile]
+            + [rng.uniform(-2.0, 2.0, prob.T) for _ in range(n_starts)])
+
+
+@pytest.fixture(autouse=True)
+def outcomes_name_their_stop_reason(monkeypatch):
+    """Every outcome built by a test in this module says why its Armijo loop
+    ended, and a non-converged one never says converged."""
+    seen = []
+    finish = dplap.solver._finish
+
+    def recording_finish(*args, **kwargs):
+        out = finish(*args, **kwargs)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(dplap.solver, "_finish", recording_finish)
+    yield
+    reasons = (CONVERGED, ENERGY_FLOOR, STALL_WINDOW, LINE_SEARCH, MAX_ITERS)
+    for out in seen:
+        assert out.stop_reason in reasons
+        assert out.converged or out.stop_reason != CONVERGED
 
 
 # --------------------------------------------------------------- options
@@ -39,6 +71,19 @@ def test_solver_options_validation():
         SolverOptions(backtrack=0.0)
     with pytest.raises(ValueError, match="dedup_dist"):
         SolverOptions(dedup_dist=0.0)
+
+
+def test_non_converged_outcome_names_stop_reason():
+    prob = esempio0()
+    unreachable = solve_newton(prob, 1.0, eigen_start(prob), SolverOptions(tol=1e-300))
+    assert not unreachable.converged
+    assert unreachable.stop_reason in (ENERGY_FLOOR, LINE_SEARCH, STALL_WINDOW)
+    capped = solve_descent(prob, 1.0, eigen_start(prob),
+                           SolverOptions(tol=1e-300, max_iters=1))
+    assert not capped.converged
+    assert capped.iterations == 1 and capped.stop_reason == MAX_ITERS
+    done = solve_newton(prob, 1.0, eigen_start(prob))
+    assert done.converged and done.stop_reason in (CONVERGED, ENERGY_FLOOR)
 
 
 def test_solve_outcome_is_frozen():
@@ -180,6 +225,54 @@ def test_newton_constant_f_exact_in_one_step():
     assert out.converged
     assert np.allclose(out.u.interior, [1.5, 2.0, 1.5], atol=1e-12)
     assert out.iterations <= 2
+
+
+# ------------------------------------------------------------ solve_newton
+
+def test_newton_hands_over_at_the_energy_floor():
+    # two alpha = 3 starts reach residual ~1e-7 at |J| ~ 393 early; from there
+    # no Armijo step changes J in floating point, so the loop must hand over
+    # to the residual polish instead of idling to the stall window
+    prob = esempio0(T=50)
+    starts = multistart_starts(prob, 0, 8)
+    for vec in (starts[3 + 2], starts[3 + 6]):
+        out = solve_newton(prob, 3.0, GridFunction.from_interior(vec))
+        assert out.converged and out.stop_reason == ENERGY_FLOOR
+        assert out.iterations < 300
+        assert strong_residual(out.u, prob, 3.0) <= 1e-10
+
+
+def test_newton_p15_even_T_plateau_converges_from_every_start():
+    # even T: the solution's middle difference vanishes, where the tangent
+    # weight (p-1)|du|^(p-2) is infinite
+    prob = esempio0(T=10, p=1.5)
+    for vec in multistart_starts(prob, 1010, 4):
+        out = solve_newton(prob, 1.0, GridFunction.from_interior(vec))
+        assert out.converged
+        assert strong_residual(out.u, prob, 1.0) <= 1e-10
+
+
+def test_newton_p3_converges_fast_and_matches_descent():
+    prob = esempio0(T=20, p=3.0)
+    for vec in multistart_starts(prob, 0, 8):
+        out = solve_newton(prob, 1.0, GridFunction.from_interior(vec))
+        assert out.converged and out.iterations <= 100
+        assert strong_residual(out.u, prob, 1.0) <= 1e-10
+    start = eigen_start(prob)
+    newton = solve_newton(prob, 1.0, start)
+    descent = solve_descent(prob, 1.0, start)
+    assert newton.converged and descent.converged
+    assert np.max(np.abs(newton.u.interior - descent.u.interior)) < 1e-8
+
+
+def test_newton_rejects_bad_inputs():
+    prob = esempio0(p=3.0)
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        solve_newton(prob, 0.0, GridFunction.zero(5))
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        solve_newton(prob, -1.0, GridFunction.zero(5))
+    with pytest.raises(ValueError, match="start has T=3"):
+        solve_newton(prob, 1.0, GridFunction.zero(3))
 
 
 # ------------------------------------------------------- check_positivity
@@ -442,6 +535,17 @@ def test_sweep_reports_positive_representative_on_ties():
     assert rows[0].sup_norm == pytest.approx(1.962256585023781, rel=1e-8)
 
 
+def test_pick_reported_prefers_positive_only_on_exact_ties():
+    def outcome(e, pos):
+        return SolveOutcome(u=GridFunction.zero(2), residual=0.0, energy=e,
+                            iterations=0, converged=True, positivity=pos)
+
+    neg, pos = outcome(-1.0, INDEFINITE), outcome(-1.0, POSITIVE)
+    assert pick_reported([neg, pos]) is pos
+    higher = outcome(-1.0 + 1e-9, POSITIVE)
+    assert pick_reported([neg, higher]) is neg
+
+
 def test_sweep_validates_alphas():
     prob = esempio0()
     with pytest.raises(ValueError, match="nonempty"):
@@ -467,20 +571,6 @@ def test_sweep_captures_row_errors():
 
 
 # ------------------------------------------------------- thread plumbing
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("DPLAP_THREADS", raising=False)
-    assert _worker_count() == 1
-    monkeypatch.setenv("DPLAP_THREADS", "")
-    assert _worker_count() == 1
-    monkeypatch.setenv("DPLAP_THREADS", "4")
-    assert _worker_count() == 4
-    monkeypatch.setenv("DPLAP_THREADS", "0")
-    assert _worker_count() == 1
-    monkeypatch.setenv("DPLAP_THREADS", "abc")
-    with pytest.raises(ValueError, match="DPLAP_THREADS"):
-        _worker_count()
-
 
 def test_multistart_threaded_matches_serial(monkeypatch):
     prob = esempio0()
