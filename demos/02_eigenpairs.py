@@ -4,8 +4,9 @@ For p = 2 the whole spectrum has a closed form, 4 sin^2(k pi / (2(T+1))),
 which doubles as an oracle for the numeric path.  For general p the first
 eigenvalue is the minimum of the Rayleigh-type quotient
     sum |Du|^p / sum |u|^p,
-computed by projected descent plus a Newton polish.  The eigenfunction is
-positive and symmetric, and lambda_1 shrinks as the grid grows.
+computed by the solvers' globalised Newton loop and residual polish on the
+shell sum |u|^p = 1.  The eigenfunction is positive and symmetric, and
+lambda_1 shrinks as the grid grows.
 """
 
 import numpy as np

@@ -223,12 +223,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_eigen(args) -> int:
-    if not args.p > 1.0:
-        print("error: p must exceed 1", file=sys.stderr)
-        return EXIT_ERROR
-    if args.T < 2:
-        print("error: T must be an integer >= 2", file=sys.stderr)
-        return EXIT_ERROR
     opts = SolverOptions(tol=args.tol)
     try:
         pair = first_eigenpair(args.p, args.T, opts)

@@ -14,12 +14,14 @@ Routes:
     argument.
   - multistart_solve / sweep_alpha: batching, deduplication, continuation.
 
-All three share one Armijo loop (_descend).  It stops when the residual
-reaches tol, when an accepted step no longer lowers J in floating point
-(the energy floor), when the residual stalls for _STALL_WINDOW iterations,
-when the line search fails, or at max_iters; outcomes name the reason in
-stop_reason.  Below the energy floor a residual-driven Newton polish, with
-the same tridiagonal assembly, finishes the job.
+All three, and spectrum.first_eigenpair, share one Armijo loop (_descend)
+and one residual-driven Newton polish (_polish); each caller passes its
+objective, gradient, Newton steps and projection as callables.  The loop
+stops when the residual reaches tol, when an accepted step no longer
+lowers the objective in floating point (the energy floor), when the
+residual stalls for _STALL_WINDOW iterations, when the line search fails,
+or at max_iters; outcomes name the reason in stop_reason.  Below the
+energy floor the polish finishes the job.
 
 Positivity classification and the nontriviality certificate live here too.
 """
@@ -29,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import LinAlgError
 
 from .core import (GridFunction, Nonlinearity, ProblemSpec, TablePotential,
                    p_laplacian, sup_norm)
@@ -177,24 +178,27 @@ def truncate_nonnegative(nl: Nonlinearity) -> Nonlinearity:
                         name=f"{nl.name}~trunc")
 
 
-def _newton_weights(p: float, du: np.ndarray) -> np.ndarray:
+def _newton_weights(p: float, du: np.ndarray, share: float) -> np.ndarray:
     """Edge weights of the tridiagonal Newton matrix.
 
     p >= 2: the tangent (p-1)|du|^(p-2) of phi_p.  Below p = 2 the tangent
     blows up at du = 0, and on |d|^p/p a tangent step maps d to
     d (p-2)/(p-1) (-d at p = 1.5): a difference that should vanish flips
-    sign for thousands of iterations.  So differences below _SECANT_SHARE of
-    the largest take the secant |du|^(p-2), whose step lands on 0, with
-    |du| floored at the largest one's float resolution so du = 0 stays finite.
+    sign for thousands of iterations.  So differences below share of the
+    largest take the secant |du|^(p-2), whose step lands on 0, with |du|
+    floored at the largest one's float resolution so du = 0 stays finite.
+    The residual polish passes share = 0 (tangent everywhere): near a
+    solution it wants the true Jacobian, not a step to a plateau.
     """
     if p >= 2.0:
         return (p - 1.0) * np.abs(du) ** (p - 2.0)
     top = float(np.max(np.abs(du)))
     a = np.maximum(np.abs(du), max(np.finfo(float).eps * top, np.finfo(float).tiny))
-    return np.where(a >= _SECANT_SHARE * top, p - 1.0, 1.0) * a ** (p - 2.0)
+    return np.where(a >= share * top, p - 1.0, 1.0) * a ** (p - 2.0)
 
 
-def _newton_steps(prob: ProblemSpec, alpha: float, u: np.ndarray, g: np.ndarray):
+def _newton_steps(prob: ProblemSpec, alpha: float, u: np.ndarray, g: np.ndarray,
+                  share: float):
     """Yield the finite solutions s of (H + tau I) s = -g down the tau ladder.
 
     H is the tridiagonal Newton matrix of J at u (edge weights from
@@ -202,44 +206,43 @@ def _newton_steps(prob: ProblemSpec, alpha: float, u: np.ndarray, g: np.ndarray)
     first step that suits them; larger shifts degrade gracefully toward a
     scaled gradient step.
     """
-    from scipy.linalg import solve_banded
+    from scipy.linalg.lapack import dgtsv
 
-    w = _newton_weights(prob.p, np.diff(_pad(u)))
+    w = _newton_weights(prob.p, np.diff(_pad(u)), share)
     diag = w[:-1] + w[1:] - alpha * prob.nonlinearity.df_vec(u)
-    ab = np.zeros((3, u.size))
-    ab[0, 1:] = -w[1:-1]
-    ab[2, :-1] = -w[1:-1]
+    if not np.all(np.isfinite(diag)):
+        return
+    off = -w[1:-1]
     for tau in _TAU_LADDER:
-        ab[1] = diag + tau
-        try:
-            s = solve_banded((1, 1), ab, -g)
-        except (LinAlgError, ValueError):
-            continue
-        if np.all(np.isfinite(s)):
+        s, info = dgtsv(off, diag + tau, off, -g)[3:]
+        if info == 0 and np.all(np.isfinite(s)):
             yield s
 
 
-def _polish_stationarity(prob: ProblemSpec, alpha: float, u: np.ndarray,
-                         tol: float, max_steps: int = 60) -> tuple[np.ndarray, float]:
-    """Damped Newton on the stationarity system, driven by the residual.
+def _polish(residual, steps, u: np.ndarray, tol: float, project=None,
+            max_steps: int = 60) -> tuple[np.ndarray, float]:
+    """Damped Newton on residual(u) = 0, driven by the residual's sup norm.
 
     Energy line searches bottom out once per-step decreases drop below the
-    float resolution of J (residuals around 1e-8 when |J| is order one);
-    contracting the residual directly needs no energy comparisons and
-    pushes to the tolerance.  Returns the input when no shifted Newton step
-    lowers the residual.
+    float resolution of the energy (residuals around 1e-8 when it is order
+    one); contracting the residual directly needs no energy comparisons and
+    pushes to the tolerance.  steps(u, g, 0.0) yields the shifted Newton
+    steps with tangent weights; project, when given, maps every trial point.
+    Returns the input when no step lowers the residual.
     """
-    g = _grad(prob, alpha, u)
+    g = residual(u)
     res = float(np.max(np.abs(g)))
     for _ in range(max_steps):
         if res <= 0.5 * tol:
             break
         improved = False
-        for s in _newton_steps(prob, alpha, u, g):
+        for s in steps(u, g, 0.0):
             t = 1.0
             while t >= 1e-12:
                 cand = u + t * s
-                gc = _grad(prob, alpha, cand)
+                if project is not None:
+                    cand = project(cand)
+                gc = residual(cand)
                 rc = float(np.max(np.abs(gc)))
                 if np.isfinite(rc) and rc < res:
                     u, g, res = cand, gc, rc
@@ -253,24 +256,26 @@ def _polish_stationarity(prob: ProblemSpec, alpha: float, u: np.ndarray,
     return u, res
 
 
-def _descend(prob: ProblemSpec, alpha: float, u: np.ndarray, opts: SolverOptions,
-             newton: bool, project=None) -> tuple[np.ndarray, float, int, str]:
+def _descend(J, grad, steps, u: np.ndarray, opts: SolverOptions,
+             project=None) -> tuple[np.ndarray, float, int, str]:
     """The Armijo loop behind every route; returns (u, residual, iterations,
     stop_reason).
 
-    With newton, each iteration first tries the first shifted Newton step
-    that is a descent direction, from t = 1; otherwise, or when its line
-    search fails, a gradient step whose trial size doubles after every
-    accepted one, so flat stretches do not trap the iteration at a tiny
-    step.  project, when given, maps every trial point (the sublevel
-    route's radial pull-back).  Energy is non-increasing across accepted
-    iterates.  An accepted step that leaves J unchanged in floating point
-    means Armijo can no longer see progress: the loop stops there
-    (ENERGY_FLOOR) instead of idling until the stall window, and the
-    caller's residual polish takes over.
+    J and grad evaluate the objective and its gradient.  With steps, each
+    iteration first tries the first shifted Newton step from
+    steps(u, g, _SECANT_SHARE) that is a descent direction, from t = 1;
+    otherwise, or when its line search fails, a gradient step whose trial
+    size doubles after every accepted one, so flat stretches do not trap
+    the iteration at a tiny step.  project, when given, maps every trial
+    point (the sublevel route's radial pull-back, the eigenproblem's return
+    to its shell).  J is non-increasing across accepted iterates.  An
+    accepted step that leaves J unchanged in floating point means Armijo
+    can no longer see progress: the loop stops there (ENERGY_FLOOR) instead
+    of idling until the stall window, and the caller's residual polish
+    takes over.
     """
-    Ju = _J(prob, alpha, u)
-    g = _grad(prob, alpha, u)
+    Ju = J(u)
+    g = grad(u)
     res = float(np.max(np.abs(g)))
     step = 1.0
     iters = 0
@@ -282,8 +287,8 @@ def _descend(prob: ProblemSpec, alpha: float, u: np.ndarray, opts: SolverOptions
             return u, res, iters, MAX_ITERS
         descent = -g
         candidates = []
-        if newton:
-            for s in _newton_steps(prob, alpha, u, g):
+        if steps is not None:
+            for s in steps(u, g, _SECANT_SHARE):
                 slope = float(g @ s)
                 if slope < 0.0:
                     candidates.append((s, slope, 1.0))
@@ -295,7 +300,7 @@ def _descend(prob: ProblemSpec, alpha: float, u: np.ndarray, opts: SolverOptions
                 cand = u + t * direction
                 if project is not None:
                     cand = project(cand)
-                Jc = _J(prob, alpha, cand)
+                Jc = J(cand)
                 if np.isfinite(Jc) and Jc <= Ju + opts.armijo_c * t * slope:
                     moved = True
                     break
@@ -309,7 +314,7 @@ def _descend(prob: ProblemSpec, alpha: float, u: np.ndarray, opts: SolverOptions
         if direction is descent:
             step = t  # remember the accepted gradient step size
         u, Ju = cand, Jc
-        g = _grad(prob, alpha, u)
+        g = grad(u)
         res = float(np.max(np.abs(g)))
         iters += 1
         if res <= opts.tol:
@@ -322,13 +327,21 @@ def _descend(prob: ProblemSpec, alpha: float, u: np.ndarray, opts: SolverOptions
             return u, res, iters, STALL_WINDOW  # residual crawl (e.g. circling a saddle)
 
 
+def _energy_calls(prob: ProblemSpec, alpha: float):
+    """(J, grad, steps) of J_alpha as the callables _descend and _polish take."""
+    return (lambda v: _J(prob, alpha, v), lambda v: _grad(prob, alpha, v),
+            lambda v, g, share: _newton_steps(prob, alpha, v, g, share))
+
+
 def _solve(prob: ProblemSpec, alpha: float, u0: GridFunction,
            opts: SolverOptions | None, newton: bool) -> SolveOutcome:
     opts = opts if opts is not None else SolverOptions()
     _check_alpha(alpha)
-    u, res, iters, reason = _descend(prob, alpha, _check_start(prob, u0), opts, newton)
+    J, grad, steps = _energy_calls(prob, alpha)
+    u, res, iters, reason = _descend(J, grad, steps if newton else None,
+                                     _check_start(prob, u0), opts)
     if res > opts.tol:
-        u, res = _polish_stationarity(prob, alpha, u, opts.tol)
+        u, res = _polish(grad, steps, u, opts.tol)
     return _finish(prob, alpha, u, res, iters, opts, reason)
 
 
@@ -400,13 +413,15 @@ def minimize_on_sublevel(prob: ProblemSpec, alpha: float, sigma: float,
         n = _psi(vec, p)
         return vec * (sigma / n) ** (1.0 / p) if n > sigma else vec
 
+    J, grad, steps = _energy_calls(prob, alpha)
+
     def run(start: np.ndarray) -> SolveOutcome:
-        u, res, iters, reason = _descend(prob, alpha, project(start), opts,
-                                         newton=False, project=project)
+        u, res, iters, reason = _descend(J, grad, None, project(start), opts,
+                                         project=project)
         hit = _psi(u, p) >= sigma * (1.0 - _BOUNDARY_SLACK)
         if not hit and res > opts.tol:
             # interior stall: unconstrained polish, kept only if it stays inside
-            cand, cres = _polish_stationarity(prob, alpha, u, opts.tol)
+            cand, cres = _polish(grad, steps, u, opts.tol)
             if _psi(cand, p) < sigma * (1.0 - _BOUNDARY_SLACK):
                 u, res = cand, cres
         return _finish(prob, alpha, u, res, iters, opts, reason, boundary_hit=hit)

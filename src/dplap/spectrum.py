@@ -3,12 +3,15 @@
 The eigenvalue problem is
     -(phi_p(forward difference) differenced)(k) = lambda phi_p(u(k)),
 with zero Dirichlet boundary.  The first eigenvalue is the minimum of the
-Rayleigh quotient sum |du|^p / sum |u(k)|^p over non-zero grid functions.
+Rayleigh quotient sum |du|^p / sum |u(k)|^p over non-zero grid functions;
+first_eigenpair finds it with the solver's globalised Newton loop and
+residual polish (solver._descend, solver._polish) on the shell
+sum |u(k)|^p = 1, through a bordered Newton system.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -20,7 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 EIGEN_TOL = 1e-9
 EIGEN_MAX_ITERS = 100_000
-_STALL_WINDOW = 2000  # iterations without residual progress before polishing
 
 
 @dataclass(frozen=True)
@@ -85,219 +87,86 @@ def _eigen_defect(interior: np.ndarray, p: float) -> tuple[float, np.ndarray]:
     return lam, defect
 
 
-def _polish_newton(u: np.ndarray, lam: float, p: float, tol: float,
-                   max_steps: int = 40) -> tuple[np.ndarray, float, np.ndarray] | None:
-    """Newton iteration on the extended system (eigen defect, normalisation).
-
-    The quotient descent above bottoms out when quotient decreases fall
-    below float noise (residual around 1e-8); Newton contracts the defect
-    itself and pushes well past that floor.  Requires every difference
-    weight (p-1)|du|^(p-2) to be finite, so it declines (returns None) when
-    p < 2 and an iterate has a zero difference.
-    """
-    u = u.copy()
-    lam = float(lam)
-    _, defect = _eigen_defect(u, p)
-    norm_err = float(np.sum(np.abs(u) ** p)) - 1.0
-    err = float(np.max(np.abs(defect))) + abs(norm_err)
-    for _ in range(max_steps):
-        d = np.diff(np.concatenate(([0.0], u, [0.0])))
-        with np.errstate(divide="ignore"):
-            w = (p - 1.0) * np.abs(d) ** (p - 2.0)
-        dphi = (p - 1.0) * np.abs(u) ** (p - 2.0)
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(dphi))):
-            return None
-        T = u.size
-        J = np.zeros((T + 1, T + 1))
-        J[:T, :T] = (np.diag(w[:-1] + w[1:]) - np.diag(w[1:-1], 1)
-                     - np.diag(w[1:-1], -1) - lam * np.diag(dphi))
-        J[:T, T] = -phi_p(u, p)
-        J[T, :T] = p * phi_p(u, p)
-        rhs = -np.concatenate((defect, [norm_err]))
-        try:
-            delta = np.linalg.solve(J, rhs)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(delta)):
-            return None
-        t = 1.0
-        improved = False
-        while t >= 1e-8:
-            cand = u + t * delta[:T]
-            cand_lam = lam + t * float(delta[T])
-            _, cand_defect = _eigen_defect(cand, p)
-            cand_norm = float(np.sum(np.abs(cand) ** p)) - 1.0
-            cand_err = float(np.max(np.abs(cand_defect))) + abs(cand_norm)
-            if np.isfinite(cand_err) and cand_err < err:
-                u, lam, defect, norm_err, err = cand, cand_lam, cand_defect, cand_norm, cand_err
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            break
-        if float(np.max(np.abs(defect))) <= 0.5 * tol and abs(norm_err) <= 1e-12:
-            break
-    # restore the exact normalisation; the defect is degree p-1 homogeneous,
-    # so a rescale this close to 1 does not disturb the residual
-    u = u / float(np.sum(np.abs(u) ** p)) ** (1.0 / p)
-    lam, defect = _eigen_defect(u, p)
-    return u, lam, defect
-
-
-def _polish_newton_symmetric(u: np.ndarray, lam: float, p: float, tol: float,
-                             max_steps: int = 40) -> tuple[np.ndarray, float, np.ndarray] | None:
-    """Newton polish restricted to the reflection-symmetric subspace, even T.
-
-    For even T the eigenfunction has a two-node plateau, so the middle
-    difference is exactly zero and the full-space Jacobian weight
-    (p-1)|0|^(p-2) blows up for p < 2.  In half coordinates v = u(1..T/2)
-    the plateau is built in, every remaining difference is positive at the
-    minimiser, and the system is smooth for every p > 1.
-    """
-    T = u.size
-    m = T // 2
-    v = 0.5 * (u[:m] + u[::-1][:m])  # symmetric part, half coordinates
-    lam = float(lam)
-
-    def assemble(v, lam):
-        d = np.diff(np.concatenate(([0.0], v)))  # d_1..d_m, plateau excluded
-        flux = phi_p(d, p)
-        defect = np.empty(m)
-        defect[:-1] = -(flux[1:] - flux[:-1]) - lam * phi_p(v[:-1], p)
-        defect[-1] = flux[-1] - lam * phi_p(v[-1], p)
-        norm_err = 2.0 * float(np.sum(np.abs(v) ** p)) - 1.0
-        return d, defect, norm_err
-
-    d, defect, norm_err = assemble(v, lam)
-    err = float(np.max(np.abs(defect))) + abs(norm_err)
-    for _ in range(max_steps):
-        with np.errstate(divide="ignore"):
-            w = (p - 1.0) * np.abs(d) ** (p - 2.0)
-        dphi = (p - 1.0) * np.abs(v) ** (p - 2.0)
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(dphi))):
-            return None
-        J = np.zeros((m + 1, m + 1))
-        for k in range(m - 1):
-            J[k, k] = w[k] + w[k + 1] - lam * dphi[k]
-            if k > 0:
-                J[k, k - 1] = -w[k]
-            J[k, k + 1] = -w[k + 1]
-        J[m - 1, m - 1] = w[m - 1] - lam * dphi[m - 1]
-        if m > 1:
-            J[m - 1, m - 2] = -w[m - 1]
-        J[:m, m] = -phi_p(v, p)
-        J[m, :m] = 2.0 * p * phi_p(v, p)
-        rhs = -np.concatenate((defect, [norm_err]))
-        try:
-            delta = np.linalg.solve(J, rhs)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(delta)):
-            return None
-        t = 1.0
-        improved = False
-        while t >= 1e-8:
-            cand = v + t * delta[:m]
-            cand_lam = lam + t * float(delta[m])
-            cand_d, cand_defect, cand_norm = assemble(cand, cand_lam)
-            cand_err = float(np.max(np.abs(cand_defect))) + abs(cand_norm)
-            if np.isfinite(cand_err) and cand_err < err:
-                v, lam, d, defect, norm_err, err = (cand, cand_lam, cand_d,
-                                                    cand_defect, cand_norm, cand_err)
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            break
-        if float(np.max(np.abs(defect))) <= 0.5 * tol and abs(norm_err) <= 1e-12:
-            break
-    full = np.concatenate((v, v[::-1]))  # middle difference exactly zero
-    full = full / float(np.sum(np.abs(full) ** p)) ** (1.0 / p)
-    lam, defect = _eigen_defect(full, p)
-    return full, lam, defect
-
-
 def first_eigenpair(p: float, T: int, opts: "SolverOptions | None" = None) -> EigenPair:
-    """Minimise the Rayleigh quotient over the shell sum_k |u(k)|^p = 1.
+    """Minimise the Rayleigh quotient R over the shell sum_k |u(k)|^p = 1.
 
-    Projected gradient descent with Armijo backtracking, started from the
-    positive sine profile (the exact p = 2 eigenvector, so the p = 2 case
-    converges immediately and nearby p needs few steps).  Each accepted
-    step is rescaled back onto the constraint set; the quotient is scale
-    invariant, so the rescaling never changes its value.
+    The solver's globalised Newton loop and residual polish run on
+    J = R / p, whose gradient on the shell is exactly the eigen defect.
+    Each step solves the bordered Newton system
+        [H + tau I, -phi_p(u); p phi_p(u)^T, 0],
+    H = L_w - lambda (p-1) diag|u|^(p-2), down the solver's tau ladder, so
+    it stays tangent to the shell; every trial point is symmetrised and
+    rescaled back onto the shell (R is scale invariant, so the rescaling
+    never changes its value).  The start is the positive sine profile, the
+    exact p = 2 eigenvector, so p = 2 converges at once.
 
-    A stalled quotient search hands over to a Newton polish on the eigen
-    system (in half coordinates for even T, where the plateau makes the
-    full-space Jacobian singular for p < 2), which reaches the default
-    tolerance for every T at p >= 1.15 in practice.
+    The stop is relative: the defect must reach tol times
+    min(1, lambda max phi^(p-1)) at the start, the size of the terms it
+    balances, so large p and T (where lambda_1 is tiny) cannot pass an
+    unconverged start.  EigenPair.residual is the absolute defect.
 
     Raises EigenConvergenceError (carrying the best iterate) if the
     residual has not reached the tolerance.  Near the p -> 1 limit
-    (p <= 1.1 on all but the smallest grids) the eigenfunction approaches
+    (p <= 1.1 on all but the smallest grids, p = 1.15 at T = 50 and
+    p = 1.2 at T = 200) the eigenfunction approaches
     a plateau whose differences underflow the kink-sensitivity of phi_p,
     the defect cannot be represented at 1e-9 in float64, and the explicit
     failure is the honest outcome; its .best iterate is still the quotient
     minimiser to the precision the arithmetic admits.
     """
     _check_pT(p, T)
+    from .solver import SolverOptions, _TAU_LADDER, _descend, _newton_weights, _polish
+
     if opts is None:
-        tol, max_iters, armijo_c, shrink = EIGEN_TOL, EIGEN_MAX_ITERS, 1e-4, 0.5
-    else:
-        tol, max_iters, armijo_c, shrink = opts.tol, opts.max_iters, opts.armijo_c, opts.backtrack
+        opts = SolverOptions(tol=EIGEN_TOL, max_iters=EIGEN_MAX_ITERS)
 
-    nodes = np.arange(1, T + 1)
-    u = np.sin(nodes * np.pi / (T + 1))
-    u = 0.5 * (u + u[::-1])  # exactly symmetric start; descent preserves it
-    u /= np.sum(np.abs(u) ** p) ** (1.0 / p)
+    def project(v: np.ndarray) -> np.ndarray:
+        v = 0.5 * (v + v[::-1])  # exactly symmetric, like the eigenfunction
+        return v / float(np.sum(np.abs(v) ** p)) ** (1.0 / p)
 
-    lam, defect = _eigen_defect(u, p)
-    res = float(np.max(np.abs(defect)))
-    step = 1.0
-    iters = 0
-    best_res, best_at = res, 0
-    while res > tol and iters < max_iters:
-        grad = p * defect  # gradient of the quotient on the constraint set
-        gg = float(grad @ grad)
-        t = min(2.0 * step, 1e3)
-        accepted = False
-        while t >= 1e-20:
-            cand = u - t * grad
-            denom = float(np.sum(np.abs(cand) ** p))
-            if denom > 0.0:
-                cand_gf = GridFunction.from_interior(cand)
-                quot = float(np.sum(np.abs(np.diff(cand_gf.values)) ** p)) / denom
-                if np.isfinite(quot) and quot <= lam - armijo_c * t * gg:
-                    u = cand / denom ** (1.0 / p)
-                    step = t
-                    accepted = True
-                    break
-            t *= shrink
-        iters += 1
-        if not accepted:
-            break  # line search stalled: no further decrease possible
-        lam, defect = _eigen_defect(u, p)
-        res = float(np.max(np.abs(defect)))
-        if res < 0.99 * best_res:
-            best_res, best_at = res, iters
-        elif iters - best_at >= _STALL_WINDOW:
-            break  # residual crawl: hand over to the polish step
+    def J(v: np.ndarray) -> float:
+        return rayleigh_quotient(GridFunction.from_interior(v), p) / p
 
-    if res > tol:
-        polished = _polish_newton(u, lam, p, tol)
-        if polished is None and T % 2 == 0:
-            polished = _polish_newton_symmetric(u, lam, p, tol)
-        if polished is not None:
-            cand_u, cand_lam, cand_defect = polished
-            cand_res = float(np.max(np.abs(cand_defect)))
-            if cand_res < res:
-                u, lam, res = cand_u, cand_lam, cand_res
+    def grad(v: np.ndarray) -> np.ndarray:
+        return _eigen_defect(v, p)[1]
+
+    def steps(v: np.ndarray, g: np.ndarray, share: float):
+        du = np.diff(v, prepend=0.0, append=0.0)
+        w = _newton_weights(p, du, share)
+        lam = float(np.sum(np.abs(du) ** p))
+        with np.errstate(divide="ignore"):
+            diag = w[:-1] + w[1:] - lam * (p - 1.0) * np.abs(v) ** (p - 2.0)
+        if not np.all(np.isfinite(diag)):
+            return
+        idx = np.arange(T)
+        A = np.zeros((T + 1, T + 1))
+        A[idx[:-1], idx[1:]] = A[idx[1:], idx[:-1]] = -w[1:-1]
+        A[:T, T] = -phi_p(v, p)
+        A[T, :T] = p * phi_p(v, p)
+        rhs = np.append(-g, 0.0)
+        for tau in _TAU_LADDER:
+            A[idx, idx] = diag + tau
+            try:
+                s = np.linalg.solve(A, rhs)[:T]
+            except np.linalg.LinAlgError:
+                continue
+            if np.all(np.isfinite(s)):
+                yield s
+
+    u = project(np.sin(np.arange(1, T + 1) * np.pi / (T + 1)))
+    scale = _eigen_defect(u, p)[0] * float(np.max(u)) ** (p - 1.0)
+    opts = replace(opts, tol=opts.tol * min(1.0, scale))
+    u, res, iters, _ = _descend(J, grad, steps, u, opts, project)
+    if res > opts.tol:
+        u, res = _polish(grad, steps, u, opts.tol, project)
+    lam = _eigen_defect(u, p)[0]
 
     if u[0] < 0.0:
         u = -u
     pair = EigenPair(lambda_=lam, phi=GridFunction.from_interior(u), residual=res)
-    if res > tol:
+    if res > opts.tol:
         raise EigenConvergenceError(
-            f"first eigenpair (p={p}, T={T}) did not reach residual {tol:g} "
+            f"first eigenpair (p={p}, T={T}) did not reach residual {opts.tol:g} "
             f"in {iters} iterations (best {res:.3e})", pair)
     if np.min(u) <= 0.0:
         raise EigenConvergenceError(

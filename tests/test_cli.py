@@ -414,3 +414,14 @@ def test_import_does_not_load_scipy():
     code = "import sys, dplap.cli; sys.exit('scipy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
+
+def test_eigen_does_not_load_scipy_linalg():
+    # the bordered eigen Newton system is solved with numpy: `dplap eigen`
+    # and `dplap check` pay no scipy.linalg import
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dplap.core.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, contextlib, io, dplap.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = dplap.cli.main(['eigen', '--p', '3', '--T', '20'])\n"
+            "sys.exit(rc != 0 or 'scipy.linalg' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

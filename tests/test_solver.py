@@ -252,6 +252,17 @@ def test_newton_p15_even_T_plateau_converges_from_every_start():
         assert strong_residual(out.u, prob, 1.0) <= 1e-10
 
 
+def test_newton_p105_small_T_converges_through_the_tangent_polish():
+    # the loop stops at the energy floor with residual ~1e-6; the polish
+    # needs tangent weights on every difference to finish
+    prob = ProblemSpec(T=4, p=1.05, nonlinearity=constant())
+    rng = np.random.Generator(np.random.Philox(0))
+    for vec in [np.zeros(4)] + [rng.uniform(-2.0, 2.0, 4) for _ in range(3)]:
+        out = solve_newton(prob, 1.0, GridFunction.from_interior(vec))
+        assert out.converged
+        assert strong_residual(out.u, prob, 1.0) <= 1e-10
+
+
 def test_newton_p3_converges_fast_and_matches_descent():
     prob = esempio0(T=20, p=3.0)
     for vec in multistart_starts(prob, 0, 8):

@@ -145,13 +145,38 @@ def test_first_eigenpair_respects_options():
 
 
 def test_first_eigenpair_p_below_2_converges():
-    # the kinked quotient stalls around 1e-8, but the Newton polish (half
-    # coordinates on even T, where the plateau difference is exactly zero)
-    # carries both parities to tolerance
+    # the kinked quotient stalls around 1e-8, but the residual polish
+    # (tangent weights, the exactly zero plateau difference of even T
+    # floored) carries both parities to tolerance
     for T in (3, 4, 5, 6, 9, 12):
         pair = first_eigenpair(1.5, T)
         assert pair.residual <= 1e-9
         assert np.min(pair.phi.interior) > 0.0
+
+
+@pytest.mark.parametrize("T", (3, 4, 5, 6, 9, 12, 20, 50))
+@pytest.mark.parametrize("p", (1.15, 1.2, 1.5, 2.5, 3.0, 4.0, 6.0))
+def test_first_eigenpair_grid_converges_positive_and_symmetric(p, T):
+    if (p, T) == (1.15, 50):
+        # the differences next to the plateau are ~5e-12 on values ~0.2:
+        # their rounding moves the defect by ~1e-8, above the tolerance
+        with pytest.raises(EigenConvergenceError):
+            first_eigenpair(p, T)
+        return
+    pair = first_eigenpair(p, T)
+    phi = pair.phi.interior
+    assert pair.residual <= 1e-9
+    assert np.min(phi) > 0.0
+    assert np.array_equal(phi, phi[::-1])
+
+
+@pytest.mark.parametrize("p, T", ((4.0, 200), (6.0, 50), (6.0, 200)))
+def test_first_eigenpair_stop_is_relative_to_the_eigenvalue(p, T):
+    # lambda_1 max phi^(p-1) is far below 1 here; an absolute 1e-9 stop
+    # passed the sine start (6, 200) or a 1-2% high lambda as converged
+    pair = first_eigenpair(p, T)
+    scale = pair.lambda_ * float(np.max(pair.phi.interior)) ** (p - 1.0)
+    assert pair.residual <= 1e-9 * scale
 
 
 def test_first_eigenpair_near_p1_failure_carries_best():
