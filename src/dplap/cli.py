@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import core
-from .core import GridFunction, Nonlinearity, ProblemSpec
+from .core import GridFunction, Nonlinearity, ProblemSpec, _gamma_tuple
 from .energy import energy, gradient
 from .existence import (alpha_threshold, check_thm_esistenza,
                         check_three_solutions_window, find_admissible_eps)
@@ -61,11 +61,15 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def _require_number(cfg: dict, field: str):
     if field not in cfg:
         raise ConfigError(field, "missing")
     val = cfg[field]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
+    if not _is_number(val):
         raise ConfigError(field, "must be a number")
     return val
 
@@ -75,8 +79,7 @@ def build_nonlinearity(nl_cfg, T: int) -> Nonlinearity:
         raise ConfigError("nonlinearity", "must be an object with a 'kind'")
     kind = nl_cfg.get("kind")
     params = nl_cfg.get("params", [])
-    if not isinstance(params, list) or any(
-            isinstance(v, bool) or not isinstance(v, (int, float)) for v in params):
+    if not isinstance(params, list) or not all(_is_number(v) for v in params):
         raise ConfigError("nonlinearity.params", "must be a list of numbers")
     if kind == "zero":
         nl = zero()
@@ -127,13 +130,13 @@ def build_problem(cfg: dict):
     nl = build_nonlinearity(cfg["nonlinearity"], T)
     gamma = cfg.get("gamma")
     if gamma is not None:
-        if isinstance(gamma, (int, float)) and not isinstance(gamma, bool):
-            gamma = [float(gamma)] * T
-        elif isinstance(gamma, list) and len(gamma) == T and all(
-                not isinstance(g, bool) and isinstance(g, (int, float)) for g in gamma):
-            gamma = [float(g) for g in gamma]
-        else:
+        items = gamma if isinstance(gamma, list) else [gamma]
+        if not all(_is_number(g) for g in items):
             raise ConfigError("gamma", f"must be a number or a list of length T={T}")
+        try:
+            gamma = _gamma_tuple(gamma, T)
+        except ValueError as exc:
+            raise ConfigError("gamma", str(exc)) from exc
     alpha = cfg.get("alpha")
     try:
         prob = ProblemSpec(T=T, p=p, nonlinearity=nl)
@@ -151,12 +154,14 @@ def expand_alphas(alpha_field) -> list[float]:
         lo, hi, n = alpha_field["lo"], alpha_field["hi"], alpha_field["n"]
         if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
             raise ConfigError("alpha.n", "must be a positive integer")
+        for key in ("lo", "hi"):
+            if not _is_number(alpha_field[key]):
+                raise ConfigError(f"alpha.{key}", "must be a number")
         if not (0 < lo < hi):
             raise ConfigError("alpha", "sweep needs 0 < lo < hi")
         return [float(a) for a in np.geomspace(lo, hi, n)]
     if isinstance(alpha_field, list):
-        if not alpha_field or any(isinstance(a, bool) or not isinstance(a, (int, float))
-                                  for a in alpha_field):
+        if not alpha_field or not all(_is_number(a) for a in alpha_field):
             raise ConfigError("alpha", "list must be nonempty numbers")
         return [float(a) for a in alpha_field]
     raise ConfigError("alpha", "sweep requires alpha as {lo, hi, n} or a list")
@@ -167,7 +172,7 @@ def scalar_alpha(alpha_field, flag_value):
         return float(flag_value)
     if alpha_field is None:
         raise ConfigError("alpha", "missing; pass --alpha or set it in the config")
-    if isinstance(alpha_field, (int, float)) and not isinstance(alpha_field, bool):
+    if _is_number(alpha_field):
         return float(alpha_field)
     raise ConfigError("alpha", "config declares a sweep; pass --alpha or use the sweep command")
 

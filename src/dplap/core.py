@@ -50,10 +50,7 @@ class GridFunction:
     @classmethod
     def from_interior(cls, interior: Sequence[float]) -> "GridFunction":
         """Pad interior values u(1..T) with the zero boundary."""
-        interior = np.asarray(interior, dtype=float)
-        full = np.zeros(interior.size + 2)
-        full[1:-1] = interior
-        return cls(full)
+        return cls(_pad(np.asarray(interior, dtype=float)))
 
     @classmethod
     def zero(cls, T: int) -> "GridFunction":
@@ -139,6 +136,8 @@ class Nonlinearity:
     f >= 0 on all of R, when the potential is even, and always after
     ``truncate_nonnegative``.  The flag enables the fast path in the
     smallness checks and admits the positive-solution threshold.
+    ``from_table`` checks its first half (f >= 0 at the samples with t >= 0
+    and at t = 0); for other callables the flag is the caller's claim.
 
     ``gamma`` is declared growth data of F_k(xi)/xi^p as xi -> 0+ (a
     liminf; it cannot be inferred from finitely many samples, so it is
@@ -209,14 +208,7 @@ class Nonlinearity:
 
     def gamma_tuple(self, T: int) -> tuple[float, ...] | None:
         """Declared gamma as a length-T tuple (scalars broadcast)."""
-        if self.gamma is None:
-            return None
-        if np.isscalar(self.gamma):
-            return (float(self.gamma),) * T
-        g = tuple(float(x) for x in self.gamma)
-        if len(g) != T:
-            raise ValueError(f"gamma must have length T={T}, got {len(g)}")
-        return g
+        return None if self.gamma is None else _gamma_tuple(self.gamma, T)
 
     def check_consistency(self, T: int, xi_samples: Sequence[float] = (0.5, 1.7, 3.0)) -> None:
         """Verify F_k(0) = 0 at every node k = 1..T and, for closed-form
@@ -255,20 +247,29 @@ class ProblemSpec:
     nonlinearity: Nonlinearity
 
     def __post_init__(self):
-        if int(self.T) != self.T or self.T < 2:
-            raise ValueError("T must be an integer >= 2")
+        _check_T(self.T)
         object.__setattr__(self, "T", int(self.T))
-        if not self.p > 1.0:
-            raise ValueError("p must exceed 1")
+        _check_p(self.p)
         object.__setattr__(self, "p", float(self.p))
         self.nonlinearity.check_consistency(self.T)
 
 
-def _check_pT(p: float, T: int) -> None:
+def _check_p(p: float) -> None:
     if not p > 1.0:
         raise ValueError("p must exceed 1")
+
+
+def _check_T(T: int) -> None:
     if int(T) != T or T < 2:
         raise ValueError("T must be an integer >= 2")
+
+
+def _gamma_tuple(gamma, T: int) -> tuple[float, ...]:
+    """Declared gamma as a length-T tuple; a scalar is one value per node."""
+    g = (float(gamma),) * T if np.ndim(gamma) == 0 else tuple(float(x) for x in gamma)
+    if len(g) != T:
+        raise ValueError(f"gamma must have length T={T}, got {len(g)}")
+    return g
 
 
 def phi_p(s, p: float):
@@ -278,8 +279,7 @@ def phi_p(s, p: float):
     p > 1, and exactly 0 at s = 0 (the continuous extension for p < 2).
     Accepts scalars or arrays.
     """
-    if not p > 1.0:
-        raise ValueError("p must exceed 1")
+    _check_p(p)
     arr = np.asarray(s, dtype=float)
     out = np.sign(arr) * np.abs(arr) ** (p - 1.0)
     if arr.ndim == 0:
@@ -299,15 +299,29 @@ def p_laplacian(u: GridFunction, p: float) -> np.ndarray:
     for p = 2 this is the negative second difference with stencil
     (-1, 2, -1).
     """
-    flux = phi_p(np.diff(u.values), p)
-    return -np.diff(flux)
+    return _p_laplacian(u.interior, p)
 
 
 def p_norm(u: GridFunction, p: float) -> float:
     """(sum over k=1..T+1 of |u(k)-u(k-1)|^p)^(1/p)."""
-    if not p > 1.0:
-        raise ValueError("p must exceed 1")
-    return float(np.sum(np.abs(np.diff(u.values)) ** p) ** (1.0 / p))
+    _check_p(p)
+    return _dirichlet(u.interior, p) ** (1.0 / p)
+
+
+def _pad(vec: np.ndarray) -> np.ndarray:
+    """Interior values u(1..T) with the zero boundary (the solvers' arrays)."""
+    out = np.zeros(vec.size + 2)
+    out[1:-1] = vec
+    return out
+
+
+def _dirichlet(vec: np.ndarray, p: float) -> float:
+    """sum over k=1..T+1 of |u(k)-u(k-1)|^p."""
+    return float(np.sum(np.abs(np.diff(_pad(vec))) ** p))
+
+
+def _p_laplacian(vec: np.ndarray, p: float) -> np.ndarray:
+    return -np.diff(phi_p(np.diff(_pad(vec)), p))
 
 
 def sup_norm(u: GridFunction) -> float:
@@ -321,7 +335,8 @@ def kappa(p: float, T: int) -> float:
     Even T: [(2/T)^(p-1) + (2/(T+2))^(p-1)]^(1/p).
     Odd  T: 2/(T+1)^((p-1)/p).
     """
-    _check_pT(p, T)
+    _check_p(p)
+    _check_T(T)
     if T % 2 == 0:
         return float(((2.0 / T) ** (p - 1.0) + (2.0 / (T + 2)) ** (p - 1.0)) ** (1.0 / p))
     return float(2.0 / (T + 1) ** ((p - 1.0) / p))
@@ -333,7 +348,8 @@ def c_const(p: float, T: int) -> float:
     Even T: (1/p)[(2/T)^(p-1) + (2/(T+2))^(p-1)].
     Odd  T: 2^p / (p (T+1)^(p-1)).
     """
-    _check_pT(p, T)
+    _check_p(p)
+    _check_T(T)
     if T % 2 == 0:
         return float(((2.0 / T) ** (p - 1.0) + (2.0 / (T + 2)) ** (p - 1.0)) / p)
     return float(2.0 ** p / (p * (T + 1) ** (p - 1.0)))
@@ -345,7 +361,8 @@ def theta(s: float, p: float, T: int) -> float:
     Strictly convex with minimum 2^p/(T+1)^(p-1) at s = (T+1)/2, which is
     what makes the odd-T embedding constant the smaller one.
     """
-    _check_pT(p, T)
+    _check_p(p)
+    _check_T(T)
     if not 0.0 < s < T + 1.0:
         raise ValueError(f"s must lie in (0, {T + 1}), got {s}")
     return float(1.0 / (T - s + 1.0) ** (p - 1.0) + 1.0 / s ** (p - 1.0))

@@ -1,4 +1,4 @@
-"""The variational structure: energy, gradient, residuals, p = 2 Hessian.
+"""The variational structure: energy, gradient, Newton matrix, residuals.
 
 The sign conventions make "gradient = 0" literally the strong form of the
 difference equation, so a converged solver iterate is a solution.
@@ -10,13 +10,49 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridFunction, ProblemSpec, p_laplacian, phi_p
+from .core import GridFunction, ProblemSpec, _dirichlet, _pad, _p_laplacian, phi_p
 
 
-def _check_alpha(alpha: float) -> float:
+def _check_alpha(alpha: float) -> None:
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
-    return float(alpha)
+
+
+# J_alpha and its derivatives on interior arrays: every caller goes through these
+def _energy(prob: ProblemSpec, alpha: float, vec: np.ndarray) -> float:
+    return (_dirichlet(vec, prob.p) / prob.p
+            - alpha * float(np.sum(prob.nonlinearity.F_vec(vec))))
+
+
+def _gradient(prob: ProblemSpec, alpha: float, vec: np.ndarray) -> np.ndarray:
+    return _p_laplacian(vec, prob.p) - alpha * prob.nonlinearity.f_vec(vec)
+
+
+def _newton_weights(p: float, du: np.ndarray, share: float) -> np.ndarray:
+    """Edge weights of the tridiagonal Newton matrix.
+
+    p >= 2: the tangent (p-1)|du|^(p-2) of phi_p.  Below p = 2 the tangent
+    blows up at du = 0, and on |d|^p/p a tangent step maps d to
+    d (p-2)/(p-1) (-d at p = 1.5): a difference that should vanish flips
+    sign for thousands of iterations.  So differences below share of the
+    largest take the secant |du|^(p-2), whose step lands on 0, with |du|
+    floored at the largest one's float resolution so du = 0 stays finite.
+    The residual polish passes share = 0 (tangent everywhere): near a
+    solution it wants the true Jacobian, not a step to a plateau.
+    """
+    if p >= 2.0:
+        return (p - 1.0) * np.abs(du) ** (p - 2.0)
+    top = float(np.max(np.abs(du)))
+    a = np.maximum(np.abs(du), max(np.finfo(float).eps * top, np.finfo(float).tiny))
+    return np.where(a >= share * top, p - 1.0, 1.0) * a ** (p - 2.0)
+
+
+def _jacobian(prob: ProblemSpec, alpha: float, vec: np.ndarray,
+              share: float) -> tuple[np.ndarray, np.ndarray]:
+    """(diagonal, off-diagonal) of the tridiagonal Newton matrix of J_alpha:
+    edge weights from _newton_weights, minus alpha f' on the diagonal."""
+    w = _newton_weights(prob.p, np.diff(_pad(vec)), share)
+    return w[:-1] + w[1:] - alpha * prob.nonlinearity.df_vec(vec), -w[1:-1]
 
 
 def energy(u: GridFunction, prob: ProblemSpec, alpha: float = 1.0) -> float:
@@ -25,10 +61,7 @@ def energy(u: GridFunction, prob: ProblemSpec, alpha: float = 1.0) -> float:
     alpha = 1 recovers the unparametrised functional.
     """
     _check_alpha(alpha)
-    du = np.diff(u.values)
-    dirichlet = float(np.sum(np.abs(du) ** prob.p)) / prob.p
-    pot = float(np.sum(prob.nonlinearity.F_vec(u.interior)))
-    return dirichlet - alpha * pot
+    return _energy(prob, alpha, u.interior)
 
 
 def gradient(u: GridFunction, prob: ProblemSpec, alpha: float = 1.0) -> np.ndarray:
@@ -38,7 +71,7 @@ def gradient(u: GridFunction, prob: ProblemSpec, alpha: float = 1.0) -> np.ndarr
     - alpha f(k, u(k)), the defect of the strong difference equation.
     """
     _check_alpha(alpha)
-    return p_laplacian(u, prob.p) - alpha * prob.nonlinearity.f_vec(u.interior)
+    return _gradient(prob, alpha, u.interior)
 
 
 def strong_residual(u: GridFunction, prob: ProblemSpec, alpha: float = 1.0) -> float:
@@ -72,10 +105,8 @@ def hessian_p2(u: GridFunction, prob: ProblemSpec, alpha: float = 1.0) -> np.nda
     _check_alpha(alpha)
     if prob.p != 2.0:
         raise ValueError("hessian_p2 requires p = 2")
-    T = u.T
-    H = 2.0 * np.eye(T) - np.eye(T, k=1) - np.eye(T, k=-1)
-    H -= alpha * np.diag(prob.nonlinearity.df_vec(u.interior))
-    return H
+    diag, off = _jacobian(prob, alpha, u.interior, 0.0)
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProblemSpec, c_const, kappa
+from .core import ProblemSpec, _gamma_tuple, c_const, kappa
 from .spectrum import first_eigenpair, lambda1_closed_form_p2
 
 CHI_SAMPLES = 1025
@@ -201,7 +201,7 @@ def alpha_threshold(prob: ProblemSpec, gamma=None,
                 "no gamma declared; pass gamma= or set allow_estimated=True "
                 "to accept the heuristic sampled estimate")
         gamma = [estimate_gamma(prob, k) for k in range(1, prob.T + 1)]
-    gam = np.broadcast_to(np.asarray(gamma, dtype=float), (prob.T,))
+    gam = np.array(_gamma_tuple(gamma, prob.T))
     if np.any(gam <= 0.0):
         raise ValueError("gamma entries must be positive")
     gmin = float(np.min(gam))

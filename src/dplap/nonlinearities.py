@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Nonlinearity, TablePotential
+from .core import Nonlinearity, TablePotential, _gamma_tuple
 
 
 def zero() -> Nonlinearity:
@@ -112,6 +112,9 @@ def from_table(t_samples, f_samples, is_nonnegative: bool = False) -> Nonlineari
     the breakpoint a between 0 and xi nearest to xi, plus the trapezoid from
     that breakpoint to xi.  The sums run outward from 0 (a breakpoint is
     inserted there), so F_k stays accurate relative to its size near 0.
+
+    is_nonnegative=True is checked against the samples: a sample at t >= 0,
+    or the interpolated f(0), that is negative raises ValueError.
     """
     ts = np.asarray(t_samples, dtype=float)
     fs = np.asarray(f_samples, dtype=float)
@@ -144,6 +147,9 @@ def from_table(t_samples, f_samples, is_nonnegative: bool = False) -> Nonlineari
     else:
         knots = np.insert(ts, z, 0.0)
         vals = np.insert(rows, z, interp(np.arange(rows.shape[0]), 0.0), axis=1)
+    if is_nonnegative and np.any(vals[:, z:] < 0.0):  # knots[z] = 0
+        raise ValueError("is_nonnegative declared, but f < 0 at some t >= 0: "
+                         f"min {float(np.min(vals[:, z:]))!r}")
     trap = np.diff(knots) * (vals[:, 1:] + vals[:, :-1]) / 2.0
     G = np.zeros_like(vals)  # G[r, a] = integral of row r from 0 to knots[a]
     G[:, z + 1:] = np.cumsum(trap[:, z:], axis=1)
@@ -184,8 +190,7 @@ def scaled_per_node(nl: Nonlinearity, scale) -> Nonlinearity:
         df = lambda k, t: pick(k) * nl.df(k, t)
     gamma = None
     if nl.gamma is not None:
-        g = np.broadcast_to(np.asarray(nl.gamma, dtype=float), (sc.size,))
-        gamma = tuple(float(s) * float(gk) for s, gk in zip(sc, g))
+        gamma = tuple(float(s) * gk for s, gk in zip(sc, _gamma_tuple(nl.gamma, sc.size)))
     keep_flag = nl.is_nonnegative and bool(np.all(sc >= 0.0))
     return Nonlinearity(f=f, potential=potential, df=df,
                         is_nonnegative=keep_flag,

@@ -32,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (GridFunction, Nonlinearity, ProblemSpec, TablePotential,
-                   p_laplacian, sup_norm)
-from .energy import energy, gradient
+from .core import (GridFunction, Nonlinearity, ProblemSpec, TablePotential, _dirichlet,
+                   kappa, p_laplacian, sup_norm)
+from .energy import _check_alpha, _energy, _gradient, _jacobian, energy
 from .spectrum import EigenConvergenceError, EigenPair, first_eigenpair
 
 POSITIVE = "positive"
@@ -79,8 +79,9 @@ class SolverOptions:
             raise ValueError("armijo_c must lie in (0, 1)")
         if not 0.0 < self.backtrack < 1.0:
             raise ValueError("backtrack must lie in (0, 1)")
-        if int(self.seed) != self.seed:
-            raise ValueError("seed must be an integer")
+        if int(self.seed) != self.seed or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
+        object.__setattr__(self, "seed", int(self.seed))
         if not self.dedup_dist > 0.0:
             raise ValueError("dedup_dist must be positive")
 
@@ -100,36 +101,10 @@ class SolveOutcome:
     stop_reason: str = ""  # why the Armijo loop ended: one of the names above
 
 
-def _check_alpha(alpha: float) -> None:
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
-
-
 def _check_start(prob: ProblemSpec, u0: GridFunction) -> np.ndarray:
     if u0.T != prob.T:
         raise ValueError(f"start has T={u0.T}, problem has T={prob.T}")
     return np.array(u0.interior, dtype=float)
-
-
-def _pad(vec: np.ndarray) -> np.ndarray:
-    out = np.zeros(vec.size + 2)
-    out[1:-1] = vec
-    return out
-
-
-def _J(prob: ProblemSpec, alpha: float, vec: np.ndarray) -> float:
-    # same arithmetic as energy(), skipping GridFunction construction:
-    # solvers evaluate this in inner loops
-    du = np.diff(_pad(vec))
-    dirichlet = float(np.sum(np.abs(du) ** prob.p)) / prob.p
-    pot = float(np.sum(prob.nonlinearity.F_vec(vec)))
-    return dirichlet - alpha * pot
-
-
-def _grad(prob: ProblemSpec, alpha: float, vec: np.ndarray) -> np.ndarray:
-    du = np.diff(_pad(vec))
-    flux = np.sign(du) * np.abs(du) ** (prob.p - 1.0)
-    return -np.diff(flux) - alpha * prob.nonlinearity.f_vec(vec)
 
 
 def _check_descent(Ju: float, Jc: float) -> None:
@@ -144,7 +119,7 @@ def _finish(prob: ProblemSpec, alpha: float, vec: np.ndarray, res: float,
     gf = GridFunction.from_interior(vec)
     converged = res <= opts.tol
     pos = check_positivity(gf, prob, alpha, opts.tol) if converged else INDEFINITE
-    return SolveOutcome(u=gf, residual=float(res), energy=float(_J(prob, alpha, vec)),
+    return SolveOutcome(u=gf, residual=float(res), energy=float(_energy(prob, alpha, vec)),
                         iterations=int(iters), converged=bool(converged),
                         boundary_hit=bool(boundary_hit), positivity=pos,
                         seed=opts.seed, stop_reason=stop_reason)
@@ -178,41 +153,18 @@ def truncate_nonnegative(nl: Nonlinearity) -> Nonlinearity:
                         name=f"{nl.name}~trunc")
 
 
-def _newton_weights(p: float, du: np.ndarray, share: float) -> np.ndarray:
-    """Edge weights of the tridiagonal Newton matrix.
-
-    p >= 2: the tangent (p-1)|du|^(p-2) of phi_p.  Below p = 2 the tangent
-    blows up at du = 0, and on |d|^p/p a tangent step maps d to
-    d (p-2)/(p-1) (-d at p = 1.5): a difference that should vanish flips
-    sign for thousands of iterations.  So differences below share of the
-    largest take the secant |du|^(p-2), whose step lands on 0, with |du|
-    floored at the largest one's float resolution so du = 0 stays finite.
-    The residual polish passes share = 0 (tangent everywhere): near a
-    solution it wants the true Jacobian, not a step to a plateau.
-    """
-    if p >= 2.0:
-        return (p - 1.0) * np.abs(du) ** (p - 2.0)
-    top = float(np.max(np.abs(du)))
-    a = np.maximum(np.abs(du), max(np.finfo(float).eps * top, np.finfo(float).tiny))
-    return np.where(a >= share * top, p - 1.0, 1.0) * a ** (p - 2.0)
-
-
 def _newton_steps(prob: ProblemSpec, alpha: float, u: np.ndarray, g: np.ndarray,
                   share: float):
     """Yield the finite solutions s of (H + tau I) s = -g down the tau ladder.
 
-    H is the tridiagonal Newton matrix of J at u (edge weights from
-    _newton_weights, minus alpha f' on the diagonal).  Callers take the
-    first step that suits them; larger shifts degrade gracefully toward a
-    scaled gradient step.
+    H is energy._jacobian at u.  Callers take the first step that suits
+    them; larger shifts degrade gracefully toward a scaled gradient step.
     """
     from scipy.linalg.lapack import dgtsv
 
-    w = _newton_weights(prob.p, np.diff(_pad(u)), share)
-    diag = w[:-1] + w[1:] - alpha * prob.nonlinearity.df_vec(u)
+    diag, off = _jacobian(prob, alpha, u, share)
     if not np.all(np.isfinite(diag)):
         return
-    off = -w[1:-1]
     for tau in _TAU_LADDER:
         s, info = dgtsv(off, diag + tau, off, -g)[3:]
         if info == 0 and np.all(np.isfinite(s)):
@@ -329,7 +281,7 @@ def _descend(J, grad, steps, u: np.ndarray, opts: SolverOptions,
 
 def _energy_calls(prob: ProblemSpec, alpha: float):
     """(J, grad, steps) of J_alpha as the callables _descend and _polish take."""
-    return (lambda v: _J(prob, alpha, v), lambda v: _grad(prob, alpha, v),
+    return (lambda v: _energy(prob, alpha, v), lambda v: _gradient(prob, alpha, v),
             lambda v, g, share: _newton_steps(prob, alpha, v, g, share))
 
 
@@ -380,13 +332,6 @@ def solve_newton_p2(prob: ProblemSpec, alpha: float, u0: GridFunction,
     return solve_newton(prob, alpha, u0, opts)
 
 
-def _psi(vec: np.ndarray, p: float) -> float:
-    """||u||^p, the p-th power of the difference seminorm."""
-    padded = np.zeros(vec.size + 2)
-    padded[1:-1] = vec
-    return float(np.sum(np.abs(np.diff(padded)) ** p))
-
-
 def minimize_on_sublevel(prob: ProblemSpec, alpha: float, sigma: float,
                          opts: SolverOptions | None = None,
                          certificate=None) -> SolveOutcome:
@@ -407,10 +352,9 @@ def minimize_on_sublevel(prob: ProblemSpec, alpha: float, sigma: float,
     opts = opts if opts is not None else SolverOptions()
     _check_alpha(alpha)
     p, T = prob.p, prob.T
-    from .core import kappa  # local import keeps module top uncluttered
 
     def project(vec: np.ndarray) -> np.ndarray:
-        n = _psi(vec, p)
+        n = _dirichlet(vec, p)
         return vec * (sigma / n) ** (1.0 / p) if n > sigma else vec
 
     J, grad, steps = _energy_calls(prob, alpha)
@@ -418,11 +362,11 @@ def minimize_on_sublevel(prob: ProblemSpec, alpha: float, sigma: float,
     def run(start: np.ndarray) -> SolveOutcome:
         u, res, iters, reason = _descend(J, grad, None, project(start), opts,
                                          project=project)
-        hit = _psi(u, p) >= sigma * (1.0 - _BOUNDARY_SLACK)
+        hit = _dirichlet(u, p) >= sigma * (1.0 - _BOUNDARY_SLACK)
         if not hit and res > opts.tol:
             # interior stall: unconstrained polish, kept only if it stays inside
             cand, cres = _polish(grad, steps, u, opts.tol)
-            if _psi(cand, p) < sigma * (1.0 - _BOUNDARY_SLACK):
+            if _dirichlet(cand, p) < sigma * (1.0 - _BOUNDARY_SLACK):
                 u, res = cand, cres
         return _finish(prob, alpha, u, res, iters, opts, reason, boundary_hit=hit)
 
@@ -430,7 +374,7 @@ def minimize_on_sublevel(prob: ProblemSpec, alpha: float, sigma: float,
     starts = [np.zeros(T)]
     for i in range(1, 9):
         direction = rng.standard_normal(T)
-        n = _psi(direction, p)
+        n = _dirichlet(direction, p)
         frac = 0.75 ** i  # spread the starts over the ball's radial shells
         starts.append(direction * (sigma * frac / n) ** (1.0 / p))
 
@@ -555,11 +499,11 @@ class SweepRow:
     """One alpha's summary; None fields render blank in the CSV."""
 
     alpha: float
-    n_solutions: int
-    min_energy: float | None
-    sup_norm: float | None
-    positivity: str | None
-    nontriviality_zeta: float | None
+    n_solutions: int = 0
+    min_energy: float | None = None
+    sup_norm: float | None = None
+    positivity: str | None = None
+    nontriviality_zeta: float | None = None
     error: str = ""
 
 
@@ -599,11 +543,7 @@ def sweep_alpha(prob: ProblemSpec, alphas, opts: SolverOptions | None = None,
                                      nontriviality_zeta=zeta))
                 warm = np.array(best.u.interior)
             else:
-                rows.append(SweepRow(alpha=a, n_solutions=0, min_energy=None,
-                                     sup_norm=None, positivity=None,
-                                     nontriviality_zeta=zeta))
+                rows.append(SweepRow(alpha=a, nontriviality_zeta=zeta))
         except Exception as exc:
-            rows.append(SweepRow(alpha=a, n_solutions=0, min_energy=None,
-                                 sup_norm=None, positivity=None,
-                                 nontriviality_zeta=None, error=str(exc)))
+            rows.append(SweepRow(alpha=a, error=str(exc)))
     return rows

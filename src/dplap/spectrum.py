@@ -16,7 +16,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import GridFunction, p_laplacian, phi_p, _check_pT
+from .core import (GridFunction, _check_p, _check_T, _dirichlet, _p_laplacian,
+                   _pad, phi_p)
+from .energy import _newton_weights
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import SolverOptions
@@ -49,42 +51,36 @@ class EigenConvergenceError(RuntimeError):
 
 def matrix_A(T: int) -> np.ndarray:
     """The T x T tridiagonal matrix with 2 on the diagonal, -1 off it."""
-    if int(T) != T or T < 2:
-        raise ValueError("T must be an integer >= 2")
+    _check_T(T)
     return 2.0 * np.eye(T) - np.eye(T, k=1) - np.eye(T, k=-1)
 
 
 def eigenvalues_p2(T: int) -> np.ndarray:
     """All T eigenvalues of matrix_A: 4 sin^2(k pi / (2(T+1))), k = 1..T."""
-    if int(T) != T or T < 2:
-        raise ValueError("T must be an integer >= 2")
+    _check_T(T)
     k = np.arange(1, T + 1)
     return 4.0 * np.sin(k * np.pi / (2.0 * (T + 1))) ** 2
 
 
 def lambda1_closed_form_p2(T: int) -> float:
     """4 sin^2(pi / (2(T+1))), the smallest eigenvalue for p = 2."""
-    if int(T) != T or T < 2:
-        raise ValueError("T must be an integer >= 2")
+    _check_T(T)
     return float(4.0 * np.sin(np.pi / (2.0 * (T + 1))) ** 2)
 
 
 def rayleigh_quotient(u: GridFunction, p: float) -> float:
     """sum_{k=1}^{T+1} |du(k-1)|^p / sum_{k=1}^{T} |u(k)|^p for u != 0."""
-    if not p > 1.0:
-        raise ValueError("p must exceed 1")
+    _check_p(p)
     denom = float(np.sum(np.abs(u.interior) ** p))
     if denom == 0.0:
         raise ValueError("Rayleigh quotient is undefined at the zero function")
-    return float(np.sum(np.abs(np.diff(u.values)) ** p)) / denom
+    return _dirichlet(u.interior, p) / denom
 
 
 def _eigen_defect(interior: np.ndarray, p: float) -> tuple[float, np.ndarray]:
     """Quotient value and eigen-equation defect at a unit-denominator point."""
-    u = GridFunction.from_interior(interior)
-    lam = float(np.sum(np.abs(np.diff(u.values)) ** p))
-    defect = p_laplacian(u, p) - lam * phi_p(interior, p)
-    return lam, defect
+    lam = _dirichlet(interior, p)
+    return lam, _p_laplacian(interior, p) - lam * phi_p(interior, p)
 
 
 def first_eigenpair(p: float, T: int, opts: "SolverOptions | None" = None) -> EigenPair:
@@ -114,8 +110,9 @@ def first_eigenpair(p: float, T: int, opts: "SolverOptions | None" = None) -> Ei
     failure is the honest outcome; its .best iterate is still the quotient
     minimiser to the precision the arithmetic admits.
     """
-    _check_pT(p, T)
-    from .solver import SolverOptions, _TAU_LADDER, _descend, _newton_weights, _polish
+    _check_p(p)
+    _check_T(T)
+    from .solver import SolverOptions, _TAU_LADDER, _descend, _polish
 
     if opts is None:
         opts = SolverOptions(tol=EIGEN_TOL, max_iters=EIGEN_MAX_ITERS)
@@ -131,9 +128,8 @@ def first_eigenpair(p: float, T: int, opts: "SolverOptions | None" = None) -> Ei
         return _eigen_defect(v, p)[1]
 
     def steps(v: np.ndarray, g: np.ndarray, share: float):
-        du = np.diff(v, prepend=0.0, append=0.0)
-        w = _newton_weights(p, du, share)
-        lam = float(np.sum(np.abs(du) ** p))
+        w = _newton_weights(p, np.diff(_pad(v)), share)
+        lam = _dirichlet(v, p)
         with np.errstate(divide="ignore"):
             diag = w[:-1] + w[1:] - lam * (p - 1.0) * np.abs(v) ** (p - 2.0)
         if not np.all(np.isfinite(diag)):

@@ -207,6 +207,14 @@ def test_solve_alpha_flag_overrides_config(tmp_path):
     assert headers["energy"] < -1.0  # the nontrivial alpha=1 branch
 
 
+def test_solve_rejects_negative_seed(tmp_path, capsys):
+    rc = main(["solve", esempio0_cfg(tmp_path), "--seed", "-1",
+               "--out", str(tmp_path / "result.txt")])
+    assert rc == EXIT_ERROR
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "result.txt").exists()
+
+
 def test_solve_without_solutions_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "multistart_solve", lambda *a, **k: [])
     rc = main(["solve", esempio0_cfg(tmp_path), "--out", str(tmp_path / "r.txt")])
@@ -368,6 +376,16 @@ def test_sweep_scalar_alpha_exit_1(tmp_path, capsys):
                "--out", str(tmp_path / "s.csv")])
     assert rc == EXIT_ERROR
     assert "sweep requires alpha" in capsys.readouterr().err
+
+
+def test_sweep_alpha_bounds_must_be_numbers(tmp_path, capsys):
+    rc = main(["sweep", esempio0_cfg(tmp_path, alpha={"lo": "a", "hi": 1.0, "n": 3}),
+               "--out", str(tmp_path / "s.csv")])
+    assert rc == EXIT_ERROR
+    assert "config field 'alpha.lo': must be a number" in capsys.readouterr().err
+    with pytest.raises(ConfigError) as info:
+        expand_alphas({"lo": 0.1, "hi": None, "n": 3})
+    assert info.value.field == "alpha.hi"
 
 
 def test_sweep_row_errors_warn_and_exit_2(tmp_path, capsys, monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from dplap.core import (GridFunction, Nonlinearity, ProblemSpec, TablePotential,
                         c_const, forward_difference, kappa, p_laplacian, p_norm,
                         phi_p, sup_norm, theta)
+from dplap.existence import check_thm_esistenza
 from dplap.nonlinearities import (bounded_rational, constant, from_table, linear,
                                   power, scaled_per_node, zero)
 from dplap.solver import truncate_nonnegative
@@ -161,12 +162,25 @@ def test_c_const_equals_kappa_power_over_p():
 
 
 def test_kappa_validates_arguments():
-    with pytest.raises(ValueError, match="p must exceed 1"):
-        kappa(1.0, 5)
-    with pytest.raises(ValueError, match="T must be an integer >= 2"):
-        kappa(2.0, 1)
-    with pytest.raises(ValueError, match="T must be an integer >= 2"):
-        c_const(2.0, 0)
+    # every core entry point that takes p or T raises the one shared message
+    u = GridFunction.zero(3)
+    bad_p, bad_T = "p must exceed 1", "T must be an integer >= 2"
+    cases = [
+        (bad_p, lambda: kappa(1.0, 5)),
+        (bad_p, lambda: c_const(0.5, 5)),
+        (bad_p, lambda: theta(1.0, 1.0, 5)),
+        (bad_p, lambda: phi_p(1.0, 1.0)),
+        (bad_p, lambda: p_norm(u, 1.0)),
+        (bad_p, lambda: p_laplacian(u, 1.0)),
+        (bad_p, lambda: ProblemSpec(T=5, p=1.0, nonlinearity=zero())),
+        (bad_T, lambda: kappa(2.0, 1)),
+        (bad_T, lambda: c_const(2.0, 0)),
+        (bad_T, lambda: theta(1.0, 2.0, 2.5)),
+        (bad_T, lambda: ProblemSpec(T=1, p=2.0, nonlinearity=zero())),
+    ]
+    for message, call in cases:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_embedding_inequality_random_sample():
@@ -351,6 +365,23 @@ def test_gamma_tuple_broadcasts_scalars():
     assert per_node.gamma_tuple(2) == (1.0, 2.0)
     with pytest.raises(ValueError, match="length"):
         per_node.gamma_tuple(3)
+
+
+def test_from_table_checks_the_nonnegative_flag():
+    # a flagged table that is negative at some t >= 0 would make chi the
+    # sum of F(eps) and pass the smallness test on a negative number
+    t = [-2.0, 0.0, 2.0]
+    for ts, fs in ((t, [-1.0, -1.0, -1.0]),        # constant -1
+                   ([-1.0, 1.0], [-3.0, 1.0]),     # interpolated f(0) = -1
+                   ([0.5, 1.0], [-0.5, 1.0]),      # f(0) held at the first sample
+                   ([0.0, 1.0, 2.0], [0.0, 1.0, -0.5]),
+                   ([0.0, 1.0], [[0.0, 1.0], [0.0, -1.0]])):  # one node's row
+        with pytest.raises(ValueError, match="is_nonnegative"):
+            from_table(ts, fs, is_nonnegative=True)
+    unflagged = ProblemSpec(T=4, p=2.0, nonlinearity=from_table(t, [-1.0, -1.0, -1.0]))
+    assert not check_thm_esistenza(unflagged, 0.01).verdict
+    # negative values left of 0 are allowed: the flag's convention covers odd f
+    from_table(t, [-2.0, 0.0, 2.0], is_nonnegative=True)
 
 
 def test_check_consistency_rejects_wrong_potential():

@@ -10,7 +10,7 @@ from dplap.existence import (DecayReport, ExistenceCertificate,
                              check_three_solutions_window, chi,
                              estimate_gamma, find_admissible_eps, h)
 from dplap.nonlinearities import (bounded_rational, constant, linear, power,
-                                  zero)
+                                  scaled_per_node, zero)
 from dplap.spectrum import lambda1_closed_form_p2
 
 
@@ -257,6 +257,13 @@ def test_alpha_threshold_rejects_bad_gamma():
         alpha_threshold(prob, gamma=0.0)
     with pytest.raises(ValueError, match="positive"):
         alpha_threshold(prob, gamma=[0.5, -1.0, 0.5])
+
+
+def test_gamma_length_mismatch_names_gamma_and_T():
+    with pytest.raises(ValueError, match="gamma must have length T=4, got 2"):
+        alpha_threshold(_prob(T=4), gamma=[0.5, 0.5])
+    with pytest.raises(ValueError, match="gamma must have length T=4, got 3"):
+        scaled_per_node(scaled_per_node(bounded_rational(), [1, 2, 3]), [1, 2, 3, 4])
 
 
 # -------------------------------------------------------- gamma estimate

@@ -73,6 +73,17 @@ def test_solver_options_validation():
         SolverOptions(dedup_dist=0.0)
 
 
+def test_solver_options_seed_is_a_non_negative_int():
+    # a bad seed fails at construction, not inside numpy's seeding
+    for bad in (-1, 1.5):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            SolverOptions(seed=bad)
+    opts = SolverOptions(seed=1.0)
+    assert type(opts.seed) is int and opts.seed == 1
+    sols = multistart_solve(esempio0(), 1.0, n_starts=2, opts=opts)
+    assert sols and all(type(s.seed) is int for s in sols)
+
+
 def test_non_converged_outcome_names_stop_reason():
     prob = esempio0()
     unreachable = solve_newton(prob, 1.0, eigen_start(prob), SolverOptions(tol=1e-300))
@@ -121,6 +132,7 @@ def test_truncated_problem_keeps_positive_solutions():
     out = solve_newton_p2(trunc, 1.0, eigen_start(trunc))
     assert out.converged and out.positivity == POSITIVE
     assert strong_residual(out.u, prob, 1.0) == out.residual
+    assert energy(out.u, prob, 1.0) == out.energy
 
 
 # ---------------------------------------------------------- solve_descent

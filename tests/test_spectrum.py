@@ -196,10 +196,19 @@ def test_first_eigenpair_near_p1_failure_carries_best():
 
 
 def test_first_eigenpair_validates_arguments():
-    with pytest.raises(ValueError, match="p must exceed 1"):
-        first_eigenpair(1.0, 5)
-    with pytest.raises(ValueError, match="T must be an integer >= 2"):
-        first_eigenpair(2.0, 1)
+    # every spectrum entry point that takes p or T raises core's message
+    bad_p, bad_T = "p must exceed 1", "T must be an integer >= 2"
+    cases = [
+        (bad_p, lambda: first_eigenpair(1.0, 5)),
+        (bad_p, lambda: rayleigh_quotient(GridFunction.zero(3), 1.0)),
+        (bad_T, lambda: first_eigenpair(2.0, 1)),
+        (bad_T, lambda: matrix_A(1)),
+        (bad_T, lambda: eigenvalues_p2(2.5)),
+        (bad_T, lambda: lambda1_closed_form_p2(0)),
+    ]
+    for message, call in cases:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_lambda1_decreases_with_T():
