@@ -3,10 +3,11 @@
 For p = 2 the whole spectrum has a closed form, 4 sin^2(k pi / (2(T+1))),
 which doubles as an oracle for the numeric path.  For general p the first
 eigenvalue is the minimum of the Rayleigh-type quotient
-    sum |Du|^p / sum |u|^p,
-computed by the solvers' globalised Newton loop and residual polish on the
-shell sum |u|^p = 1.  The eigenfunction is positive and symmetric, and
-lambda_1 shrinks as the grid grows.
+    sum |Du|^p / sum |u|^p.
+first_eigenpair shoots the three-term eigen recurrence from u(0) = 0,
+u(1) = 1 over half the grid and bisects lambda on the sign of the symmetry
+defect; the mirrored profile is the eigenfunction, positive and exactly
+symmetric, and lambda_1 shrinks as the grid grows.
 """
 
 import numpy as np

@@ -99,6 +99,35 @@ def _node_index(k, n: int, what: str):
     return k - 1
 
 
+def _check_flag_second_half(f, potential, ts: np.ndarray, n_rows: int) -> None:
+    """is_nonnegative's second half for a table: F_k(-x) <= F_k(x), x >= 0.
+
+    H(x) = F_k(x) - F_k(-x) integrates g(s) = f(s) + f(-s) over [0, x].  g
+    is linear between the merged breakpoints |t| and constant beyond them,
+    so H is piecewise quadratic: it is checked at every breakpoint, at every
+    root where g turns from negative to positive inside a piece, and along
+    the tail (where g must not be negative).  Rounding is allowed for:
+    1e-12 times the integral of |f(s)| + |f(-s)| up to the point.
+    """
+    s = np.union1d(np.abs(ts), [0.0])
+    k = np.arange(1, n_rows + 1)[:, None]
+    right, left = f(k, s), f(k, -s)
+    g, size, h = right + left, np.abs(right) + np.abs(left), np.diff(s)
+    H = potential(k, s) - potential(k, -s)
+    allow = 1e-12 * np.cumsum(h * (size[..., 1:] + size[..., :-1]) / 2.0, axis=-1)
+    g0, g1 = g[..., :-1], g[..., 1:]
+    dip = np.divide(h * g0 * g0, 2.0 * (g1 - g0), out=np.zeros_like(g0),
+                    where=(g0 < 0.0) & (g1 > 0.0))  # H(root) = H(left end) - dip
+    low = np.minimum(H[..., 1:], H[..., :-1] - dip)
+    if np.any(low < -allow):
+        raise ValueError("is_nonnegative declared, but F(-x) > F(x) for some x > 0: "
+                         f"min F(x) - F(-x) = {float(np.min(low))!r}")
+    if np.any(g[..., -1] < -1e-12 * size[..., -1]):
+        raise ValueError("is_nonnegative declared, but f(t) + f(-t) < 0 on the "
+                         "constant tails, so F(-x) > F(x) for large x: "
+                         f"{float(np.min(g[..., -1]))!r}")
+
+
 def from_table(t_samples, f_samples, is_nonnegative: bool = False) -> Nonlinearity:
     """Piecewise-linear f from samples, with its exact potential.
 
@@ -113,8 +142,10 @@ def from_table(t_samples, f_samples, is_nonnegative: bool = False) -> Nonlineari
     that breakpoint to xi.  The sums run outward from 0 (a breakpoint is
     inserted there), so F_k stays accurate relative to its size near 0.
 
-    is_nonnegative=True is checked against the samples: a sample at t >= 0,
-    or the interpolated f(0), that is negative raises ValueError.
+    is_nonnegative=True is checked in both halves, and a failure raises
+    ValueError: a sample at t >= 0, or the interpolated f(0), must not be
+    negative, and F_k(-x) <= F_k(x) must hold for every x >= 0 (exactly, on
+    the piecewise-quadratic potential, up to rounding).
     """
     ts = np.asarray(t_samples, dtype=float)
     fs = np.asarray(f_samples, dtype=float)
@@ -165,6 +196,8 @@ def from_table(t_samples, f_samples, is_nonnegative: bool = False) -> Nonlineari
                      np.searchsorted(knots[:-1], xi, side="left"))
         return G[r, a] + (xi - knots[a]) * (vals[r, a] + interp(r, xi)) / 2.0
 
+    if is_nonnegative:
+        _check_flag_second_half(f, potential, ts, rows.shape[0])
     return Nonlinearity(f=f, potential=TablePotential(potential), df=None,
                         is_nonnegative=is_nonnegative,
                         gamma=None,

@@ -14,9 +14,9 @@ Routes:
     argument.
   - multistart_solve / sweep_alpha: batching, deduplication, continuation.
 
-All three, and spectrum.first_eigenpair, share one Armijo loop (_descend)
-and one residual-driven Newton polish (_polish); each caller passes its
-objective, gradient, Newton steps and projection as callables.  The loop
+All three share one Armijo loop (_descend) and one residual-driven Newton
+polish (_polish); each caller passes its objective, gradient, Newton steps
+and (the sublevel route) its projection as callables.  The loop
 stops when the residual reaches tol, when an accepted step no longer
 lowers the objective in floating point (the energy floor), when the
 residual stalls for _STALL_WINDOW iterations, when the line search fails,
@@ -171,7 +171,7 @@ def _newton_steps(prob: ProblemSpec, alpha: float, u: np.ndarray, g: np.ndarray,
             yield s
 
 
-def _polish(residual, steps, u: np.ndarray, tol: float, project=None,
+def _polish(residual, steps, u: np.ndarray, tol: float,
             max_steps: int = 60) -> tuple[np.ndarray, float]:
     """Damped Newton on residual(u) = 0, driven by the residual's sup norm.
 
@@ -179,8 +179,8 @@ def _polish(residual, steps, u: np.ndarray, tol: float, project=None,
     float resolution of the energy (residuals around 1e-8 when it is order
     one); contracting the residual directly needs no energy comparisons and
     pushes to the tolerance.  steps(u, g, 0.0) yields the shifted Newton
-    steps with tangent weights; project, when given, maps every trial point.
-    Returns the input when no step lowers the residual.
+    steps with tangent weights.  Returns the input when no step lowers the
+    residual.
     """
     g = residual(u)
     res = float(np.max(np.abs(g)))
@@ -192,8 +192,6 @@ def _polish(residual, steps, u: np.ndarray, tol: float, project=None,
             t = 1.0
             while t >= 1e-12:
                 cand = u + t * s
-                if project is not None:
-                    cand = project(cand)
                 gc = residual(cand)
                 rc = float(np.max(np.abs(gc)))
                 if np.isfinite(rc) and rc < res:
@@ -219,12 +217,11 @@ def _descend(J, grad, steps, u: np.ndarray, opts: SolverOptions,
     otherwise, or when its line search fails, a gradient step whose trial
     size doubles after every accepted one, so flat stretches do not trap
     the iteration at a tiny step.  project, when given, maps every trial
-    point (the sublevel route's radial pull-back, the eigenproblem's return
-    to its shell).  J is non-increasing across accepted iterates.  An
-    accepted step that leaves J unchanged in floating point means Armijo
-    can no longer see progress: the loop stops there (ENERGY_FLOOR) instead
-    of idling until the stall window, and the caller's residual polish
-    takes over.
+    point (the sublevel route's radial pull-back onto its ball).  J is
+    non-increasing across accepted iterates.  An accepted step that leaves
+    J unchanged in floating point means Armijo can no longer see progress:
+    the loop stops there (ENERGY_FLOOR) instead of idling until the stall
+    window, and the caller's residual polish takes over.
     """
     Ju = J(u)
     g = grad(u)

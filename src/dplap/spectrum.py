@@ -3,28 +3,28 @@
 The eigenvalue problem is
     -(phi_p(forward difference) differenced)(k) = lambda phi_p(u(k)),
 with zero Dirichlet boundary.  The first eigenvalue is the minimum of the
-Rayleigh quotient sum |du|^p / sum |u(k)|^p over non-zero grid functions;
-first_eigenpair finds it with the solver's globalised Newton loop and
-residual polish (solver._descend, solver._polish) on the shell
-sum |u(k)|^p = 1, through a bordered Newton system.
+Rayleigh quotient sum |du|^p / sum |u(k)|^p over non-zero grid functions.
+In one dimension the eigen equation is the three-term recurrence
+    phi_p(d(k)) = phi_p(d(k-1)) - lambda phi_p(u(k)),   d(k) = u(k+1) - u(k),
+so first_eigenpair shoots it from u(0) = 0, u(1) = 1 over half the grid and
+bisects lambda on the sign of the symmetry defect: O(T) per shot, no
+linear algebra and no solver code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import (GridFunction, _check_p, _check_T, _dirichlet, _p_laplacian,
-                   _pad, phi_p)
-from .energy import _newton_weights
+from .core import GridFunction, _check_p, _check_T, _dirichlet, _p_laplacian, phi_p
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import SolverOptions
 
 EIGEN_TOL = 1e-9
-EIGEN_MAX_ITERS = 100_000
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class EigenPair:
 
 
 class EigenConvergenceError(RuntimeError):
-    """Raised when the quotient minimisation stalls; carries the best iterate."""
+    """Raised when the eigen defect misses the tolerance; carries the best pair."""
 
     def __init__(self, message: str, best: EigenPair):
         super().__init__(message)
@@ -77,94 +77,75 @@ def rayleigh_quotient(u: GridFunction, p: float) -> float:
     return _dirichlet(u.interior, p) / denom
 
 
-def _eigen_defect(interior: np.ndarray, p: float) -> tuple[float, np.ndarray]:
-    """Quotient value and eigen-equation defect at a unit-denominator point."""
-    lam = _dirichlet(interior, p)
-    return lam, _p_laplacian(interior, p) - lam * phi_p(interior, p)
+def _shoot(lam: float, p: float, T: int) -> tuple[float, list[float] | None]:
+    """Shoot u(0) = 0, u(1) = 1 through the eigen recurrence to the middle node.
+
+    Steps phi_p(d(k)) = phi_p(d(k-1)) - lam phi_p(u(k)), d(k) = u(k+1) - u(k),
+    up to m = ceil(T/2).  Returns (-1, None) as soon as a value is <= 0
+    (lam lies above lambda_1); otherwise the defect of the symmetric
+    eigen equation at m, positive while lam < lambda_1, and u(1..m).
+    """
+    e, inv = p - 1.0, 1.0 / (p - 1.0)
+    x, flux, half = 1.0, 1.0, [1.0]
+    for _ in range((T - 1) // 2):
+        flux -= lam * x ** e
+        x += math.copysign(abs(flux) ** inv, flux)
+        if x <= 0.0:
+            return -1.0, None
+        half.append(x)
+    # odd T: the flux leaves the middle node mirrored, even T: it vanishes
+    return (1 + T % 2) * flux - lam * x ** e, half
 
 
 def first_eigenpair(p: float, T: int, opts: "SolverOptions | None" = None) -> EigenPair:
-    """Minimise the Rayleigh quotient R over the shell sum_k |u(k)|^p = 1.
+    """First eigenpair by symmetric shooting and bisection on lambda.
 
-    The solver's globalised Newton loop and residual polish run on
-    J = R / p, whose gradient on the shell is exactly the eigen defect.
-    Each step solves the bordered Newton system
-        [H + tau I, -phi_p(u); p phi_p(u)^T, 0],
-    H = L_w - lambda (p-1) diag|u|^(p-2), down the solver's tau ladder, so
-    it stays tangent to the shell; every trial point is symmetrised and
-    rescaled back onto the shell (R is scale invariant, so the rescaling
-    never changes its value).  The start is the positive sine profile, the
-    exact p = 2 eigenvector, so p = 2 converges at once.
+    _shoot runs the eigen recurrence over half the grid; by discrete Sturm
+    theory its symmetry defect changes sign once, at lambda_1, so plain
+    bisection on [0, 2] (the one-peak quotient is 2, so lambda_1 < 2) runs
+    until the bracket ends are adjacent floats.  Of the two ends the one
+    whose mirrored, normalised profile has the smaller defect wins: phi is
+    positive and exactly symmetric by construction.  lambda_ is the
+    Rayleigh quotient of that phi, hence >= lambda_1 up to rounding: the
+    safe side for existence.alpha_threshold.  Only opts.tol is read.
 
     The stop is relative: the defect must reach tol times
-    min(1, lambda max phi^(p-1)) at the start, the size of the terms it
-    balances, so large p and T (where lambda_1 is tiny) cannot pass an
-    unconverged start.  EigenPair.residual is the absolute defect.
+    min(1, lambda max phi^(p-1)), the size of the terms it balances, so
+    large p and T (where lambda_1 is tiny) are held to their own scale.
+    EigenPair.residual is the absolute defect.
 
-    Raises EigenConvergenceError (carrying the best iterate) if the
-    residual has not reached the tolerance.  Near the p -> 1 limit
-    (p <= 1.1 on all but the smallest grids, p = 1.15 at T = 50 and
-    p = 1.2 at T = 200) the eigenfunction approaches
-    a plateau whose differences underflow the kink-sensitivity of phi_p,
-    the defect cannot be represented at 1e-9 in float64, and the explicit
-    failure is the honest outcome; its .best iterate is still the quotient
-    minimiser to the precision the arithmetic admits.
+    Raises EigenConvergenceError (carrying the pair) if the residual has
+    not reached the tolerance.  Near the p -> 1 limit (p <= 1.1 on all but
+    the smallest grids, p = 1.15 at T = 50 and p = 1.2 at T = 200) the
+    eigenfunction approaches a plateau whose differences underflow the
+    kink-sensitivity of phi_p, the defect cannot be represented at 1e-9 in
+    float64, and the explicit failure is the honest outcome; its .best
+    pair is still the eigenpair to the precision the arithmetic admits.
     """
     _check_p(p)
     _check_T(T)
-    from .solver import SolverOptions, _TAU_LADDER, _descend, _polish
+    tol = EIGEN_TOL if opts is None else opts.tol
+    lo, hi = 0.0, 2.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _shoot(mid, p, T)[0] > 0.0:
+            lo = mid
+        else:
+            hi = mid
 
-    if opts is None:
-        opts = SolverOptions(tol=EIGEN_TOL, max_iters=EIGEN_MAX_ITERS)
-
-    def project(v: np.ndarray) -> np.ndarray:
-        v = 0.5 * (v + v[::-1])  # exactly symmetric, like the eigenfunction
-        return v / float(np.sum(np.abs(v) ** p)) ** (1.0 / p)
-
-    def J(v: np.ndarray) -> float:
-        return rayleigh_quotient(GridFunction.from_interior(v), p) / p
-
-    def grad(v: np.ndarray) -> np.ndarray:
-        return _eigen_defect(v, p)[1]
-
-    def steps(v: np.ndarray, g: np.ndarray, share: float):
-        w = _newton_weights(p, np.diff(_pad(v)), share)
-        lam = _dirichlet(v, p)
-        with np.errstate(divide="ignore"):
-            diag = w[:-1] + w[1:] - lam * (p - 1.0) * np.abs(v) ** (p - 2.0)
-        if not np.all(np.isfinite(diag)):
-            return
-        idx = np.arange(T)
-        A = np.zeros((T + 1, T + 1))
-        A[idx[:-1], idx[1:]] = A[idx[1:], idx[:-1]] = -w[1:-1]
-        A[:T, T] = -phi_p(v, p)
-        A[T, :T] = p * phi_p(v, p)
-        rhs = np.append(-g, 0.0)
-        for tau in _TAU_LADDER:
-            A[idx, idx] = diag + tau
-            try:
-                s = np.linalg.solve(A, rhs)[:T]
-            except np.linalg.LinAlgError:
-                continue
-            if np.all(np.isfinite(s)):
-                yield s
-
-    u = project(np.sin(np.arange(1, T + 1) * np.pi / (T + 1)))
-    scale = _eigen_defect(u, p)[0] * float(np.max(u)) ** (p - 1.0)
-    opts = replace(opts, tol=opts.tol * min(1.0, scale))
-    u, res, iters, _ = _descend(J, grad, steps, u, opts, project)
-    if res > opts.tol:
-        u, res = _polish(grad, steps, u, opts.tol, project)
-    lam = _eigen_defect(u, p)[0]
-
-    if u[0] < 0.0:
-        u = -u
-    pair = EigenPair(lambda_=lam, phi=GridFunction.from_interior(u), residual=res)
-    if res > opts.tol:
+    pairs = []
+    for lam in (lo, hi):
+        half = _shoot(lam, p, T)[1]
+        if half is not None:
+            v = np.array(half + half[::-1][T % 2:])
+            phi = v / float(np.sum(v ** p)) ** (1.0 / p)
+            lam_phi = _dirichlet(phi, p)  # the quotient: sum phi^p = 1
+            defect = _p_laplacian(phi, p) - lam_phi * phi_p(phi, p)
+            pairs.append(EigenPair(lambda_=lam_phi, phi=GridFunction.from_interior(phi),
+                                   residual=float(np.max(np.abs(defect)))))
+    pair = min(pairs, key=lambda pr: pr.residual)
+    limit = tol * min(1.0, pair.lambda_ * float(np.max(pair.phi.interior)) ** (p - 1.0))
+    if pair.residual > limit:
         raise EigenConvergenceError(
-            f"first eigenpair (p={p}, T={T}) did not reach residual {opts.tol:g} "
-            f"in {iters} iterations (best {res:.3e})", pair)
-    if np.min(u) <= 0.0:
-        raise EigenConvergenceError(
-            f"converged first eigenfunction is not positive (p={p}, T={T})", pair)
+            f"first eigenpair (p={p}, T={T}) did not reach residual {limit:g} "
+            f"(best {pair.residual:.3e})", pair)
     return pair

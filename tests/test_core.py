@@ -382,6 +382,18 @@ def test_from_table_checks_the_nonnegative_flag():
     assert not check_thm_esistenza(unflagged, 0.01).verdict
     # negative values left of 0 are allowed: the flag's convention covers odd f
     from_table(t, [-2.0, 0.0, 2.0], is_nonnegative=True)
+    # the flag's second half, F(-x) <= F(x): this table certified eps = 1 at
+    # T = 4, p = 2 with chi_eps 0.1 when the true value is 10
+    for ts, fs in ((t, [-10.0, 0.0, 0.1]),
+                   # F(x) - F(-x) is 0 at the breakpoints 2 and 3, -2 at 2.5
+                   ([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0], [0.0, -8.0, 0.0, 0.0, 4.0, 0.0, 8.0]),
+                   # fine up to |t| = 4, then f(t) + f(-t) = -1 on the tails
+                   ([-4.0, -1.0, 0.0, 1.0], [-2.0, 0.0, 0.0, 1.0]),
+                   (t, [[-2.0, 0.0, 2.0], [-10.0, 0.0, 0.1]])):  # one node's row
+        with pytest.raises(ValueError, match="is_nonnegative"):
+            from_table(ts, fs, is_nonnegative=True)
+    assert not check_thm_esistenza(ProblemSpec(T=4, p=2.0, nonlinearity=from_table(
+        t, [-10.0, 0.0, 0.1])), 1.0).verdict
 
 
 def test_check_consistency_rejects_wrong_potential():

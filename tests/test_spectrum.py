@@ -216,3 +216,18 @@ def test_lambda1_decreases_with_T():
     for p in (2.0, 3.0):
         values = [first_eigenpair(p, T).lambda_ for T in (2, 3, 5, 8)]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("p, T", ((1.5, 1000), (3.0, 3000)))
+def test_first_eigenpair_large_T_converges_positive_and_symmetric(p, T):
+    pair = first_eigenpair(p, T)
+    phi = pair.phi.interior
+    assert pair.residual <= 1e-9 * min(1.0, pair.lambda_ * float(np.max(phi)) ** (p - 1.0))
+    assert np.min(phi) > 0.0
+    assert np.array_equal(phi, phi[::-1])
+
+
+@pytest.mark.parametrize("T", (200, 1000, 3000))
+def test_first_eigenpair_p2_large_T_matches_closed_form(T):
+    pair = first_eigenpair(2.0, T)
+    assert pair.lambda_ == pytest.approx(lambda1_closed_form_p2(T), rel=1e-13, abs=0)
