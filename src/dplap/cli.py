@@ -32,6 +32,8 @@ EXIT_NO_RESULT = 2
 EXIT_SELFTEST_FAIL = 3
 
 RESULT_HEADER_KEYS = ("T", "p", "alpha", "seed", "residual", "energy")
+_CERTIFICATE_KEYS = ("eps", "chi_eps", "bound", "margin", "sigma", "verdict")
+_WINDOW_KEYS = ("c", "d", "alpha_lo", "alpha_hi", "verdict")
 
 
 class ConfigError(ValueError):
@@ -48,6 +50,16 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _header(key: str, val) -> str:
+    """One `# key = value` header line of a report or result file."""
+    return f"# {key} = {_fmt(val)}"
+
+
+def _print_headers(obj, keys) -> None:
+    for key in keys:
+        print(_header(key, getattr(obj, key)))
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -62,7 +74,15 @@ def load_config(path: str) -> dict:
 
 
 def _is_number(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
+    """A finite JSON number; JSON booleans, NaN and Infinity are not."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    return isinstance(val, int) or math.isfinite(val)
+
+
+def _require_numbers(vals, field: str, what: str) -> None:
+    if not isinstance(vals, list) or not all(_is_number(v) for v in vals):
+        raise ConfigError(field, f"must be {what}")
 
 
 def _require_number(cfg: dict, field: str):
@@ -99,9 +119,17 @@ def build_nonlinearity(nl_cfg, T: int) -> Nonlinearity:
     elif kind == "custom_table":
         if "t" not in nl_cfg or "f" not in nl_cfg:
             raise ConfigError("nonlinearity", "custom_table needs 't' and 'f' sample arrays")
+        t, f = nl_cfg["t"], nl_cfg["f"]
+        flag = nl_cfg.get("is_nonnegative", False)
+        _require_numbers(t, "nonlinearity.t", "a list of finite numbers")
+        rows = f if isinstance(f, list) and f and isinstance(f[0], list) else [f]
+        for r in rows:
+            _require_numbers(r, "nonlinearity.f",
+                             "a list of finite numbers, or a list of such rows")
+        if not isinstance(flag, bool):
+            raise ConfigError("nonlinearity.is_nonnegative", "must be true or false")
         try:
-            nl = from_table(nl_cfg["t"], nl_cfg["f"],
-                            is_nonnegative=bool(nl_cfg.get("is_nonnegative", False)))
+            nl = from_table(t, f, is_nonnegative=flag)
         except ValueError as exc:
             raise ConfigError("nonlinearity", str(exc)) from exc
     else:
@@ -110,8 +138,10 @@ def build_nonlinearity(nl_cfg, T: int) -> Nonlinearity:
                           "linear, power, bounded_rational, custom_table")
     scale = nl_cfg.get("per_k_scale")
     if scale is not None:
-        if not isinstance(scale, list) or len(scale) != T:
-            raise ConfigError("nonlinearity.per_k_scale", f"must be a list of length T={T}")
+        if (not isinstance(scale, list) or len(scale) != T
+                or not all(_is_number(v) for v in scale)):
+            raise ConfigError("nonlinearity.per_k_scale",
+                              f"must be a list of length T={T} of finite numbers")
         nl = scaled_per_node(nl, scale)
     return nl
 
@@ -172,17 +202,18 @@ def scalar_alpha(alpha_field, flag_value):
         return float(flag_value)
     if alpha_field is None:
         raise ConfigError("alpha", "missing; pass --alpha or set it in the config")
-    if _is_number(alpha_field):
-        return float(alpha_field)
-    raise ConfigError("alpha", "config declares a sweep; pass --alpha or use the sweep command")
+    if isinstance(alpha_field, (dict, list)):
+        raise ConfigError("alpha",
+                          "config declares a sweep; pass --alpha or use the sweep command")
+    if not _is_number(alpha_field):
+        raise ConfigError("alpha", "must be a finite number")
+    return float(alpha_field)
 
 
 def write_result(path: str, prob: ProblemSpec, alpha: float, seed: int,
                  residual: float, energy_value: float, u: GridFunction) -> None:
-    lines = []
     values = (prob.T, prob.p, alpha, seed, residual, energy_value)
-    for key, val in zip(RESULT_HEADER_KEYS, values):
-        lines.append(f"# {key} = {_fmt(val)}")
+    lines = [_header(key, val) for key, val in zip(RESULT_HEADER_KEYS, values)]
     for k, v in enumerate(u.values):
         lines.append(f"{k} {_fmt(v)}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -234,14 +265,12 @@ def cmd_eigen(args) -> int:
     except EigenConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    print(f"# lambda_1 = {_fmt(pair.lambda_)}")
-    print(f"# residual = {_fmt(pair.residual)}")
+    print(_header("lambda_1", pair.lambda_))
+    print(_header("residual", pair.residual))
     for k, v in enumerate(pair.phi.values):
         print(f"{k} {_fmt(v)}")
     if args.p == 2.0:
-        closed = eigenvalues_p2(args.T)
-        numeric = np.sort(np.linalg.eigvalsh(matrix_A(args.T)))
-        deviation = float(np.max(np.abs(numeric - closed) / closed))
+        closed, deviation = _p2_spectrum_deviation(args.T)
         print("# lambda_k closed form: " + " ".join(_fmt(x) for x in closed))
         print(f"# max relative deviation from closed form = {deviation:.3e}")
     return EXIT_OK
@@ -253,7 +282,7 @@ def cmd_check(args) -> int:
     verdicts: list[bool] = []
     if args.eps is not None:
         cert = check_thm_esistenza(prob, args.eps)
-        _print_certificate(cert)
+        _print_headers(cert, _CERTIFICATE_KEYS)
         verdicts.append(cert.verdict)
     if args.eps_scan:
         cert = find_admissible_eps(prob, (args.eps_lo, args.eps_hi), args.eps_n)
@@ -261,7 +290,7 @@ def cmd_check(args) -> int:
             print(f"no admissible eps in [{_fmt(args.eps_lo)}, {_fmt(args.eps_hi)}]")
             verdicts.append(False)
         else:
-            _print_certificate(cert)
+            _print_headers(cert, _CERTIFICATE_KEYS)
             verdicts.append(True)
     if args.cd is not None:
         c, d = args.cd
@@ -269,31 +298,18 @@ def cmd_check(args) -> int:
             print("error: --cd requires 0 < c < d", file=sys.stderr)
             return EXIT_ERROR
         win = check_three_solutions_window(prob, c, d)
-        print(f"# c = {_fmt(win.c)}")
-        print(f"# d = {_fmt(win.d)}")
-        print(f"# alpha_lo = {_fmt(win.alpha_lo)}")
-        print(f"# alpha_hi = {_fmt(win.alpha_hi)}")
-        print(f"# verdict = {_fmt(win.verdict)}")
+        _print_headers(win, _WINDOW_KEYS)
         verdicts.append(win.verdict)
     if gamma is not None or prob.nonlinearity.gamma is not None:
         try:
             thr = alpha_threshold(prob, gamma)
-            print(f"# alpha_threshold = {_fmt(thr)}")
+            print(_header("alpha_threshold", thr))
             print(f"# alpha in ({_fmt(thr)}, inf) guarantees a positive solution")
         except ValueError as exc:
             print(f"# alpha_threshold unavailable: {exc}")
     if verdicts and not all(verdicts):
         return EXIT_NO_RESULT
     return EXIT_OK
-
-
-def _print_certificate(cert) -> None:
-    print(f"# eps = {_fmt(cert.eps)}")
-    print(f"# chi_eps = {_fmt(cert.chi_eps)}")
-    print(f"# bound = {_fmt(cert.bound)}")
-    print(f"# margin = {_fmt(cert.margin)}")
-    print(f"# sigma = {_fmt(cert.sigma)}")
-    print(f"# verdict = {_fmt(cert.verdict)}")
 
 
 def cmd_sweep(args) -> int:
@@ -339,12 +355,16 @@ def _selftest_remark_inequality():
     return worst > 0.0, f"min margin {worst:.3e} (must be positive)"
 
 
+def _p2_spectrum_deviation(T: int) -> tuple[np.ndarray, float]:
+    """The closed-form p = 2 eigenvalues and the largest relative deviation
+    of the numeric eigenvalues of matrix_A from them."""
+    closed = eigenvalues_p2(T)
+    numeric = np.sort(np.linalg.eigvalsh(matrix_A(T)))
+    return closed, float(np.max(np.abs(numeric - closed) / closed))
+
+
 def _selftest_p2_spectrum():
-    worst = 0.0
-    for T in range(2, 61):
-        closed = eigenvalues_p2(T)
-        numeric = np.sort(np.linalg.eigvalsh(matrix_A(T)))
-        worst = max(worst, float(np.max(np.abs(numeric - closed) / closed)))
+    worst = max(_p2_spectrum_deviation(T)[1] for T in range(2, 61))
     return worst <= 1e-10, f"max relative deviation {worst:.3e} (tol 1e-10)"
 
 

@@ -15,10 +15,10 @@ Routes:
   - multistart_solve / sweep_alpha: batching, deduplication, continuation.
 
 All three share one Armijo loop (_descend) and one residual-driven Newton
-polish (_polish); each caller passes its objective, gradient, Newton steps
-and (the sublevel route) its projection as callables.  The loop
+polish (_polish), both evaluating J_alpha, its gradient and its Newton
+steps from (prob, alpha); the sublevel route adds its projection.  The loop
 stops when the residual reaches tol, when an accepted step no longer
-lowers the objective in floating point (the energy floor), when the
+lowers the energy in floating point (the energy floor), when the
 residual stalls for _STALL_WINDOW iterations, when the line search fails,
 or at max_iters; outcomes name the reason in stop_reason.  Below the
 energy floor the polish finishes the job.
@@ -49,6 +49,9 @@ LINE_SEARCH = "line_search"
 MAX_ITERS = "max_iters"
 
 _MIN_STEP = 1e-20
+_ARMIJO_C = 1e-4  # sufficient-decrease constant of the Armijo test
+_BACKTRACK = 0.5  # step factor after a rejected trial
+_POLISH_STEPS = 60  # Newton steps the residual polish may take
 _BOUNDARY_SLACK = 1e-8
 _STALL_WINDOW = 2000  # iterations without residual progress before giving up
 _TAU_LADDER = (0.0, 1e-10, 1e-6, 1e-2, 1.0, 1e2, 1e4)  # Newton diagonal shifts
@@ -57,16 +60,15 @@ _SECANT_SHARE = 1e-2  # p < 2: secant weights on |du| below this share of max|du
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Shared knobs for every solve routine.
+    """Settings shared by every solve routine.
 
     seed drives the counter-based multistart RNG and is recorded in each
-    outcome so runs replay bit-for-bit.
+    outcome so runs replay bit-for-bit.  The Armijo test's constants are
+    fixed (_ARMIJO_C, _BACKTRACK).
     """
 
     tol: float = 1e-10
     max_iters: int = 100_000
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
     seed: int = 0
     dedup_dist: float = 1e-6
 
@@ -75,10 +77,6 @@ class SolverOptions:
             raise ValueError("tol must be positive")
         if int(self.max_iters) != self.max_iters or self.max_iters < 1:
             raise ValueError("max_iters must be a positive integer")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError("backtrack must lie in (0, 1)")
         if int(self.seed) != self.seed or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         object.__setattr__(self, "seed", int(self.seed))
@@ -171,28 +169,27 @@ def _newton_steps(prob: ProblemSpec, alpha: float, u: np.ndarray, g: np.ndarray,
             yield s
 
 
-def _polish(residual, steps, u: np.ndarray, tol: float,
-            max_steps: int = 60) -> tuple[np.ndarray, float]:
-    """Damped Newton on residual(u) = 0, driven by the residual's sup norm.
+def _polish(prob: ProblemSpec, alpha: float, u: np.ndarray,
+            tol: float) -> tuple[np.ndarray, float]:
+    """Damped Newton on grad J_alpha(u) = 0, driven by the gradient's sup norm.
 
     Energy line searches bottom out once per-step decreases drop below the
     float resolution of the energy (residuals around 1e-8 when it is order
     one); contracting the residual directly needs no energy comparisons and
-    pushes to the tolerance.  steps(u, g, 0.0) yields the shifted Newton
-    steps with tangent weights.  Returns the input when no step lowers the
-    residual.
+    pushes to the tolerance.  The shifted Newton steps take tangent weights
+    (share 0).  Returns the input when no step lowers the residual.
     """
-    g = residual(u)
+    g = _gradient(prob, alpha, u)
     res = float(np.max(np.abs(g)))
-    for _ in range(max_steps):
+    for _ in range(_POLISH_STEPS):
         if res <= 0.5 * tol:
             break
         improved = False
-        for s in steps(u, g, 0.0):
+        for s in _newton_steps(prob, alpha, u, g, 0.0):
             t = 1.0
             while t >= 1e-12:
                 cand = u + t * s
-                gc = residual(cand)
+                gc = _gradient(prob, alpha, cand)
                 rc = float(np.max(np.abs(gc)))
                 if np.isfinite(rc) and rc < res:
                     u, g, res = cand, gc, rc
@@ -206,14 +203,13 @@ def _polish(residual, steps, u: np.ndarray, tol: float,
     return u, res
 
 
-def _descend(J, grad, steps, u: np.ndarray, opts: SolverOptions,
-             project=None) -> tuple[np.ndarray, float, int, str]:
-    """The Armijo loop behind every route; returns (u, residual, iterations,
-    stop_reason).
+def _descend(prob: ProblemSpec, alpha: float, u: np.ndarray, opts: SolverOptions,
+             newton: bool, project=None) -> tuple[np.ndarray, float, int, str]:
+    """The Armijo loop on J_alpha behind every route; returns (u, residual,
+    iterations, stop_reason).
 
-    J and grad evaluate the objective and its gradient.  With steps, each
-    iteration first tries the first shifted Newton step from
-    steps(u, g, _SECANT_SHARE) that is a descent direction, from t = 1;
+    With newton, each iteration first tries the first shifted Newton step
+    (secant share _SECANT_SHARE) that is a descent direction, from t = 1;
     otherwise, or when its line search fails, a gradient step whose trial
     size doubles after every accepted one, so flat stretches do not trap
     the iteration at a tiny step.  project, when given, maps every trial
@@ -223,8 +219,8 @@ def _descend(J, grad, steps, u: np.ndarray, opts: SolverOptions,
     the loop stops there (ENERGY_FLOOR) instead of idling until the stall
     window, and the caller's residual polish takes over.
     """
-    Ju = J(u)
-    g = grad(u)
+    Ju = _energy(prob, alpha, u)
+    g = _gradient(prob, alpha, u)
     res = float(np.max(np.abs(g)))
     step = 1.0
     iters = 0
@@ -236,8 +232,8 @@ def _descend(J, grad, steps, u: np.ndarray, opts: SolverOptions,
             return u, res, iters, MAX_ITERS
         descent = -g
         candidates = []
-        if steps is not None:
-            for s in steps(u, g, _SECANT_SHARE):
+        if newton:
+            for s in _newton_steps(prob, alpha, u, g, _SECANT_SHARE):
                 slope = float(g @ s)
                 if slope < 0.0:
                     candidates.append((s, slope, 1.0))
@@ -249,11 +245,11 @@ def _descend(J, grad, steps, u: np.ndarray, opts: SolverOptions,
                 cand = u + t * direction
                 if project is not None:
                     cand = project(cand)
-                Jc = J(cand)
-                if np.isfinite(Jc) and Jc <= Ju + opts.armijo_c * t * slope:
+                Jc = _energy(prob, alpha, cand)
+                if np.isfinite(Jc) and Jc <= Ju + _ARMIJO_C * t * slope:
                     moved = True
                     break
-                t *= opts.backtrack
+                t *= _BACKTRACK
             if moved:
                 break
         if not moved:
@@ -263,7 +259,7 @@ def _descend(J, grad, steps, u: np.ndarray, opts: SolverOptions,
         if direction is descent:
             step = t  # remember the accepted gradient step size
         u, Ju = cand, Jc
-        g = grad(u)
+        g = _gradient(prob, alpha, u)
         res = float(np.max(np.abs(g)))
         iters += 1
         if res <= opts.tol:
@@ -276,21 +272,13 @@ def _descend(J, grad, steps, u: np.ndarray, opts: SolverOptions,
             return u, res, iters, STALL_WINDOW  # residual crawl (e.g. circling a saddle)
 
 
-def _energy_calls(prob: ProblemSpec, alpha: float):
-    """(J, grad, steps) of J_alpha as the callables _descend and _polish take."""
-    return (lambda v: _energy(prob, alpha, v), lambda v: _gradient(prob, alpha, v),
-            lambda v, g, share: _newton_steps(prob, alpha, v, g, share))
-
-
 def _solve(prob: ProblemSpec, alpha: float, u0: GridFunction,
            opts: SolverOptions | None, newton: bool) -> SolveOutcome:
     opts = opts if opts is not None else SolverOptions()
     _check_alpha(alpha)
-    J, grad, steps = _energy_calls(prob, alpha)
-    u, res, iters, reason = _descend(J, grad, steps if newton else None,
-                                     _check_start(prob, u0), opts)
+    u, res, iters, reason = _descend(prob, alpha, _check_start(prob, u0), opts, newton)
     if res > opts.tol:
-        u, res = _polish(grad, steps, u, opts.tol)
+        u, res = _polish(prob, alpha, u, opts.tol)
     return _finish(prob, alpha, u, res, iters, opts, reason)
 
 
@@ -354,15 +342,13 @@ def minimize_on_sublevel(prob: ProblemSpec, alpha: float, sigma: float,
         n = _dirichlet(vec, p)
         return vec * (sigma / n) ** (1.0 / p) if n > sigma else vec
 
-    J, grad, steps = _energy_calls(prob, alpha)
-
     def run(start: np.ndarray) -> SolveOutcome:
-        u, res, iters, reason = _descend(J, grad, None, project(start), opts,
-                                         project=project)
+        u, res, iters, reason = _descend(prob, alpha, project(start), opts,
+                                         newton=False, project=project)
         hit = _dirichlet(u, p) >= sigma * (1.0 - _BOUNDARY_SLACK)
         if not hit and res > opts.tol:
             # interior stall: unconstrained polish, kept only if it stays inside
-            cand, cres = _polish(grad, steps, u, opts.tol)
+            cand, cres = _polish(prob, alpha, u, opts.tol)
             if _dirichlet(cand, p) < sigma * (1.0 - _BOUNDARY_SLACK):
                 u, res = cand, cres
         return _finish(prob, alpha, u, res, iters, opts, reason, boundary_hit=hit)
@@ -454,12 +440,18 @@ def multistart_solve(prob: ProblemSpec, alpha: float, n_starts: int,
     Every start runs through solve_newton.  Distinctness is sup-norm
     distance >= opts.dedup_dist, keeping the lowest-energy representative.
     """
+    return _multistart(prob, alpha, n_starts, opts, extra_starts,
+                       _eigen_best_effort(prob.p, prob.T))
+
+
+def _multistart(prob: ProblemSpec, alpha: float, n_starts: int,
+                opts: SolverOptions | None, extra_starts, eig: EigenPair) -> list[SolveOutcome]:
+    """multistart_solve with the first eigenpair given (sweep_alpha reuses one)."""
     opts = opts if opts is not None else SolverOptions()
     _check_alpha(alpha)
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
     T = prob.T
-    eig = _eigen_best_effort(prob.p, T)
     profile = eig.phi.interior / np.max(np.abs(eig.phi.interior))
     starts = [np.zeros(T), profile.copy(), -profile]
     for extra in extra_starts:
@@ -528,7 +520,7 @@ def sweep_alpha(prob: ProblemSpec, alphas, opts: SolverOptions | None = None,
         a = float(a)
         try:
             extra = (warm,) if warm is not None else ()
-            sols = multistart_solve(prob, a, n_starts, opts, extra_starts=extra)
+            sols = _multistart(prob, a, n_starts, opts, extra, eig)
             cert = nontriviality_certificate(prob, a, eig)
             zeta = cert[0] if cert is not None else None
             if sols:

@@ -112,6 +112,30 @@ def test_per_k_scale_length(tmp_path, capsys):
     assert "list of length T=3" in capsys.readouterr().err
 
 
+TABLE = {"kind": "custom_table", "t": [-2.0, 0.0, 2.0], "f": [-1.0, 0.0, 1.0]}
+
+
+@pytest.mark.parametrize("field, overrides", [
+    ("nonlinearity.per_k_scale",
+     {"nonlinearity": {"kind": "bounded_rational", "per_k_scale": [True, 1, 1]}}),
+    ("nonlinearity.per_k_scale",
+     {"nonlinearity": {"kind": "bounded_rational", "per_k_scale": ["x", 1, 1]}}),
+    ("nonlinearity.per_k_scale",
+     {"nonlinearity": {"kind": "bounded_rational", "per_k_scale": [1, -1, math.nan]}}),
+    ("nonlinearity.is_nonnegative",
+     {"nonlinearity": {**TABLE, "is_nonnegative": "false"}}),
+    ("nonlinearity.f", {"nonlinearity": {**TABLE, "f": [True, False, True]}}),
+    ("T", {"T": math.nan}),
+])
+def test_bad_field_values_are_named(tmp_path, capsys, field, overrides):
+    # booleans, strings and non-finite numbers are not silently coerced
+    cfg = {"T": 3, "p": 2.0, "nonlinearity": {"kind": "bounded_rational"}}
+    cfg.update(overrides)
+    rc = main(["check", write_cfg(tmp_path, cfg), "--eps", "0.5"])
+    assert rc == EXIT_ERROR
+    assert f"config field '{field}'" in capsys.readouterr().err
+
+
 def test_gamma_list_wrong_length(tmp_path, capsys):
     rc = main(["check", esempio0_cfg(tmp_path, gamma=[0.5, 0.5])])
     assert rc == EXIT_ERROR
@@ -434,8 +458,8 @@ def test_import_does_not_load_scipy():
 
 
 def test_eigen_does_not_load_scipy_linalg():
-    # the bordered eigen Newton system is solved with numpy: `dplap eigen`
-    # and `dplap check` pay no scipy.linalg import
+    # the first eigenpair is found by shooting with scalar arithmetic, no
+    # linear algebra: `dplap eigen` pays no scipy.linalg import
     src = os.path.dirname(os.path.dirname(os.path.abspath(dplap.core.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, contextlib, io, dplap.cli\n"

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dplap.solver
 from dplap.core import GridFunction, Nonlinearity, ProblemSpec, kappa, sup_norm
 from dplap.energy import energy, gradient, strong_residual, weak_residual
-from dplap.nonlinearities import bounded_rational, constant, linear, zero
+from dplap.nonlinearities import (bounded_rational, constant, from_table, linear,
+                                  scaled_per_node, zero)
 from dplap.solver import (CONVERGED, ENERGY_FLOOR, INDEFINITE, LINE_SEARCH,
                           MAX_ITERS, POSITIVE, STALL_WINDOW, ZERO,
                           SolveOutcome, SolverOptions, SweepRow,
@@ -58,6 +61,47 @@ def outcomes_name_their_stop_reason(monkeypatch):
         assert out.converged or out.stop_reason != CONVERGED
 
 
+# ------------------------------------------------------------ properties
+
+@st.composite
+def solve_cases(draw):
+    """(prob, alpha, start) over p in [1.3, 4], T in [2, 12], alpha in
+    [0.05, 5], with bounded_rational, a per-node scaling of it, or an odd
+    17-point table, and a uniform(-2, 2) start."""
+    p = draw(st.floats(1.3, 4.0))
+    T = draw(st.integers(2, 12))
+    alpha = draw(st.floats(0.05, 5.0))
+    kind = draw(st.sampled_from(["bounded_rational", "scaled", "table"]))
+    if kind == "table":
+        t = np.linspace(-4.0, 4.0, 17)
+        nl = from_table(t, t / (1.0 + t * t))
+    else:
+        nl = bounded_rational()
+        if kind == "scaled":
+            nl = scaled_per_node(nl, draw(st.lists(st.floats(0.5, 1.5),
+                                                   min_size=T, max_size=T)))
+    start = draw(st.lists(st.floats(-2.0, 2.0), min_size=T, max_size=T))
+    return ProblemSpec(T=T, p=p, nonlinearity=nl), alpha, GridFunction.from_interior(start)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(solve_cases())
+def test_solve_outcomes_report_what_they_return(case):
+    # the Armijo loop plus polish never raises, names why it stopped, and
+    # its residual, energy and positivity describe the u it returns
+    prob, alpha, u0 = case
+    opts = SolverOptions(max_iters=500)
+    for solve in (solve_newton, solve_descent):
+        out = solve(prob, alpha, u0, opts)
+        assert out.stop_reason in (CONVERGED, ENERGY_FLOOR, STALL_WINDOW, LINE_SEARCH,
+                                   MAX_ITERS)
+        assert out.converged == (out.residual <= opts.tol)
+        assert out.residual == strong_residual(out.u, prob, alpha)
+        assert out.energy == energy(out.u, prob, alpha)
+        if out.positivity == POSITIVE:
+            assert np.min(out.u.interior) > 0.0
+
+
 # --------------------------------------------------------------- options
 
 def test_solver_options_validation():
@@ -65,10 +109,6 @@ def test_solver_options_validation():
         SolverOptions(tol=0.0)
     with pytest.raises(ValueError, match="max_iters"):
         SolverOptions(max_iters=0)
-    with pytest.raises(ValueError, match="armijo_c"):
-        SolverOptions(armijo_c=1.0)
-    with pytest.raises(ValueError, match="backtrack"):
-        SolverOptions(backtrack=0.0)
     with pytest.raises(ValueError, match="dedup_dist"):
         SolverOptions(dedup_dist=0.0)
 
@@ -549,6 +589,20 @@ def test_sweep_rows_and_transition():
         assert above.nontriviality_zeta is not None
     # larger alpha deepens the well
     assert rows[2].min_energy < rows[1].min_energy < rows[0].min_energy + 1e-15
+
+
+def test_sweep_computes_the_first_eigenpair_once(monkeypatch):
+    # the sweep's pair shapes every alpha's starts; none is recomputed
+    calls = []
+
+    def counting(p, T, opts=None):
+        calls.append((p, T))
+        return first_eigenpair(p, T, opts)
+
+    monkeypatch.setattr(dplap.solver, "first_eigenpair", counting)
+    rows = sweep_alpha(esempio0(), [0.1, 0.5, 1.0], n_starts=2)
+    assert [r.error for r in rows] == ["", "", ""]
+    assert calls == [(2.0, 5)]
 
 
 def test_sweep_reports_positive_representative_on_ties():
