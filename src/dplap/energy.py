@@ -14,8 +14,8 @@ from .core import GridFunction, ProblemSpec, _dirichlet, _pad, _p_laplacian, phi
 
 
 def _check_alpha(alpha: float) -> None:
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < np.inf:
+        raise ValueError("alpha must be positive and finite")
 
 
 # J_alpha and its derivatives on interior arrays: every caller goes through these

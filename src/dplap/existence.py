@@ -117,8 +117,8 @@ def _max_potentials(prob: ProblemSpec, eps: float) -> np.ndarray:
 
 def chi(eps: float, prob: ProblemSpec) -> float:
     """sum_k max_{|xi| <= eps} F_k(xi), divided by eps^p."""
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     return float(np.sum(_max_potentials(prob, eps))) / eps ** prob.p
 
 

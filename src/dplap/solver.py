@@ -2,9 +2,10 @@
 
 Routes:
   - solve_newton: globalised Newton on J (any p > 1).  Each iteration solves
-    the tridiagonal Newton system, shifted down a ladder until the step is a
-    descent direction, and accepts it through an Armijo test on the energy,
-    falling back to a gradient step.  At p < 2 the small differences take
+    the tridiagonal Newton system once, its diagonal shifted by the
+    Jacobian's smallest eigenvalue when that is not positive, so the step
+    is a descent direction; an Armijo test on the energy accepts it, or a
+    gradient step takes over.  At p < 2 the small differences take
     secant weights, so a plateau (du = 0) is reached instead of overshot.
     multistart_solve runs every start through it; solve_newton_p2 is the
     same routine behind a p = 2 guard.
@@ -21,7 +22,9 @@ stops when the residual reaches tol, when an accepted step no longer
 lowers the energy in floating point (the energy floor), when the
 residual stalls for _STALL_WINDOW iterations, when the line search fails,
 or at max_iters; outcomes name the reason in stop_reason.  Below the
-energy floor the polish finishes the job.
+energy floor the polish finishes the job.  It tries the diagonal shifts
+of _TAU_LADDER in turn, because near a saddle H is indefinite by nature
+and no single shift is known to suit.
 
 Positivity classification and the nontriviality certificate live here too.
 """
@@ -54,7 +57,8 @@ _BACKTRACK = 0.5  # step factor after a rejected trial
 _POLISH_STEPS = 60  # Newton steps the residual polish may take
 _BOUNDARY_SLACK = 1e-8
 _STALL_WINDOW = 2000  # iterations without residual progress before giving up
-_TAU_LADDER = (0.0, 1e-10, 1e-6, 1e-2, 1.0, 1e2, 1e4)  # Newton diagonal shifts
+_TAU_LADDER = (0.0, 1e-10, 1e-6, 1e-2, 1.0, 1e2, 1e4)  # the polish's Newton shifts
+_SHIFT_MARGIN = 0.1  # descent shift: H + tau I has smallest eigenvalue _SHIFT_MARGIN |lam|
 _SECANT_SHARE = 1e-2  # p < 2: secant weights on |du| below this share of max|du|
 
 
@@ -151,22 +155,48 @@ def truncate_nonnegative(nl: Nonlinearity) -> Nonlinearity:
                         name=f"{nl.name}~trunc")
 
 
-def _newton_steps(prob: ProblemSpec, alpha: float, u: np.ndarray, g: np.ndarray,
-                  share: float):
+def _newton_steps(prob: ProblemSpec, alpha: float, u: np.ndarray, g: np.ndarray):
     """Yield the finite solutions s of (H + tau I) s = -g down the tau ladder.
 
-    H is energy._jacobian at u.  Callers take the first step that suits
-    them; larger shifts degrade gracefully toward a scaled gradient step.
+    H is energy._jacobian at u with tangent weights (share 0).  The polish
+    takes the first step that lowers the residual; larger shifts degrade
+    gracefully toward a scaled gradient step.
     """
     from scipy.linalg.lapack import dgtsv
 
-    diag, off = _jacobian(prob, alpha, u, share)
+    diag, off = _jacobian(prob, alpha, u, 0.0)
     if not np.all(np.isfinite(diag)):
         return
     for tau in _TAU_LADDER:
         s, info = dgtsv(off, diag + tau, off, -g)[3:]
         if info == 0 and np.all(np.isfinite(s)):
             yield s
+
+
+def _shifted_newton_step(prob: ProblemSpec, alpha: float, u: np.ndarray,
+                         g: np.ndarray) -> np.ndarray | None:
+    """The descent loop's Newton direction: s solving (H + tau I) s = -g.
+
+    H is energy._jacobian at u (secant share _SECANT_SHARE) and lam its
+    smallest eigenvalue; tau = 0 when lam > 0, else -(1 + _SHIFT_MARGIN) lam,
+    so H + tau I is positive definite and s a descent direction (the
+    eigenvalue modification of Nocedal & Wright, Numerical Optimization,
+    2nd ed., section 3.4).  None when H is not finite, the eigenvalue or
+    the solve fails, or s is not finite or not downhill.
+    """
+    from scipy.linalg.lapack import dgtsv, dstebz
+
+    diag, off = _jacobian(prob, alpha, u, _SECANT_SHARE)
+    if not np.all(np.isfinite(diag)):
+        return None
+    _, lam, _, _, info = dstebz(diag, off, 2, 0.0, 0.0, 1, 1, 0.0, b"B")
+    if info != 0:
+        return None
+    tau = max(0.0, -(1.0 + _SHIFT_MARGIN) * float(lam[0]))
+    s, info = dgtsv(off, diag + tau, off, -g)[3:]
+    if info != 0 or not np.all(np.isfinite(s)) or not float(g @ s) < 0.0:
+        return None
+    return s
 
 
 def _polish(prob: ProblemSpec, alpha: float, u: np.ndarray,
@@ -185,7 +215,7 @@ def _polish(prob: ProblemSpec, alpha: float, u: np.ndarray,
         if res <= 0.5 * tol:
             break
         improved = False
-        for s in _newton_steps(prob, alpha, u, g, 0.0):
+        for s in _newton_steps(prob, alpha, u, g):
             t = 1.0
             while t >= 1e-12:
                 cand = u + t * s
@@ -208,9 +238,9 @@ def _descend(prob: ProblemSpec, alpha: float, u: np.ndarray, opts: SolverOptions
     """The Armijo loop on J_alpha behind every route; returns (u, residual,
     iterations, stop_reason).
 
-    With newton, each iteration first tries the first shifted Newton step
-    (secant share _SECANT_SHARE) that is a descent direction, from t = 1;
-    otherwise, or when its line search fails, a gradient step whose trial
+    With newton, each iteration first tries the spectrally shifted Newton
+    step of _shifted_newton_step from t = 1 (one tridiagonal solve);
+    without one, or when its line search fails, a gradient step whose trial
     size doubles after every accepted one, so flat stretches do not trap
     the iteration at a tiny step.  project, when given, maps every trial
     point (the sublevel route's radial pull-back onto its ball).  J is
@@ -233,11 +263,9 @@ def _descend(prob: ProblemSpec, alpha: float, u: np.ndarray, opts: SolverOptions
         descent = -g
         candidates = []
         if newton:
-            for s in _newton_steps(prob, alpha, u, g, _SECANT_SHARE):
-                slope = float(g @ s)
-                if slope < 0.0:
-                    candidates.append((s, slope, 1.0))
-                    break
+            s = _shifted_newton_step(prob, alpha, u, g)
+            if s is not None:
+                candidates.append((s, float(g @ s), 1.0))
         candidates.append((descent, -float(g @ g), min(2.0 * step, 1e6)))
         moved = False
         for direction, slope, t in candidates:
@@ -286,14 +314,14 @@ def solve_newton(prob: ProblemSpec, alpha: float, u0: GridFunction,
                  opts: SolverOptions | None = None) -> SolveOutcome:
     """Globalised Newton on J_alpha for any p > 1, O(T) per iteration.
 
-    Each step solves the tridiagonal Newton system (shifted when it is
-    singular or gives an ascent direction) and is accepted through an
-    Armijo test on the energy, falling back to a gradient step when the
-    Newton step is rejected.  Near a nondegenerate minimum the full step
-    passes and convergence is quadratic.  When Armijo stops seeing progress
-    a residual-driven polish finishes (it can land on a nearby saddle: a
-    legitimate critical point); only when that fails too does the outcome
-    come back non-converged.
+    Each step solves the tridiagonal Newton system once, its diagonal
+    shifted past the smallest eigenvalue when the matrix is not positive
+    definite, and is accepted through an Armijo test on the energy, falling
+    back to a gradient step when the Newton step is rejected.  Near a
+    nondegenerate minimum the full step passes and convergence is
+    quadratic.  When Armijo stops seeing progress a residual-driven polish
+    finishes (it can land on a nearby saddle: a legitimate critical point);
+    only when that fails too does the outcome come back non-converged.
     """
     return _solve(prob, alpha, u0, opts, newton=True)
 

@@ -239,6 +239,14 @@ def test_solve_rejects_negative_seed(tmp_path, capsys):
     assert not (tmp_path / "result.txt").exists()
 
 
+def test_solve_rejects_infinite_alpha(tmp_path, capsys):
+    rc = main(["solve", esempio0_cfg(tmp_path, T=3), "--alpha", "inf",
+               "--out", str(tmp_path / "result.txt")])
+    assert rc == EXIT_ERROR
+    assert "alpha must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "result.txt").exists()
+
+
 def test_solve_without_solutions_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "multistart_solve", lambda *a, **k: [])
     rc = main(["solve", esempio0_cfg(tmp_path), "--out", str(tmp_path / "r.txt")])
@@ -313,6 +321,14 @@ def test_check_eps_inadmissible_exits_2(tmp_path, capsys):
     rc = main(["check", esempio0_cfg(tmp_path), "--eps", "1e-8"])
     assert rc == EXIT_NO_RESULT
     assert parse_headers(capsys.readouterr().out)["verdict"] == "false"
+
+
+def test_check_rejects_infinite_eps(tmp_path, capsys):
+    rc = main(["check", esempio0_cfg(tmp_path, T=3), "--eps", "inf"])
+    assert rc == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert "eps must be positive and finite" in captured.err
+    assert "verdict" not in captured.out
 
 
 def test_check_eps_scan_finds_certificate(tmp_path, capsys):

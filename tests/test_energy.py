@@ -53,6 +53,14 @@ def test_energy_rejects_nonpositive_alpha():
         gradient(u, prob, alpha=-1.0)
 
 
+def test_energy_rejects_infinite_alpha():
+    prob = ProblemSpec(T=3, p=2.0, nonlinearity=zero())
+    u = GridFunction.zero(3)
+    for call in (energy, gradient):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            call(u, prob, alpha=float("inf"))
+
+
 def test_gradient_hand_value_constant_f():
     # p = 2: gradient = A u - alpha * 1
     prob = ProblemSpec(T=3, p=2.0, nonlinearity=constant(1.0))

@@ -109,6 +109,14 @@ def test_chi_rejects_nonpositive_eps():
         chi(0.0, prob)
 
 
+def test_chi_rejects_infinite_eps():
+    prob = _prob()
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        chi(np.inf, prob)
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        check_thm_esistenza(prob, np.inf)
+
+
 # --------------------------------------------------------------------- h
 
 def test_h_hand_values():

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import dplap.solver
 from dplap.core import GridFunction, Nonlinearity, ProblemSpec, kappa, sup_norm
-from dplap.energy import energy, gradient, strong_residual, weak_residual
+from dplap.energy import (_gradient, _jacobian, energy, gradient, strong_residual,
+                          weak_residual)
 from dplap.nonlinearities import (bounded_rational, constant, from_table, linear,
                                   scaled_per_node, zero)
 from dplap.solver import (CONVERGED, ENERGY_FLOOR, INDEFINITE, LINE_SEARCH,
@@ -100,6 +101,36 @@ def test_solve_outcomes_report_what_they_return(case):
         assert out.energy == energy(out.u, prob, alpha)
         if out.positivity == POSITIVE:
             assert np.min(out.u.interior) > 0.0
+
+
+@st.composite
+def newton_step_cases(draw):
+    """(prob, alpha, u) over p in [1.3, 4], T in [2, 40], alpha in [0.05, 5],
+    bounded_rational, and a uniform(-2, 2) point."""
+    p = draw(st.floats(1.3, 4.0))
+    T = draw(st.integers(2, 40))
+    alpha = draw(st.floats(0.05, 5.0))
+    u = draw(st.lists(st.floats(-2.0, 2.0), min_size=T, max_size=T))
+    return ProblemSpec(T=T, p=p, nonlinearity=bounded_rational()), alpha, np.array(u)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(newton_step_cases())
+def test_shifted_newton_step_is_a_positive_definite_descent_step(case):
+    # whenever the loop gets a Newton step, it solves (H + tau I) s = -g for a
+    # tau >= 0 that makes H + tau I positive definite, and it points downhill
+    prob, alpha, u = case
+    g = _gradient(prob, alpha, u)
+    s = dplap.solver._shifted_newton_step(prob, alpha, u, g)
+    if s is None:
+        return
+    diag, off = _jacobian(prob, alpha, u, dplap.solver._SECANT_SHARE)
+    H = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    tau = -float((H @ s + g) @ s) / float(s @ s)  # the shift s was solved with
+    rounding = 1e-10 * (np.max(np.abs(np.linalg.eigvalsh(H))) + abs(tau))
+    assert tau >= -rounding
+    assert np.min(np.linalg.eigvalsh(H + tau * np.eye(prob.T))) > -rounding
+    assert float(g @ s) < 0.0
 
 
 # --------------------------------------------------------------- options
@@ -282,16 +313,26 @@ def test_newton_constant_f_exact_in_one_step():
 # ------------------------------------------------------------ solve_newton
 
 def test_newton_hands_over_at_the_energy_floor():
-    # two alpha = 3 starts reach residual ~1e-7 at |J| ~ 393 early; from there
-    # no Armijo step changes J in floating point, so the loop must hand over
-    # to the residual polish instead of idling to the stall window
+    # this alpha = 3 start reaches residual ~1e-10 at |J| ~ 127 after 12
+    # iterations; from there no Armijo step changes J in floating point, so
+    # the loop must hand over to the residual polish instead of idling to
+    # the stall window
     prob = esempio0(T=50)
-    starts = multistart_starts(prob, 0, 8)
-    for vec in (starts[3 + 2], starts[3 + 6]):
-        out = solve_newton(prob, 3.0, GridFunction.from_interior(vec))
-        assert out.converged and out.stop_reason == ENERGY_FLOOR
-        assert out.iterations < 300
-        assert strong_residual(out.u, prob, 3.0) <= 1e-10
+    vec = multistart_starts(prob, 0, 8)[3 + 1]
+    out = solve_newton(prob, 3.0, GridFunction.from_interior(vec))
+    assert out.converged and out.stop_reason == ENERGY_FLOOR
+    assert out.iterations < 300
+    assert strong_residual(out.u, prob, 3.0) <= 1e-10
+
+
+def test_newton_t200_multistart_converges_every_start_quickly():
+    # on this indefinite energy the step shifted by H's smallest eigenvalue
+    # reaches every solution within 50 iterations; the blind shift ladder
+    # settled on shifts ~40 lambda_1 and crawled for up to 427
+    prob = esempio0(T=200)
+    for vec in multistart_starts(prob, 0, 8):
+        out = solve_newton(prob, 0.1, GridFunction.from_interior(vec))
+        assert out.converged and out.iterations <= 50
 
 
 def test_newton_p15_even_T_plateau_converges_from_every_start():
