@@ -414,8 +414,16 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if all_ok else EXIT_SELFTEST_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_ERROR; argparse's own 2 means no result here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="dplap",
         description="Discrete p-Laplacian two-point boundary value problems: "
                     "solve, eigenpairs, existence certificates, parameter sweeps.")

@@ -22,9 +22,9 @@ stops when the residual reaches tol, when an accepted step no longer
 lowers the energy in floating point (the energy floor), when the
 residual stalls for _STALL_WINDOW iterations, when the line search fails,
 or at max_iters; outcomes name the reason in stop_reason.  Below the
-energy floor the polish finishes the job.  It tries the diagonal shifts
-of _TAU_LADDER in turn, because near a saddle H is indefinite by nature
-and no single shift is known to suit.
+energy floor the polish finishes the job with plain, unshifted Newton
+steps: near a saddle H is indefinite by nature, and the unshifted step is
+the one that converges to saddles as well as to minima.
 
 Positivity classification and the nontriviality certificate live here too.
 """
@@ -57,7 +57,6 @@ _BACKTRACK = 0.5  # step factor after a rejected trial
 _POLISH_STEPS = 60  # Newton steps the residual polish may take
 _BOUNDARY_SLACK = 1e-8
 _STALL_WINDOW = 2000  # iterations without residual progress before giving up
-_TAU_LADDER = (0.0, 1e-10, 1e-6, 1e-2, 1.0, 1e2, 1e4)  # the polish's Newton shifts
 _SHIFT_MARGIN = 0.1  # descent shift: H + tau I has smallest eigenvalue _SHIFT_MARGIN |lam|
 _SECANT_SHARE = 1e-2  # p < 2: secant weights on |du| below this share of max|du|
 
@@ -77,8 +76,8 @@ class SolverOptions:
     dedup_dist: float = 1e-6
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
         if int(self.max_iters) != self.max_iters or self.max_iters < 1:
             raise ValueError("max_iters must be a positive integer")
         if int(self.seed) != self.seed or self.seed < 0:
@@ -155,22 +154,20 @@ def truncate_nonnegative(nl: Nonlinearity) -> Nonlinearity:
                         name=f"{nl.name}~trunc")
 
 
-def _newton_steps(prob: ProblemSpec, alpha: float, u: np.ndarray, g: np.ndarray):
-    """Yield the finite solutions s of (H + tau I) s = -g down the tau ladder.
+def _newton_step(prob: ProblemSpec, alpha: float, u: np.ndarray,
+                 g: np.ndarray) -> np.ndarray | None:
+    """The polish's plain Newton step: s solving H s = -g, unshifted.
 
-    H is energy._jacobian at u with tangent weights (share 0).  The polish
-    takes the first step that lowers the residual; larger shifts degrade
-    gracefully toward a scaled gradient step.
+    H is energy._jacobian at u with tangent weights (share 0).  None when H
+    is not finite, the solve fails (H singular) or s is not finite.
     """
     from scipy.linalg.lapack import dgtsv
 
     diag, off = _jacobian(prob, alpha, u, 0.0)
     if not np.all(np.isfinite(diag)):
-        return
-    for tau in _TAU_LADDER:
-        s, info = dgtsv(off, diag + tau, off, -g)[3:]
-        if info == 0 and np.all(np.isfinite(s)):
-            yield s
+        return None
+    s, info = dgtsv(off, diag, off, -g)[3:]
+    return s if info == 0 and np.all(np.isfinite(s)) else None
 
 
 def _shifted_newton_step(prob: ProblemSpec, alpha: float, u: np.ndarray,
@@ -206,30 +203,30 @@ def _polish(prob: ProblemSpec, alpha: float, u: np.ndarray,
     Energy line searches bottom out once per-step decreases drop below the
     float resolution of the energy (residuals around 1e-8 when it is order
     one); contracting the residual directly needs no energy comparisons and
-    pushes to the tolerance.  The shifted Newton steps take tangent weights
-    (share 0).  Returns the input when no step lowers the residual.
+    pushes to the tolerance.  Each iteration takes one plain Newton step
+    (_newton_step: unshifted, so it can land on a saddle) and halves it
+    until the residual drops; the polish stops when there is no step or no
+    trial lowers the residual, returning the input if nothing improved.
     """
     g = _gradient(prob, alpha, u)
     res = float(np.max(np.abs(g)))
     for _ in range(_POLISH_STEPS):
         if res <= 0.5 * tol:
             break
-        improved = False
-        for s in _newton_steps(prob, alpha, u, g):
-            t = 1.0
-            while t >= 1e-12:
-                cand = u + t * s
-                gc = _gradient(prob, alpha, cand)
-                rc = float(np.max(np.abs(gc)))
-                if np.isfinite(rc) and rc < res:
-                    u, g, res = cand, gc, rc
-                    improved = True
-                    break
-                t *= 0.5
-            if improved:
-                break
-        if not improved:
+        s = _newton_step(prob, alpha, u, g)
+        if s is None:
             break
+        t = 1.0
+        while t >= 1e-12:
+            cand = u + t * s
+            gc = _gradient(prob, alpha, cand)
+            rc = float(np.max(np.abs(gc)))
+            if np.isfinite(rc) and rc < res:
+                break
+            t *= 0.5
+        else:
+            break  # no trial along s lowers the residual
+        u, g, res = cand, gc, rc
     return u, res
 
 

@@ -247,6 +247,29 @@ def test_solve_rejects_infinite_alpha(tmp_path, capsys):
     assert not (tmp_path / "result.txt").exists()
 
 
+def test_solve_and_eigen_reject_infinite_tol(tmp_path, capsys):
+    rc = main(["solve", esempio0_cfg(tmp_path, T=3), "--tol", "inf",
+               "--out", str(tmp_path / "result.txt")])
+    assert rc == EXIT_ERROR
+    assert "tol must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "result.txt").exists()
+    assert main(["eigen", "--p", "2", "--T", "5", "--tol", "inf"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert "tol must be positive and finite" in captured.err
+    assert "lambda_1" not in captured.out
+
+
+def test_usage_errors_exit_1(tmp_path, capsys):
+    for argv in (["solve", esempio0_cfg(tmp_path), "--starts", "x"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_ERROR
+        assert "error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == EXIT_OK
+
+
 def test_solve_without_solutions_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "multistart_solve", lambda *a, **k: [])
     rc = main(["solve", esempio0_cfg(tmp_path), "--out", str(tmp_path / "r.txt")])

@@ -138,6 +138,8 @@ def test_shifted_newton_step_is_a_positive_definite_descent_step(case):
 def test_solver_options_validation():
     with pytest.raises(ValueError, match="tol"):
         SolverOptions(tol=0.0)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        SolverOptions(tol=np.inf)
     with pytest.raises(ValueError, match="max_iters"):
         SolverOptions(max_iters=0)
     with pytest.raises(ValueError, match="dedup_dist"):
@@ -354,6 +356,27 @@ def test_newton_p105_small_T_converges_through_the_tangent_polish():
         out = solve_newton(prob, 1.0, GridFunction.from_interior(vec))
         assert out.converged
         assert strong_residual(out.u, prob, 1.0) <= 1e-10
+
+
+def test_polish_stops_after_one_solve_when_the_step_cannot_help(monkeypatch):
+    # at residual 1.1e-16 the plain Newton step cannot lower the residual:
+    # the polish gives up after that one tridiagonal solve
+    import scipy.linalg.lapack as lapack
+    prob = esempio0()
+    out = solve_newton(prob, 1.0, GridFunction.from_interior(np.linspace(0.5, 1.5, 5)),
+                       SolverOptions(tol=1e-300))
+    assert out.stop_reason == ENERGY_FLOOR and 0.0 < out.residual < 1e-15
+    calls = []
+    dgtsv = lapack.dgtsv
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return dgtsv(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dgtsv", counting)
+    u, res = dplap.solver._polish(prob, 1.0, out.u.interior, 1e-300)
+    assert len(calls) == 1
+    assert np.array_equal(u, out.u.interior) and res == out.residual
 
 
 def test_newton_p3_converges_fast_and_matches_descent():
@@ -688,15 +711,13 @@ def test_sweep_captures_row_errors():
     assert all(r.error == "" or r.n_solutions == 0 for r in rows)
 
 
-# ------------------------------------------------------- thread plumbing
+# ------------------------------------------------------------ determinism
 
-def test_multistart_threaded_matches_serial(monkeypatch):
+def test_multistart_repeats_bit_identically():
     prob = esempio0()
-    monkeypatch.delenv("DPLAP_THREADS", raising=False)
-    serial = multistart_solve(prob, 1.0, n_starts=6)
-    monkeypatch.setenv("DPLAP_THREADS", "3")
-    threaded = multistart_solve(prob, 1.0, n_starts=6)
-    assert len(serial) == len(threaded)
-    for a, b in zip(serial, threaded):
+    first = multistart_solve(prob, 1.0, n_starts=6)
+    second = multistart_solve(prob, 1.0, n_starts=6)
+    assert len(first) == len(second)
+    for a, b in zip(first, second):
         assert np.array_equal(a.u.values, b.u.values)
         assert a.energy == b.energy and a.residual == b.residual
