@@ -18,13 +18,14 @@ import numpy as np
 from . import core
 from .core import GridFunction, Nonlinearity, ProblemSpec, _gamma_tuple
 from .energy import energy, gradient
-from .existence import (alpha_threshold, check_thm_esistenza,
-                        check_three_solutions_window, find_admissible_eps)
+from .existence import (DEFAULT_EPS_GRID, DEFAULT_EPS_RANGE, alpha_threshold,
+                        check_thm_esistenza, check_three_solutions_window,
+                        find_admissible_eps)
 from .nonlinearities import (bounded_rational, constant, from_table, linear,
                              power, scaled_per_node, zero)
 from .solver import SolverOptions, multistart_solve, pick_reported, sweep_alpha
-from .spectrum import (EigenConvergenceError, eigenvalues_p2, first_eigenpair,
-                       matrix_A)
+from .spectrum import (EIGEN_TOL, EigenConvergenceError, eigenvalues_p2,
+                       first_eigenpair, matrix_A)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -293,11 +294,7 @@ def cmd_check(args) -> int:
             _print_headers(cert, _CERTIFICATE_KEYS)
             verdicts.append(True)
     if args.cd is not None:
-        c, d = args.cd
-        if not 0 < c < d:
-            print("error: --cd requires 0 < c < d", file=sys.stderr)
-            return EXIT_ERROR
-        win = check_three_solutions_window(prob, c, d)
+        win = check_three_solutions_window(prob, *args.cd)
         _print_headers(win, _WINDOW_KEYS)
         verdicts.append(win.verdict)
     if gamma is not None or prob.nonlinearity.gamma is not None:
@@ -432,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="multistart solve at a single alpha")
     s.add_argument("config", help="JSON problem config")
     s.add_argument("--alpha", type=float, default=None, help="overrides the config alpha")
-    s.add_argument("--tol", type=float, default=1e-10)
+    s.add_argument("--tol", type=float, default=SolverOptions.tol)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--starts", type=int, default=8, help="number of random starts")
     s.add_argument("--out", default="result.txt")
@@ -441,23 +438,23 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eigen", help="first eigenpair; full p=2 spectrum")
     e.add_argument("--p", type=float, required=True)
     e.add_argument("--T", type=int, required=True)
-    e.add_argument("--tol", type=float, default=1e-9)
+    e.add_argument("--tol", type=float, default=EIGEN_TOL)
     e.set_defaults(func=cmd_eigen)
 
     c = sub.add_parser("check", help="existence and multiplicity certificates")
     c.add_argument("config")
     c.add_argument("--eps", type=float, default=None, help="test one eps")
     c.add_argument("--eps-scan", action="store_true", help="scan for an admissible eps")
-    c.add_argument("--eps-lo", type=float, default=1e-3)
-    c.add_argument("--eps-hi", type=float, default=1e3)
-    c.add_argument("--eps-n", type=int, default=200)
+    c.add_argument("--eps-lo", type=float, default=DEFAULT_EPS_RANGE[0])
+    c.add_argument("--eps-hi", type=float, default=DEFAULT_EPS_RANGE[1])
+    c.add_argument("--eps-n", type=int, default=DEFAULT_EPS_GRID)
     c.add_argument("--cd", nargs=2, type=float, metavar=("C", "D"),
                    help="evaluate the three-solutions window at (c, d)")
     c.set_defaults(func=cmd_check)
 
     w = sub.add_parser("sweep", help="alpha sweep to CSV")
     w.add_argument("config", help="config whose alpha is {lo, hi, n} or a list")
-    w.add_argument("--tol", type=float, default=1e-10)
+    w.add_argument("--tol", type=float, default=SolverOptions.tol)
     w.add_argument("--seed", type=int, default=0)
     w.add_argument("--starts", type=int, default=8)
     w.add_argument("--out", default="sweep.csv")

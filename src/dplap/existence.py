@@ -18,6 +18,9 @@ from .core import ProblemSpec, _gamma_tuple, c_const, kappa
 from .spectrum import first_eigenpair, lambda1_closed_form_p2
 
 CHI_SAMPLES = 1025
+# rounds after chi's dense sample, each halving the spacing around the best
+# point: 32 take it from eps/512 to eps * 4.5e-13 for 64 F values per node
+CHI_ZOOM_ROUNDS = 32
 DEFAULT_EPS_RANGE = (1e-3, 1e3)
 DEFAULT_EPS_GRID = 200
 DEFAULT_GAMMA_SAMPLES = (1.0, 0.1, 0.01)
@@ -66,68 +69,58 @@ class DecayReport:
     verdict: bool
 
 
-def _golden_max(fun, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-12,
-                iters: int = 200) -> np.ndarray:
-    """Golden-section maximization of continuous functions, one per row.
-
-    fun(rows, x) evaluates the functions of the given rows at x.  Row i
-    searches [lo[i], hi[i]] and stops on its own tolerance, so it takes the
-    same iterates as a search of that row alone.  Returns the row maxima.
-    """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a = np.array(lo, dtype=float)
-    b = np.array(hi, dtype=float)
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    rows = np.arange(a.size)
-    f1, f2 = fun(rows, x1), fun(rows, x2)
-    for _ in range(iters):
-        act = np.flatnonzero(~(b - a <= tol * (1.0 + np.abs(a) + np.abs(b))))
-        if act.size == 0:
-            break
-        up = f1[act] < f2[act]
-        a[act] = np.where(up, x1[act], a[act])
-        b[act] = np.where(up, b[act], x2[act])
-        aa, bb = a[act], b[act]
-        new = np.where(up, aa + invphi * (bb - aa), bb - invphi * (bb - aa))
-        fnew = fun(act, new)
-        x1[act], x2[act] = np.where(up, x2[act], new), np.where(up, new, x1[act])
-        f1[act], f2[act] = np.where(up, f2[act], fnew), np.where(up, fnew, f1[act])
-    return np.where(f1 >= f2, f1, f2)
-
-
 def _max_potentials(prob: ProblemSpec, eps: float) -> np.ndarray:
-    """max of F_k over [-eps, eps] for k = 1..T: dense sampling plus
-    golden-section polish, each evaluated over all nodes at once."""
+    """max of F_k over [-eps, eps] for k = 1..T, one F_at call per round
+    over all nodes: a dense sample, then rounds that halve the spacing
+    around each node's best point by sampling the two midpoints next to it.
+    Returns the largest value evaluated, a lower bound on the max."""
     nl = prob.nonlinearity
     nodes = np.arange(1, prob.T + 1)
-    if nl.is_nonnegative:
-        # F_k is nondecreasing on [0, eps] and dominates the negative side,
-        # so the max sits at the right endpoint.
-        return nl.F_at(nodes, np.full(prob.T, float(eps)))
-    xs = np.linspace(-eps, eps, CHI_SAMPLES)
-    vals = nl.F_at(np.repeat(nodes, CHI_SAMPLES), np.tile(xs, prob.T))
-    vals = vals.reshape(prob.T, CHI_SAMPLES)
-    i = np.argmax(vals, axis=1)
-    lo = xs[np.maximum(i - 1, 0)]
-    hi = xs[np.minimum(i + 1, CHI_SAMPLES - 1)]
-    polished = _golden_max(lambda rows, x: nl.F_at(nodes[rows], x), lo, hi)
-    return np.maximum(vals[np.arange(prob.T), i], polished)
+    rows = np.arange(prob.T)
+    best_x = np.zeros(prob.T)
+    best = np.full(prob.T, -np.inf)
+    offsets = np.linspace(-eps, eps, CHI_SAMPLES)
+    spacing = 2.0 * eps / (CHI_SAMPLES - 1)
+    for _ in range(1 + CHI_ZOOM_ROUNDS):
+        xs = np.clip(best_x[:, None] + offsets, -eps, eps)
+        vals = nl.F_at(np.repeat(nodes, offsets.size), xs.ravel()).reshape(xs.shape)
+        i = np.argmax(vals, axis=1)
+        best_x = np.where(vals[rows, i] > best, xs[rows, i], best_x)
+        best = np.maximum(best, vals[rows, i])
+        spacing /= 2.0
+        offsets = np.array([-spacing, spacing])
+    return best
+
+
+def _pth_power(name: str, x: float, p: float) -> float:
+    """x ** p; a ValueError naming x unless x and x ** p are positive and finite."""
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
+    try:
+        xp = math.pow(x, p)
+    except OverflowError:
+        xp = math.inf
+    if not 0.0 < xp < math.inf:
+        raise ValueError(f"{name} ** p {'underflows to 0' if xp == 0.0 else 'overflows'}"
+                         f" at {name} = {float(x)!r}, p = {float(p)!r}")
+    return xp
 
 
 def chi(eps: float, prob: ProblemSpec) -> float:
     """sum_k max_{|xi| <= eps} F_k(xi), divided by eps^p."""
-    if not 0.0 < eps < math.inf:
-        raise ValueError("eps must be positive and finite")
-    return float(np.sum(_max_potentials(prob, eps))) / eps ** prob.p
+    eps_p = _pth_power("eps", eps, prob.p)
+    if prob.nonlinearity.is_nonnegative:
+        # F_k is nondecreasing on [0, eps] and dominates the negative side,
+        # so the max sits at the right endpoint.
+        return h(eps, prob)
+    return float(np.sum(_max_potentials(prob, eps))) / eps_p
 
 
 def h(xi: float, prob: ProblemSpec) -> float:
     """sum_k F_k(xi) / xi^p for xi > 0."""
-    if not xi > 0.0:
-        raise ValueError("xi must be positive")
+    xi_p = _pth_power("xi", xi, prob.p)
     F = prob.nonlinearity.F_at(np.arange(1, prob.T + 1), np.full(prob.T, float(xi)))
-    return float(np.sum(F)) / xi ** prob.p
+    return float(np.sum(F)) / xi_p
 
 
 def check_thm_esistenza(prob: ProblemSpec, eps: float) -> ExistenceCertificate:
@@ -151,8 +144,10 @@ def find_admissible_eps(prob: ProblemSpec,
     """Scan a geometric eps grid; return the passing certificate of largest
     margin, or None when no grid point passes."""
     lo, hi = eps_range
-    if not (0.0 < lo < hi):
-        raise ValueError("eps_range must satisfy 0 < lo < hi")
+    if not 0.0 < lo < hi < math.inf:
+        raise ValueError("eps_range must satisfy 0 < lo < hi < inf")
+    _pth_power("eps_range lo", lo, prob.p)
+    _pth_power("eps_range hi", hi, prob.p)
     if n_grid < 1:
         raise ValueError("n_grid must be at least 1")
     best: ExistenceCertificate | None = None
@@ -238,8 +233,8 @@ def check_superlinearity_decay(prob: ProblemSpec, xi_probe=None,
 
 
 def check_three_solutions_window(prob: ProblemSpec, c: float, d: float) -> MultiplicityWindow:
-    """Evaluate the two-radius inequality at 0 < c < d and report the open
-    alpha interval it yields.
+    """Evaluate the two-radius inequality at 0 < c < d < inf and report the
+    open alpha interval it yields.
 
     The inequality is
         chi(c) < (2^{p-1} / (T+1)^{p-1}) * (h(d) - (c/d)^p chi(c)),
@@ -249,9 +244,11 @@ def check_three_solutions_window(prob: ProblemSpec, c: float, d: float) -> Multi
     chi(c) = 0; the lower is +inf when the bracket is non-positive (the
     interval is then empty and the verdict false).
     """
-    if not (0.0 < c < d):
-        raise ValueError("require 0 < c < d")
+    if not 0.0 < c < d < math.inf:
+        raise ValueError("require 0 < c < d < inf")
     p, T = prob.p, prob.T
+    _pth_power("c", c, p)
+    _pth_power("d", d, p)
     chi_c = chi(c, prob)
     h_d = h(d, prob)
     bracket = h_d - (c / d) ** p * chi_c

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from dplap.cli import (EXIT_ERROR, EXIT_NO_RESULT, EXIT_OK, EXIT_SELFTEST_FAIL,
                        RESULT_HEADER_KEYS, ConfigError, expand_alphas,
                        load_config, main, read_result, write_result)
 from dplap.core import GridFunction, ProblemSpec
+from dplap.energy import strong_residual
 from dplap.nonlinearities import bounded_rational
 from dplap.solver import SweepRow
 from dplap.spectrum import EigenConvergenceError
@@ -110,6 +112,39 @@ def test_per_k_scale_length(tmp_path, capsys):
     rc = main(["solve", cfg])
     assert rc == EXIT_ERROR
     assert "list of length T=3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nl", [
+    {"kind": "power", "params": [-1]},
+    {"kind": "power"},
+    {"kind": "power", "params": []},
+])
+def test_power_params_are_named(tmp_path, capsys, nl):
+    cfg = write_cfg(tmp_path, {"T": 4, "p": 3.0, "alpha": 1.0, "nonlinearity": nl})
+    rc = main(["solve", cfg, "--out", str(tmp_path / "result.txt")])
+    assert rc == EXIT_ERROR
+    assert "config field 'nonlinearity.params'" in capsys.readouterr().err
+
+
+def test_power_per_k_scale_of_wrong_length_is_named(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"T": 4, "p": 3.0, "alpha": 1.0,
+                               "nonlinearity": {"kind": "power", "params": [1.5, 2],
+                                                "per_k_scale": [1, 2, 3]}})
+    rc = main(["solve", cfg, "--out", str(tmp_path / "result.txt")])
+    assert rc == EXIT_ERROR
+    assert "config field 'nonlinearity.per_k_scale'" in capsys.readouterr().err
+
+
+def test_scaled_power_solves_and_re_reads(tmp_path):
+    cfg_path = write_cfg(tmp_path, {"T": 4, "p": 3.0, "alpha": 1.0,
+                                    "nonlinearity": {"kind": "power", "params": [1.5, 2],
+                                                     "per_k_scale": [1, 2, 3, 4]}})
+    out = str(tmp_path / "result.txt")
+    assert main(["solve", cfg_path, "--out", out]) == EXIT_OK
+    headers, u = read_result(out)
+    prob, alpha, _ = cli.build_problem(load_config(cfg_path))
+    assert headers["alpha"] == alpha == 1.0
+    assert strong_residual(u, prob, alpha) <= 1e-10
 
 
 TABLE = {"kind": "custom_table", "t": [-2.0, 0.0, 2.0], "f": [-1.0, 0.0, 1.0]}
@@ -352,6 +387,27 @@ def test_check_rejects_infinite_eps(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "eps must be positive and finite" in captured.err
     assert "verdict" not in captured.out
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--eps", "1e-170"], "eps ** p underflows to 0"),
+    (["--eps", "1e200"], "eps ** p overflows"),
+    (["--cd", "1e-320", "1"], "c ** p underflows to 0"),
+    (["--cd", "1", "inf"], "0 < c < d"),
+    (["--eps-scan", "--eps-lo", "1e-320"], "eps_range lo ** p underflows to 0"),
+    (["--eps-scan", "--eps-hi", "inf"], "eps_range must satisfy 0 < lo < hi < inf"),
+], ids=["eps-underflow", "eps-overflow", "c-underflow", "d-infinite",
+        "eps-lo-underflow", "eps-hi-infinite"])
+def test_check_rejects_radii_out_of_range(tmp_path, capsys, flags, message):
+    # rejected before any F is evaluated: exit 1, no numpy warning, no report
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["check", esempio0_cfg(tmp_path, T=3)] + flags)
+    assert rc == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "verdict" not in captured.out
+    assert caught == []
 
 
 def test_check_eps_scan_finds_certificate(tmp_path, capsys):

@@ -8,9 +8,10 @@ from dplap.existence import (DecayReport, ExistenceCertificate,
                              MultiplicityWindow, alpha_threshold,
                              check_superlinearity_decay, check_thm_esistenza,
                              check_three_solutions_window, chi,
-                             estimate_gamma, find_admissible_eps, h)
-from dplap.nonlinearities import (bounded_rational, constant, linear, power,
-                                  scaled_per_node, zero)
+                             estimate_gamma, find_admissible_eps, h,
+                             _max_potentials)
+from dplap.nonlinearities import (bounded_rational, constant, from_table, linear,
+                                  power, scaled_per_node, zero)
 from dplap.spectrum import lambda1_closed_form_p2
 
 
@@ -103,6 +104,27 @@ def test_chi_finds_interior_maximum():
     assert chi(6.0, prob2) == pytest.approx(2.0 * 2.0 / 6.0 ** 2, rel=1e-9)
 
 
+def test_chi_zoom_finds_each_row_peak_between_knots():
+    # f_k = (c_k - t) * w(t) sampled on integer knots changes sign once,
+    # inside a knot interval, at a different place per row; the exact max of
+    # the piecewise-quadratic F_k over [-eps, eps] sits at that root r_k
+    t = np.arange(-4.0, 5.0)
+    roots = np.array([-2.3, -0.6, 0.35, 1.7, 2.85])
+    rows = (roots[:, None] - t) * (1.0 + 0.5 * np.abs(t))
+    prob = ProblemSpec(T=roots.size, p=2.0, nonlinearity=from_table(t, rows))
+    got = _max_potentials(prob, 3.5)
+    for k, f in enumerate(rows):
+        j = np.flatnonzero((f[:-1] > 0.0) & (f[1:] < 0.0))[0]
+        r = t[j] + f[j] / (f[j] - f[j + 1])  # root of the linear piece
+        inner = t[(t > min(0.0, r)) & (t < max(0.0, r))]
+        pts = np.sort(np.concatenate(([0.0, r], inner)))
+        if r < 0.0:
+            pts = pts[::-1]  # integrate from 0 down to r
+        exact = np.trapezoid(np.interp(pts, t, f), pts)
+        assert exact > 0.0
+        assert got[k] == pytest.approx(exact, rel=1e-12)
+
+
 def test_chi_rejects_nonpositive_eps():
     prob = _prob()
     with pytest.raises(ValueError, match="eps must be positive"):
@@ -115,6 +137,24 @@ def test_chi_rejects_infinite_eps():
         chi(np.inf, prob)
     with pytest.raises(ValueError, match="eps must be positive and finite"):
         check_thm_esistenza(prob, np.inf)
+
+
+def test_radii_out_of_range_are_named():
+    # p = 2: 1e-170 ** 2 underflows to 0 and 1e200 ** 2 overflows
+    prob = _prob(nl=linear())
+    window = check_three_solutions_window
+    for call, match in (
+            (lambda: chi(1e-170, prob), r"eps \*\* p underflows to 0"),
+            (lambda: chi(1e200, prob), r"eps \*\* p overflows"),
+            (lambda: h(1e200, prob), r"xi \*\* p overflows"),
+            (lambda: window(prob, 1e-320, 1.0), r"c \*\* p underflows to 0"),
+            (lambda: window(prob, 1.0, 1e200), r"d \*\* p overflows"),
+            (lambda: window(prob, 1.0, np.inf), "0 < c < d"),
+            (lambda: find_admissible_eps(prob, (1e-320, 1.0)),
+             r"eps_range lo \*\* p underflows to 0"),
+            (lambda: find_admissible_eps(prob, (1.0, np.inf)), "eps_range")):
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 # --------------------------------------------------------------------- h

@@ -711,6 +711,36 @@ def test_sweep_captures_row_errors():
     assert all(r.error == "" or r.n_solutions == 0 for r in rows)
 
 
+def test_sweep_failure_rows_keep_the_last_good_warm_start(monkeypatch):
+    # alpha 0.7 finds nothing and 0.8 raises; 1.0 still runs, warm-started
+    # from the best solution at 0.5
+    real = dplap.solver._multistart
+    warm, best = {}, {}
+
+    def scripted(prob, alpha, n_starts, opts, extra_starts, eig):
+        warm[alpha] = [np.array(x) for x in extra_starts]
+        if alpha == 0.7:
+            return []
+        if alpha == 0.8:
+            raise RuntimeError("scripted failure")
+        sols = real(prob, alpha, n_starts, opts, extra_starts, eig)
+        best[alpha] = np.array(pick_reported(sols).u.interior)
+        return sols
+
+    monkeypatch.setattr(dplap.solver, "_multistart", scripted)
+    rows = sweep_alpha(esempio0(), [0.5, 0.7, 0.8, 1.0], n_starts=2)
+    assert [r.alpha for r in rows] == [0.5, 0.7, 0.8, 1.0]
+    empty, raised = rows[1], rows[2]
+    assert (empty.n_solutions, empty.min_energy, empty.error) == (0, None, "")
+    assert (raised.n_solutions, raised.min_energy) == (0, None)
+    assert raised.error == "scripted failure"
+    assert rows[0].n_solutions > 0 and rows[3].n_solutions > 0
+    assert rows[3].error == ""
+    assert warm[0.5] == []
+    for a in (0.7, 0.8, 1.0):
+        assert len(warm[a]) == 1 and np.array_equal(warm[a][0], best[0.5])
+
+
 # ------------------------------------------------------------ determinism
 
 def test_multistart_repeats_bit_identically():
