@@ -301,6 +301,7 @@ def p_laplacian(u: GridFunction, p: float) -> np.ndarray:
     for p = 2 this is the negative second difference with stencil
     (-1, 2, -1).
     """
+    _check_p(p)
     return _p_laplacian(u.interior, p)
 
 
@@ -317,13 +318,28 @@ def _pad(vec: np.ndarray) -> np.ndarray:
     return out
 
 
+def _edges(vec: np.ndarray) -> np.ndarray:
+    """The T+1 differences u(k)-u(k-1), k = 1..T+1, of interior values u(1..T)
+    with the zero boundary, in one allocation.  The end entries are
+    u(1) - 0 and 0 - u(T), so signed zeros come out as differencing the
+    padded array gives them."""
+    du = np.empty(vec.size + 1)
+    du[0] = vec[0] - 0.0
+    np.subtract(vec[1:], vec[:-1], out=du[1:-1])
+    du[-1] = 0.0 - vec[-1]
+    return du
+
+
+# the solvers' kernels on interior arrays: p is checked by the callers
 def _dirichlet(vec: np.ndarray, p: float) -> float:
     """sum over k=1..T+1 of |u(k)-u(k-1)|^p."""
-    return float(np.sum(np.abs(np.diff(_pad(vec))) ** p))
+    return float((np.abs(_edges(vec)) ** p).sum())
 
 
 def _p_laplacian(vec: np.ndarray, p: float) -> np.ndarray:
-    return -np.diff(phi_p(np.diff(_pad(vec)), p))
+    du = _edges(vec)
+    phi = np.sign(du) * np.abs(du) ** (p - 1.0)
+    return -(phi[1:] - phi[:-1])
 
 
 def sup_norm(u: GridFunction) -> float:

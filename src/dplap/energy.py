@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridFunction, ProblemSpec, _dirichlet, _pad, _p_laplacian, phi_p
+from .core import GridFunction, ProblemSpec, _dirichlet, _edges, _p_laplacian, phi_p
 
 
 def _check_alpha(alpha: float) -> None:
@@ -21,7 +21,7 @@ def _check_alpha(alpha: float) -> None:
 # J_alpha and its derivatives on interior arrays: every caller goes through these
 def _energy(prob: ProblemSpec, alpha: float, vec: np.ndarray) -> float:
     return (_dirichlet(vec, prob.p) / prob.p
-            - alpha * float(np.sum(prob.nonlinearity.F_vec(vec))))
+            - alpha * float(prob.nonlinearity.F_vec(vec).sum()))
 
 
 def _gradient(prob: ProblemSpec, alpha: float, vec: np.ndarray) -> np.ndarray:
@@ -42,7 +42,7 @@ def _newton_weights(p: float, du: np.ndarray, share: float) -> np.ndarray:
     """
     if p >= 2.0:
         return (p - 1.0) * np.abs(du) ** (p - 2.0)
-    top = float(np.max(np.abs(du)))
+    top = float(np.abs(du).max())
     a = np.maximum(np.abs(du), max(np.finfo(float).eps * top, np.finfo(float).tiny))
     return np.where(a >= share * top, p - 1.0, 1.0) * a ** (p - 2.0)
 
@@ -51,7 +51,7 @@ def _jacobian(prob: ProblemSpec, alpha: float, vec: np.ndarray,
               share: float) -> tuple[np.ndarray, np.ndarray]:
     """(diagonal, off-diagonal) of the tridiagonal Newton matrix of J_alpha:
     edge weights from _newton_weights, minus alpha f' on the diagonal."""
-    w = _newton_weights(prob.p, np.diff(_pad(vec)), share)
+    w = _newton_weights(prob.p, _edges(vec), share)
     return w[:-1] + w[1:] - alpha * prob.nonlinearity.df_vec(vec), -w[1:-1]
 
 

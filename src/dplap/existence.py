@@ -10,6 +10,7 @@ a-posteriori sup-norm bound.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,36 +74,44 @@ def _max_potentials(prob: ProblemSpec, eps: float) -> np.ndarray:
     """max of F_k over [-eps, eps] for k = 1..T, one F_at call per round
     over all nodes: a dense sample, then rounds that halve the spacing
     around each node's best point by sampling the two midpoints next to it.
-    Returns the largest value evaluated, a lower bound on the max."""
+    Only points inside [-eps, eps] are evaluated: next to a best point at
+    an endpoint the outer midpoint is skipped, as F there is F(+-eps),
+    which the dense sample holds.  Returns the largest value evaluated, a
+    lower bound on the max."""
     nl = prob.nonlinearity
-    nodes = np.arange(1, prob.T + 1)
+    nodes = np.arange(1, prob.T + 1)[:, None]
     rows = np.arange(prob.T)
     best_x = np.zeros(prob.T)
     best = np.full(prob.T, -np.inf)
-    offsets = np.linspace(-eps, eps, CHI_SAMPLES)
+    xs = np.broadcast_to(np.linspace(-eps, eps, CHI_SAMPLES), (prob.T, CHI_SAMPLES))
+    vals = nl.F_at(np.repeat(nodes, CHI_SAMPLES), xs.ravel()).reshape(xs.shape)
     spacing = 2.0 * eps / (CHI_SAMPLES - 1)
-    for _ in range(1 + CHI_ZOOM_ROUNDS):
-        xs = np.clip(best_x[:, None] + offsets, -eps, eps)
-        vals = nl.F_at(np.repeat(nodes, offsets.size), xs.ravel()).reshape(xs.shape)
+    for zoom in range(CHI_ZOOM_ROUNDS + 1):
         i = np.argmax(vals, axis=1)
         best_x = np.where(vals[rows, i] > best, xs[rows, i], best_x)
         best = np.maximum(best, vals[rows, i])
+        if zoom == CHI_ZOOM_ROUNDS:
+            return best
         spacing /= 2.0
-        offsets = np.array([-spacing, spacing])
-    return best
+        xs = best_x[:, None] + np.array([-spacing, spacing])
+        inside = np.abs(xs) <= eps
+        vals = np.full(xs.shape, -np.inf)
+        vals[inside] = nl.F_at(np.broadcast_to(nodes, xs.shape)[inside], xs[inside])
 
 
 def _pth_power(name: str, x: float, p: float) -> float:
-    """x ** p; a ValueError naming x unless x and x ** p are positive and finite."""
+    """x ** p; a ValueError naming x unless x is positive and finite and
+    x ** p is a finite normal float (a subnormal power has lost digits)."""
     if not 0.0 < x < math.inf:
         raise ValueError(f"{name} must be positive and finite")
     try:
         xp = math.pow(x, p)
     except OverflowError:
         xp = math.inf
-    if not 0.0 < xp < math.inf:
-        raise ValueError(f"{name} ** p {'underflows to 0' if xp == 0.0 else 'overflows'}"
-                         f" at {name} = {float(x)!r}, p = {float(p)!r}")
+    if not sys.float_info.min <= xp < math.inf:
+        how = ("overflows" if xp == math.inf else
+               "underflows to 0" if xp == 0.0 else "underflows to a subnormal")
+        raise ValueError(f"{name} ** p {how} at {name} = {float(x)!r}, p = {float(p)!r}")
     return xp
 
 

@@ -2,11 +2,13 @@
 
 Routes:
   - solve_newton: globalised Newton on J (any p > 1).  Each iteration solves
-    the tridiagonal Newton system once, its diagonal shifted by the
-    Jacobian's smallest eigenvalue when that is not positive, so the step
-    is a descent direction; an Armijo test on the energy accepts it, or a
-    gradient step takes over.  At p < 2 the small differences take
-    secant weights, so a plateau (du = 0) is reached instead of overshot.
+    the tridiagonal Newton system once.  An LDL^T factorisation (dpttrf)
+    tests the Jacobian for positive definiteness; only when it fails is
+    the smallest eigenvalue computed (dstebz) and the diagonal shifted past
+    it, so the step is a descent direction.  An Armijo test on the energy
+    accepts it, or a gradient step takes over.  At p < 2 the small
+    differences take secant weights, so a plateau (du = 0) is reached
+    instead of overshot.
     multistart_solve runs every start through it; solve_newton_p2 is the
     same routine behind a p = 2 guard.
   - solve_descent: the same loop with plain gradient directions.
@@ -164,34 +166,38 @@ def _newton_step(prob: ProblemSpec, alpha: float, u: np.ndarray,
     from scipy.linalg.lapack import dgtsv
 
     diag, off = _jacobian(prob, alpha, u, 0.0)
-    if not np.all(np.isfinite(diag)):
+    if not np.isfinite(diag).all():
         return None
     s, info = dgtsv(off, diag, off, -g)[3:]
-    return s if info == 0 and np.all(np.isfinite(s)) else None
+    return s if info == 0 and np.isfinite(s).all() else None
 
 
 def _shifted_newton_step(prob: ProblemSpec, alpha: float, u: np.ndarray,
                          g: np.ndarray) -> np.ndarray | None:
     """The descent loop's Newton direction: s solving (H + tau I) s = -g.
 
-    H is energy._jacobian at u (secant share _SECANT_SHARE) and lam its
-    smallest eigenvalue; tau = 0 when lam > 0, else -(1 + _SHIFT_MARGIN) lam,
+    H is energy._jacobian at u (secant share _SECANT_SHARE).  The LDL^T
+    factorisation dpttrf decides definiteness: when it succeeds H is
+    positive definite and tau = 0.  Only when it fails does dstebz compute
+    the smallest eigenvalue lam, and tau = max(0, -(1 + _SHIFT_MARGIN) lam),
     so H + tau I is positive definite and s a descent direction (the
     eigenvalue modification of Nocedal & Wright, Numerical Optimization,
-    2nd ed., section 3.4).  None when H is not finite, the eigenvalue or
-    the solve fails, or s is not finite or not downhill.
+    2nd ed., section 3.4).  Either way dgtsv solves for s.  None when H is
+    not finite, the eigenvalue or the solve fails, or s is not finite or
+    not downhill.
     """
-    from scipy.linalg.lapack import dgtsv, dstebz
+    from scipy.linalg.lapack import dgtsv, dpttrf, dstebz
 
     diag, off = _jacobian(prob, alpha, u, _SECANT_SHARE)
-    if not np.all(np.isfinite(diag)):
+    if not np.isfinite(diag).all():
         return None
-    _, lam, _, _, info = dstebz(diag, off, 2, 0.0, 0.0, 1, 1, 0.0, b"B")
-    if info != 0:
-        return None
-    tau = max(0.0, -(1.0 + _SHIFT_MARGIN) * float(lam[0]))
-    s, info = dgtsv(off, diag + tau, off, -g)[3:]
-    if info != 0 or not np.all(np.isfinite(s)) or not float(g @ s) < 0.0:
+    if dpttrf(diag, off)[2] != 0:
+        _, lam, _, _, info = dstebz(diag, off, 2, 0.0, 0.0, 1, 1, 0.0, b"B")
+        if info != 0:
+            return None
+        diag = diag + max(0.0, -(1.0 + _SHIFT_MARGIN) * float(lam[0]))
+    s, info = dgtsv(off, diag, off, -g)[3:]
+    if info != 0 or not np.isfinite(s).all() or not float(g @ s) < 0.0:
         return None
     return s
 
@@ -209,7 +215,7 @@ def _polish(prob: ProblemSpec, alpha: float, u: np.ndarray,
     trial lowers the residual, returning the input if nothing improved.
     """
     g = _gradient(prob, alpha, u)
-    res = float(np.max(np.abs(g)))
+    res = float(np.abs(g).max())
     for _ in range(_POLISH_STEPS):
         if res <= 0.5 * tol:
             break
@@ -220,7 +226,7 @@ def _polish(prob: ProblemSpec, alpha: float, u: np.ndarray,
         while t >= 1e-12:
             cand = u + t * s
             gc = _gradient(prob, alpha, cand)
-            rc = float(np.max(np.abs(gc)))
+            rc = float(np.abs(gc).max())
             if np.isfinite(rc) and rc < res:
                 break
             t *= 0.5
@@ -248,7 +254,7 @@ def _descend(prob: ProblemSpec, alpha: float, u: np.ndarray, opts: SolverOptions
     """
     Ju = _energy(prob, alpha, u)
     g = _gradient(prob, alpha, u)
-    res = float(np.max(np.abs(g)))
+    res = float(np.abs(g).max())
     step = 1.0
     iters = 0
     best_res, best_at = res, 0
@@ -285,7 +291,7 @@ def _descend(prob: ProblemSpec, alpha: float, u: np.ndarray, opts: SolverOptions
             step = t  # remember the accepted gradient step size
         u, Ju = cand, Jc
         g = _gradient(prob, alpha, u)
-        res = float(np.max(np.abs(g)))
+        res = float(np.abs(g).max())
         iters += 1
         if res <= opts.tol:
             continue

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dplap.core import GridFunction, ProblemSpec
-from dplap.energy import (EnergyReport, energy, energy_report, gradient,
-                          hessian_p2, strong_residual, weak_residual)
+from dplap.core import GridFunction, ProblemSpec, _dirichlet, _p_laplacian, phi_p
+from dplap.energy import (EnergyReport, _jacobian, _newton_weights, energy,
+                          energy_report, gradient, hessian_p2, strong_residual,
+                          weak_residual)
 from dplap.nonlinearities import bounded_rational, constant, linear, zero
 
 RNG_SEED = 42
@@ -164,3 +167,24 @@ def test_energy_decomposes_into_dirichlet_and_potential():
     e1 = energy(u, prob)
     u2 = GridFunction(2.0 * u.values)
     assert energy(u2, prob) == pytest.approx(8.0 * e1, rel=1e-14)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(vec=st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]) | st.floats(-3.0, 3.0),
+                    min_size=2, max_size=12),
+       p=st.sampled_from([1.2, 1.5, 2.0, 3.0]), share=st.sampled_from([0.0, 1e-2]))
+def test_kernels_match_the_padded_difference_formulas_to_the_bit(vec, p, share):
+    # the edge differences come from one helper; each kernel must equal its
+    # formula on the zero-padded array, signed zeros and repeated values included
+    vec = np.array(vec)
+    padded = np.zeros(vec.size + 2)
+    padded[1:-1] = vec
+    du = np.diff(padded)
+    assert _dirichlet(vec, p) == float(np.sum(np.abs(du) ** p))
+    assert _p_laplacian(vec, p).tobytes() == (-np.diff(phi_p(du, p))).tobytes()
+    prob = ProblemSpec(T=vec.size, p=p, nonlinearity=bounded_rational())
+    w = _newton_weights(p, du, share)
+    diag, off = _jacobian(prob, 0.7, vec, share)
+    ref = w[:-1] + w[1:] - 0.7 * prob.nonlinearity.df_vec(vec)
+    assert diag.tobytes() == ref.tobytes()
+    assert off.tobytes() == (-w[1:-1]).tobytes()

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dplap.core import Nonlinearity, ProblemSpec, c_const, kappa
-from dplap.existence import (DecayReport, ExistenceCertificate,
-                             MultiplicityWindow, alpha_threshold,
+from dplap.existence import (CHI_SAMPLES, CHI_ZOOM_ROUNDS, DecayReport,
+                             ExistenceCertificate, MultiplicityWindow, alpha_threshold,
                              check_superlinearity_decay, check_thm_esistenza,
                              check_three_solutions_window, chi,
                              estimate_gamma, find_admissible_eps, h,
@@ -155,6 +155,34 @@ def test_radii_out_of_range_are_named():
             (lambda: find_admissible_eps(prob, (1.0, np.inf)), "eps_range")):
         with pytest.raises(ValueError, match=match):
             call()
+
+
+def test_subnormal_pth_power_is_rejected():
+    # 1e-155 ** 2 = 1e-310 is subnormal: chi would lose digits (1.5000000000000742)
+    prob = ProblemSpec(T=3, p=2.0, nonlinearity=bounded_rational())
+    with pytest.raises(ValueError, match=r"eps \*\* p underflows to a subnormal at eps = 1e-155"):
+        chi(1e-155, prob)
+    assert chi(1e-100, prob) == 1.5
+
+
+def test_chi_zoom_skips_midpoints_outside_the_interval(monkeypatch):
+    # f = sin with no potential: each F value is one quadrature, and every
+    # node's F = 1 - cos peaks at the endpoints of [-2.5, 2.5], where one of
+    # the two zoom midpoints lies outside and is not evaluated
+    calls = []
+    quad_F = Nonlinearity._quad_F
+
+    def counting(self, k, xi):
+        calls.append(xi)
+        return quad_F(self, k, xi)
+
+    monkeypatch.setattr(Nonlinearity, "_quad_F", counting)
+    prob = ProblemSpec(T=3, p=2.0, nonlinearity=Nonlinearity(f=lambda k, t: np.sin(t)))
+    calls.clear()
+    value = chi(2.5, prob)
+    assert len(calls) == 3 * CHI_SAMPLES + 3 * CHI_ZOOM_ROUNDS
+    assert max(abs(x) for x in calls) == 2.5
+    assert value == pytest.approx(3.0 * (1.0 - np.cos(2.5)) / 2.5 ** 2, rel=1e-9)
 
 
 # --------------------------------------------------------------------- h

@@ -133,6 +133,46 @@ def test_shifted_newton_step_is_a_positive_definite_descent_step(case):
     assert float(g @ s) < 0.0
 
 
+def test_shifted_newton_step_factors_first_and_shifts_only_indefinite_jacobians(monkeypatch):
+    # dpttrf decides definiteness: a positive definite H gets the plain
+    # dgtsv solve and no eigenvalue call; an indefinite one gets one dstebz
+    # call and the shift -1.1 lambda_min
+    import scipy.linalg.lapack as lapack
+    lams = []
+    dstebz = lapack.dstebz
+
+    def counting(*args, **kwargs):
+        out = dstebz(*args, **kwargs)
+        lams.append(float(out[1][0]))
+        return out
+
+    monkeypatch.setattr(lapack, "dstebz", counting)
+    step = dplap.solver._shifted_newton_step
+    share = dplap.solver._SECANT_SHARE
+
+    # alpha max f' = 0.002 < lambda_1 = 3.8e-3 at T = 50: the energy is convex
+    prob = esempio0(T=50)
+    u = np.random.default_rng(3).uniform(-2.0, 2.0, 50)
+    g = _gradient(prob, 0.002, u)
+    s = step(prob, 0.002, u, g)
+    diag, off = _jacobian(prob, 0.002, u, share)
+    assert lams == []
+    assert s.tobytes() == lapack.dgtsv(off, diag, off, -g)[3].tobytes()
+
+    # alpha = 3 near 0: H = A - 3 diag(f') has two negative eigenvalues
+    prob = esempio0(T=5)
+    u = np.full(5, 0.1)
+    g = _gradient(prob, 3.0, u)
+    s = step(prob, 3.0, u, g)
+    diag, off = _jacobian(prob, 3.0, u, share)
+    H = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    lam = float(np.min(np.linalg.eigvalsh(H)))
+    assert len(lams) == 1 and lams[0] == pytest.approx(lam, rel=1e-12) and lam < 0.0
+    tau = -1.1 * lams[0]
+    assert s.tobytes() == lapack.dgtsv(off, diag + tau, off, -g)[3].tobytes()
+    assert float(g @ s) < 0.0
+
+
 # --------------------------------------------------------------- options
 
 def test_solver_options_validation():
