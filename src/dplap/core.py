@@ -22,6 +22,9 @@ def quad(func, a, b, **kwargs):
 
     Only potential-less callables and check_consistency integrate, and
     importing scipy costs more than the rest of ``import dplap`` together.
+    scipy.integrate imports the scipy.linalg package too (about 0.25 s), so
+    a process that integrates pays it; table potentials never do, and the
+    solvers reach LAPACK without it (solver._lapack).
     """
     from scipy.integrate import quad as scipy_quad
     return scipy_quad(func, a, b, **kwargs)
@@ -257,8 +260,8 @@ class ProblemSpec:
 
 
 def _check_p(p: float) -> None:
-    if not p > 1.0:
-        raise ValueError("p must exceed 1")
+    if not 1.0 < p < np.inf:
+        raise ValueError("p must exceed 1 and be finite")
 
 
 def _check_T(T: int) -> None:

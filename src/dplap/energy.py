@@ -12,6 +12,9 @@ import numpy as np
 
 from .core import GridFunction, ProblemSpec, _dirichlet, _edges, _p_laplacian, phi_p
 
+_EPS = np.finfo(float).eps  # floors of the p < 2 secant weights (_newton_weights)
+_TINY = np.finfo(float).tiny
+
 
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < np.inf:
@@ -43,7 +46,7 @@ def _newton_weights(p: float, du: np.ndarray, share: float) -> np.ndarray:
     if p >= 2.0:
         return (p - 1.0) * np.abs(du) ** (p - 2.0)
     top = float(np.abs(du).max())
-    a = np.maximum(np.abs(du), max(np.finfo(float).eps * top, np.finfo(float).tiny))
+    a = np.maximum(np.abs(du), max(_EPS * top, _TINY))
     return np.where(a >= share * top, p - 1.0, 1.0) * a ** (p - 2.0)
 
 

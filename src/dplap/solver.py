@@ -28,12 +28,20 @@ energy floor the polish finishes the job with plain, unshifted Newton
 steps: near a saddle H is indefinite by nature, and the unshifted step is
 the one that converges to saddles as well as to minima.
 
+The three LAPACK routines (dgtsv, dpttrf, dstebz) come from scipy's f2py
+extension, which _lapack loads on first use without importing the
+scipy.linalg package: a solve on a table potential never imports it.
+
 Positivity classification and the nontriviality certificate live here too.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 
 import numpy as np
 
@@ -156,6 +164,27 @@ def truncate_nonnegative(nl: Nonlinearity) -> Nonlinearity:
                         name=f"{nl.name}~trunc")
 
 
+def _lapack():
+    """LAPACK's f2py wrappers, the module scipy.linalg.lapack re-exports.
+
+    Importing the scipy.linalg package costs about 0.25 s and 18 MB, most of
+    it outside LAPACK, so the extension is loaded on its own: after a bare
+    ``import scipy`` (its platform library set-up, no submodules), from
+    scipy/linalg, under its canonical name.  A later ``import scipy.linalg``
+    reuses that module, and one already imported is returned as it is, so
+    every caller sees the same function objects.
+    """
+    mod = sys.modules.get("scipy.linalg._flapack")
+    if mod is None:
+        import scipy
+        spec = PathFinder.find_spec("scipy.linalg._flapack",
+                                    [os.path.join(scipy.__path__[0], "linalg")])
+        mod = module_from_spec(spec)
+        sys.modules[spec.name] = mod
+        spec.loader.exec_module(mod)
+    return mod
+
+
 def _newton_step(prob: ProblemSpec, alpha: float, u: np.ndarray,
                  g: np.ndarray) -> np.ndarray | None:
     """The polish's plain Newton step: s solving H s = -g, unshifted.
@@ -163,12 +192,10 @@ def _newton_step(prob: ProblemSpec, alpha: float, u: np.ndarray,
     H is energy._jacobian at u with tangent weights (share 0).  None when H
     is not finite, the solve fails (H singular) or s is not finite.
     """
-    from scipy.linalg.lapack import dgtsv
-
     diag, off = _jacobian(prob, alpha, u, 0.0)
     if not np.isfinite(diag).all():
         return None
-    s, info = dgtsv(off, diag, off, -g)[3:]
+    s, info = _lapack().dgtsv(off, diag, off, -g)[3:]
     return s if info == 0 and np.isfinite(s).all() else None
 
 
@@ -186,17 +213,16 @@ def _shifted_newton_step(prob: ProblemSpec, alpha: float, u: np.ndarray,
     not finite, the eigenvalue or the solve fails, or s is not finite or
     not downhill.
     """
-    from scipy.linalg.lapack import dgtsv, dpttrf, dstebz
-
+    lapack = _lapack()
     diag, off = _jacobian(prob, alpha, u, _SECANT_SHARE)
     if not np.isfinite(diag).all():
         return None
-    if dpttrf(diag, off)[2] != 0:
-        _, lam, _, _, info = dstebz(diag, off, 2, 0.0, 0.0, 1, 1, 0.0, b"B")
+    if lapack.dpttrf(diag, off)[2] != 0:
+        _, lam, _, _, info = lapack.dstebz(diag, off, 2, 0.0, 0.0, 1, 1, 0.0, b"B")
         if info != 0:
             return None
         diag = diag + max(0.0, -(1.0 + _SHIFT_MARGIN) * float(lam[0]))
-    s, info = dgtsv(off, diag, off, -g)[3:]
+    s, info = lapack.dgtsv(off, diag, off, -g)[3:]
     if info != 0 or not np.isfinite(s).all() or not float(g @ s) < 0.0:
         return None
     return s

@@ -354,6 +354,21 @@ def test_eigen_invalid_flags_exit_1(capsys):
     assert "T must be an integer >= 2" in capsys.readouterr().err
 
 
+def test_infinite_p_is_rejected(capsys):
+    # at p = inf kappa and c_const are nan and a solve "converges" to
+    # nonsense: every entry point that takes p rejects it, and so does eigen
+    msg = "p must exceed 1 and be finite"
+    calls = [lambda: ProblemSpec(T=5, p=math.inf, nonlinearity=bounded_rational()),
+             lambda: dplap.kappa(math.inf, 5),
+             lambda: dplap.c_const(np.inf, 5),
+             lambda: dplap.first_eigenpair(math.inf, 5)]
+    for call in calls:
+        with pytest.raises(ValueError, match=msg):
+            call()
+    assert main(["eigen", "--p", "inf", "--T", "5"]) == EXIT_ERROR
+    assert msg in capsys.readouterr().err
+
+
 def test_eigen_convergence_failure_exit_1(capsys, monkeypatch):
     def boom(p, T, opts=None):
         raise EigenConvergenceError("quotient descent stalled", None)
@@ -562,3 +577,51 @@ def test_eigen_does_not_load_scipy_linalg():
             "    rc = dplap.cli.main(['eigen', '--p', '3', '--T', '20'])\n"
             "sys.exit(rc != 0 or 'scipy.linalg' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_solve_on_a_table_loads_lapack_without_scipy_linalg(tmp_path):
+    # a table potential needs no quadrature, and the Newton steps reach
+    # LAPACK's extension module directly: `dplap solve` pays no
+    # scipy.linalg package import
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dplap.core.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    t = np.linspace(-4.0, 4.0, 9)
+    cfg = write_cfg(tmp_path, {"T": 5, "p": 2.0, "alpha": 1.0,
+                               "nonlinearity": {"kind": "custom_table", "t": t.tolist(),
+                                                "f": (t / (1 + t ** 2)).tolist()}})
+    code = ("import sys, contextlib, io, dplap.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    rc = dplap.cli.main(['solve', {cfg!r}, '--out', {str(tmp_path / 'u.txt')!r}])\n"
+            "sys.exit(rc != 0 or 'scipy.linalg' in sys.modules\n"
+            "         or 'scipy.linalg._flapack' not in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    assert read_result(str(tmp_path / "u.txt"))[0]["residual"] <= 1e-10
+
+
+@pytest.mark.parametrize("accessor_first", [True, False])
+def test_lapack_accessor_and_scipy_linalg_share_one_module(accessor_first):
+    # in either import order the solver and scipy.linalg.lapack call the
+    # same f2py function objects, and scipy's own linalg still works
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dplap.core.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from dplap.solver import _lapack\n"
+            f"if {accessor_first}:\n"
+            "    mod = _lapack()\n"
+            "    assert 'scipy.linalg' not in sys.modules\n"
+            "    import scipy.linalg.lapack as lapack\n"
+            "else:\n"
+            "    import scipy.linalg.lapack as lapack\n"
+            "    mod = _lapack()\n"
+            "assert mod is sys.modules['scipy.linalg._flapack'] is _lapack()\n"
+            "for name in ('dgtsv', 'dpttrf', 'dstebz'):\n"
+            "    assert getattr(lapack, name) is getattr(mod, name), name\n"
+            "from scipy.integrate import quad\n"
+            "from scipy.linalg import eigh_tridiagonal\n"
+            "assert abs(quad(lambda x: x * x, 0.0, 1.0)[0] - 1.0 / 3.0) < 1e-14\n"
+            "w = eigh_tridiagonal(np.full(3, 2.0), np.full(2, -1.0), eigvals_only=True)\n"
+            "assert np.allclose(w, 2.0 - 2.0 * np.cos(np.arange(1, 4) * np.pi / 4.0))\n")
+    run = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

@@ -137,7 +137,7 @@ def test_shifted_newton_step_factors_first_and_shifts_only_indefinite_jacobians(
     # dpttrf decides definiteness: a positive definite H gets the plain
     # dgtsv solve and no eigenvalue call; an indefinite one gets one dstebz
     # call and the shift -1.1 lambda_min
-    import scipy.linalg.lapack as lapack
+    import scipy.linalg._flapack as lapack
     lams = []
     dstebz = lapack.dstebz
 
@@ -401,7 +401,7 @@ def test_newton_p105_small_T_converges_through_the_tangent_polish():
 def test_polish_stops_after_one_solve_when_the_step_cannot_help(monkeypatch):
     # at residual 1.1e-16 the plain Newton step cannot lower the residual:
     # the polish gives up after that one tridiagonal solve
-    import scipy.linalg.lapack as lapack
+    import scipy.linalg._flapack as lapack
     prob = esempio0()
     out = solve_newton(prob, 1.0, GridFunction.from_interior(np.linspace(0.5, 1.5, 5)),
                        SolverOptions(tol=1e-300))
