@@ -35,6 +35,9 @@ EXIT_SELFTEST_FAIL = 3
 RESULT_HEADER_KEYS = ("T", "p", "alpha", "seed", "residual", "energy")
 _CERTIFICATE_KEYS = ("eps", "chi_eps", "bound", "margin", "sigma", "verdict")
 _WINDOW_KEYS = ("c", "d", "alpha_lo", "alpha_hi", "verdict")
+# how many nonlinearity.params each kind takes
+_MAX_PARAMS = {"zero": 0, "constant": 1, "linear": 1, "power": 2, "bounded_rational": 0,
+               "custom_table": 0}
 
 
 class ConfigError(ValueError):
@@ -102,17 +105,21 @@ def build_nonlinearity(nl_cfg, T: int) -> Nonlinearity:
     params = nl_cfg.get("params", [])
     if not isinstance(params, list) or not all(_is_number(v) for v in params):
         raise ConfigError("nonlinearity.params", "must be a list of numbers")
+    if isinstance(kind, str) and len(params) > _MAX_PARAMS.get(kind, len(params)):
+        raise ConfigError("nonlinearity.params",
+                          f"kind {kind!r} takes at most {_MAX_PARAMS[kind]} params, "
+                          f"got {len(params)}")
     if kind == "zero":
         nl = zero()
     elif kind == "constant":
-        nl = constant(*params[:1])
+        nl = constant(*params)
     elif kind == "linear":
-        nl = linear(*params[:1])
+        nl = linear(*params)
     elif kind == "power":
         if not params:
             raise ConfigError("nonlinearity.params", "power needs [exponent] or [exponent, coeff]")
         try:
-            nl = power(*params[:2])
+            nl = power(*params)
         except ValueError as exc:
             raise ConfigError("nonlinearity.params", str(exc)) from exc
     elif kind == "bounded_rational":

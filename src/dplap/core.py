@@ -6,7 +6,12 @@ immutable after construction and safe to share between tasks.
 
 from __future__ import annotations
 
+import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 from typing import Callable, Sequence
 
 import numpy as np
@@ -17,17 +22,50 @@ _PROBE_K = np.array([1, 2])
 _PROBE_T = np.array([0.5, -1.25])
 
 
-def quad(func, a, b, **kwargs):
-    """scipy.integrate.quad, imported on first use.
+def _scipy_extension(subpackage: str, name: str):
+    """scipy's compiled module ``scipy.<subpackage>.<name>``, without its package.
 
-    Only potential-less callables and check_consistency integrate, and
-    importing scipy costs more than the rest of ``import dplap`` together.
-    scipy.integrate imports the scipy.linalg package too (about 0.25 s), so
-    a process that integrates pays it; table potentials never do, and the
-    solvers reach LAPACK without it (solver._lapack).
+    Importing a scipy subpackage costs far more than the extension dplap
+    calls (scipy.integrate pulls in linalg, sparse, special and optimize:
+    about 0.45 s and 40 MB), so the extension is loaded on its own: after a
+    bare ``import scipy`` (its platform library set-up, no submodules), from
+    scipy/<subpackage>, under its canonical name.  A later import of the
+    subpackage reuses that module, and one already imported is returned as
+    it is, so every caller sees the same function objects.
     """
+    full = f"scipy.{subpackage}.{name}"
+    mod = sys.modules.get(full)
+    if mod is None:
+        import scipy
+        spec = PathFinder.find_spec(full, [os.path.join(scipy.__path__[0], subpackage)])
+        mod = module_from_spec(spec)
+        sys.modules[full] = mod
+        spec.loader.exec_module(mod)
+    return mod
+
+
+def quad(func, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
+    """scipy.integrate.quad, with QUADPACK's qagse called directly.
+
+    Only potential-less callables and check_consistency integrate.  On a
+    finite interval this is quad's own call: a == b gives (0.0, 0.0),
+    reversed limits are swapped and the result negated, and qagse gets the
+    arguments quad passes it, so every value is quad's to the bit.  The
+    extension comes from _scipy_extension, the loader the solvers use for
+    LAPACK's, so the scipy.integrate package is imported only when qagse
+    reports a problem (ier != 0) or a limit is infinite.  scipy.integrate.quad
+    then redoes the integral, and its IntegrationWarning, its message and
+    its ValueError for invalid input are scipy's own.
+    """
+    if a == b:
+        return 0.0, 0.0
+    if not (math.isinf(a) or math.isinf(b)):
+        val, err, ier = _scipy_extension("integrate", "_quadpack")._qagse(
+            func, min(a, b), max(a, b), (), 0, epsabs, epsrel, limit)
+        if ier == 0:
+            return (-val if b < a else val), err
     from scipy.integrate import quad as scipy_quad
-    return scipy_quad(func, a, b, **kwargs)
+    return scipy_quad(func, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit)
 
 
 @dataclass(frozen=True)

@@ -29,24 +29,21 @@ steps: near a saddle H is indefinite by nature, and the unshifted step is
 the one that converges to saddles as well as to minima.
 
 The three LAPACK routines (dgtsv, dpttrf, dstebz) come from scipy's f2py
-extension, which _lapack loads on first use without importing the
-scipy.linalg package: a solve on a table potential never imports it.
+extension, which _lapack loads on first use through core._scipy_extension,
+the loader core.quad uses for QUADPACK's, without importing the
+scipy.linalg package.
 
 Positivity classification and the nontriviality certificate live here too.
 """
 
 from __future__ import annotations
 
-import os
-import sys
 from dataclasses import dataclass
-from importlib.machinery import PathFinder
-from importlib.util import module_from_spec
 
 import numpy as np
 
 from .core import (GridFunction, Nonlinearity, ProblemSpec, TablePotential, _dirichlet,
-                   kappa, p_laplacian, sup_norm)
+                   _scipy_extension, kappa, p_laplacian, sup_norm)
 from .energy import _check_alpha, _energy, _gradient, _jacobian, energy
 from .spectrum import EigenConvergenceError, EigenPair, first_eigenpair
 
@@ -167,22 +164,10 @@ def truncate_nonnegative(nl: Nonlinearity) -> Nonlinearity:
 def _lapack():
     """LAPACK's f2py wrappers, the module scipy.linalg.lapack re-exports.
 
-    Importing the scipy.linalg package costs about 0.25 s and 18 MB, most of
-    it outside LAPACK, so the extension is loaded on its own: after a bare
-    ``import scipy`` (its platform library set-up, no submodules), from
-    scipy/linalg, under its canonical name.  A later ``import scipy.linalg``
-    reuses that module, and one already imported is returned as it is, so
-    every caller sees the same function objects.
+    Loaded by core._scipy_extension, without the scipy.linalg package
+    (about 0.25 s and 18 MB, most of it outside LAPACK).
     """
-    mod = sys.modules.get("scipy.linalg._flapack")
-    if mod is None:
-        import scipy
-        spec = PathFinder.find_spec("scipy.linalg._flapack",
-                                    [os.path.join(scipy.__path__[0], "linalg")])
-        mod = module_from_spec(spec)
-        sys.modules[spec.name] = mod
-        spec.loader.exec_module(mod)
-    return mod
+    return _scipy_extension("linalg", "_flapack")
 
 
 def _newton_step(prob: ProblemSpec, alpha: float, u: np.ndarray,

@@ -126,6 +126,22 @@ def test_power_params_are_named(tmp_path, capsys, nl):
     assert "config field 'nonlinearity.params'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("nl", [
+    {"kind": "zero", "params": [5]},
+    {"kind": "constant", "params": [1, 2, 3]},
+    {"kind": "linear", "params": [1.0, 2.0]},
+    {"kind": "power", "params": [1.5, 2, 3]},
+    {"kind": "bounded_rational", "params": [1]},
+], ids=["zero", "constant", "linear", "power", "bounded_rational"])
+def test_extra_params_are_rejected_by_name(tmp_path, capsys, nl):
+    cfg = write_cfg(tmp_path, {"T": 4, "p": 2.0, "alpha": 1.0, "nonlinearity": nl})
+    rc = main(["solve", cfg, "--out", str(tmp_path / "result.txt")])
+    assert rc == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "config field 'nonlinearity.params'" in err
+    assert f"got {len(nl['params'])}" in err
+
+
 def test_power_per_k_scale_of_wrong_length_is_named(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"T": 4, "p": 3.0, "alpha": 1.0,
                                "nonlinearity": {"kind": "power", "params": [1.5, 2],
@@ -622,6 +638,48 @@ def test_lapack_accessor_and_scipy_linalg_share_one_module(accessor_first):
             "assert abs(quad(lambda x: x * x, 0.0, 1.0)[0] - 1.0 / 3.0) < 1e-14\n"
             "w = eigh_tridiagonal(np.full(3, 2.0), np.full(2, -1.0), eigvals_only=True)\n"
             "assert np.allclose(w, 2.0 - 2.0 * np.cos(np.arange(1, 4) * np.pi / 4.0))\n")
+    run = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+def test_closed_form_cli_loads_quadpack_without_scipy_integrate(tmp_path):
+    # check_consistency integrates a closed form's f through QUADPACK's
+    # extension module: `dplap solve` and `dplap check` import neither the
+    # scipy.integrate nor the scipy.linalg package
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dplap.core.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    cfg = esempio0_cfg(tmp_path)
+    code = ("import sys, contextlib, io, dplap.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    rc = dplap.cli.main(['solve', {cfg!r}, '--out', {str(tmp_path / 'u.txt')!r}])\n"
+            f"    rc_check = dplap.cli.main(['check', {cfg!r}, '--eps', '0.5'])\n"
+            f"sys.exit(rc != {EXIT_OK} or rc_check != {EXIT_NO_RESULT}\n"
+            "         or 'scipy.integrate._quadpack' not in sys.modules\n"
+            "         or 'scipy.integrate' in sys.modules or 'scipy.linalg' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    assert read_result(str(tmp_path / "u.txt"))[0]["residual"] <= 1e-10
+
+
+@pytest.mark.parametrize("loader_first", [True, False])
+def test_quadpack_loader_and_scipy_integrate_share_one_module(loader_first):
+    # in either import order core.quad and scipy.integrate.quad call the
+    # same extension module, and scipy's own quad still works
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dplap.core.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys\n"
+            "from dplap.core import _scipy_extension, quad\n"
+            f"if {loader_first}:\n"
+            "    mod = _scipy_extension('integrate', '_quadpack')\n"
+            "    assert 'scipy.integrate' not in sys.modules\n"
+            "    import scipy.integrate\n"
+            "else:\n"
+            "    import scipy.integrate\n"
+            "    mod = _scipy_extension('integrate', '_quadpack')\n"
+            "assert mod is sys.modules['scipy.integrate._quadpack']\n"
+            "assert mod is scipy.integrate._quadpack_py._quadpack\n"
+            "assert abs(scipy.integrate.quad(lambda x: x * x, 0.0, 1.0)[0] - 1.0 / 3.0) < 1e-14\n"
+            "assert quad(abs, -1.0, 2.0) == scipy.integrate.quad(abs, -1.0, 2.0)\n")
     run = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr

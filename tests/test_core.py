@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 
-from dplap.core import (GridFunction, Nonlinearity, ProblemSpec, TablePotential,
-                        c_const, forward_difference, kappa, p_laplacian, p_norm,
-                        phi_p, sup_norm, theta)
+from dplap.core import (QUAD_ABS_TOL, GridFunction, Nonlinearity, ProblemSpec,
+                        TablePotential, c_const, forward_difference, kappa, p_laplacian,
+                        p_norm, phi_p, quad, sup_norm, theta)
 from dplap.existence import check_thm_esistenza
 from dplap.nonlinearities import (bounded_rational, constant, from_table, linear,
                                   power, scaled_per_node, zero)
@@ -249,6 +250,40 @@ def test_quadrature_potential_is_deterministic():
     first = nl.eval_F(2, 1.5)
     second = nl.eval_F(2, 1.5)
     assert first == second
+
+
+_SQRT_F = power(0.5).f
+
+
+@pytest.mark.parametrize("func, a, b", [
+    (math.sin, 0.0, 1.0),
+    (math.exp, 2.0, -1.0),
+    (math.cos, 0.7, 0.7),
+    (lambda s: _SQRT_F(1, s), 0.0, 1.7),
+    (lambda s: _SQRT_F(1, s), 0.0, -3.0),
+    (lambda s: s / (1.0 + s * s), 0.0, -2.5),
+    (lambda s: (1.0 + abs(s)) ** -1.5, 0.0, math.inf),
+], ids=["sin", "reversed", "empty", "sqrt", "sqrt-reversed", "rational-reversed",
+        "infinite"])
+def test_quad_is_scipy_quad_to_the_bit(func, a, b):
+    kw = dict(epsabs=QUAD_ABS_TOL, epsrel=1e-12, limit=200)
+    assert quad(func, a, b, **kw) == scipy.integrate.quad(func, a, b, **kw)
+    assert quad(func, a, b) == scipy.integrate.quad(func, a, b)
+
+
+@pytest.mark.parametrize("func, b, kw", [
+    (lambda s: abs(s - 0.3) ** 0.5, 1.0, dict(epsabs=1e-14, epsrel=1e-14, limit=3)),
+    # qagse on [0, inf) reports (inf, inf) with no error; quad's qagie warns
+    (lambda s: 1.0, math.inf, {}),
+], ids=["unresolved", "divergent-infinite"])
+def test_quad_warns_as_scipy_quad_does(func, b, kw):
+    with pytest.warns(scipy.integrate.IntegrationWarning):
+        quad(func, 0.0, b, **kw)
+
+
+def test_quad_rejects_a_limit_below_one():
+    with pytest.raises(ValueError, match="limit"):
+        quad(math.sin, 0.0, 1.0, limit=0)
 
 
 def test_eval_df_fd_fallback_matches_analytic():
