@@ -177,6 +177,15 @@ TABLE = {"kind": "custom_table", "t": [-2.0, 0.0, 2.0], "f": [-1.0, 0.0, 1.0]}
      {"nonlinearity": {**TABLE, "is_nonnegative": "false"}}),
     ("nonlinearity.f", {"nonlinearity": {**TABLE, "f": [True, False, True]}}),
     ("T", {"T": math.nan}),
+    ("nonlinearity", {"nonlinearity": 5}),
+    ("nonlinearity", {"nonlinearity": ["bounded_rational"]}),
+    ("nonlinearity.params", {"nonlinearity": {"kind": "constant", "params": 1.0}}),
+    ("nonlinearity.params", {"nonlinearity": {"kind": "constant", "params": ["x"]}}),
+    ("nonlinearity", {"nonlinearity": {**TABLE, "t": [0.0, 0.0, 2.0]}}),  # from_table rejects
+    ("gamma", {"gamma": "x"}),
+    ("gamma", {"gamma": [0.5, True, 0.5]}),
+    # two rows of f at T = 3: ProblemSpec rejects the nonlinearity
+    ("nonlinearity", {"nonlinearity": {**TABLE, "f": [[-1.0, 0.0, 1.0]] * 2}}),
 ])
 def test_bad_field_values_are_named(tmp_path, capsys, field, overrides):
     # booleans, strings and non-finite numbers are not silently coerced
@@ -185,6 +194,17 @@ def test_bad_field_values_are_named(tmp_path, capsys, field, overrides):
     rc = main(["check", write_cfg(tmp_path, cfg), "--eps", "0.5"])
     assert rc == EXIT_ERROR
     assert f"config field '{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", [5, [1], None])
+def test_non_string_kind_is_an_unknown_kind(tmp_path, capsys, kind):
+    nl = {"kind": kind} if kind is not None else {}
+    cfg = write_cfg(tmp_path, {"T": 3, "p": 2.0, "alpha": 1.0, "nonlinearity": nl})
+    rc = main(["solve", cfg])
+    assert rc == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "config field 'nonlinearity.kind'" in err
+    assert f"unknown kind {kind!r}" in err
 
 
 def test_gamma_list_wrong_length(tmp_path, capsys):
@@ -199,6 +219,13 @@ def test_alpha_missing_for_solve(tmp_path, capsys):
     rc = main(["solve", cfg])
     assert rc == EXIT_ERROR
     assert "pass --alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", [math.inf, "1.0", True])
+def test_solve_rejects_non_finite_config_alpha(tmp_path, capsys, alpha):
+    rc = main(["solve", esempio0_cfg(tmp_path, alpha=alpha)])
+    assert rc == EXIT_ERROR
+    assert "config field 'alpha': must be a finite number" in capsys.readouterr().err
 
 
 def test_solve_rejects_sweep_alpha(tmp_path, capsys):
@@ -225,6 +252,13 @@ def test_expand_alphas_list_and_validation():
         expand_alphas({"lo": 1.0, "hi": 0.1, "n": 3})
     with pytest.raises(ConfigError):
         expand_alphas(0.5)
+
+
+@pytest.mark.parametrize("n", [0, -2, 1.5, True, "3"])
+def test_expand_alphas_names_a_bad_count(n):
+    with pytest.raises(ConfigError) as exc:
+        expand_alphas({"lo": 0.1, "hi": 1.0, "n": n})
+    assert exc.value.field == "alpha.n"
 
 
 # ---------------------------------------------------------------- result files
@@ -463,6 +497,17 @@ def test_check_threshold_block(tmp_path, capsys):
     thr = float(parse_headers(out)["alpha_threshold"])
     assert abs(thr - (2.0 - math.sqrt(3.0))) < 1e-12
     assert "guarantees a positive solution" in out
+
+
+def test_check_threshold_unavailable_is_a_comment(tmp_path, capsys):
+    # a declared gamma on a nonlinearity not flagged nonnegative
+    nl = {"kind": "constant", "params": [-1.0]}
+    rc = main(["check", esempio0_cfg(tmp_path, nonlinearity=nl)])
+    assert rc == EXIT_OK
+    out = capsys.readouterr().out
+    assert ("# alpha_threshold unavailable: alpha_threshold requires a nonlinearity "
+            "flagged nonnegative") in out
+    assert "alpha_threshold =" not in out
 
 
 def test_check_cd_validation_exit_1(tmp_path, capsys):

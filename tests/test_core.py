@@ -431,6 +431,25 @@ def test_from_table_checks_the_nonnegative_flag():
         t, [-10.0, 0.0, 0.1])), 1.0).verdict
 
 
+@pytest.mark.parametrize("ts, fs, message", [
+    ([0.0, 0.0, 1.0], [0.0, 1.0, 2.0], "strictly increasing 1-D"),
+    ([0.0], [1.0], "strictly increasing 1-D"),
+    ([[0.0, 1.0]], [0.0, 1.0], "strictly increasing 1-D"),
+    ([0.0, 1.0, 2.0], [0.0, 1.0], "f_samples length must match"),
+    ([0.0, 1.0, 2.0], [[0.0, 1.0], [1.0, 2.0]], "each f_samples row must match"),
+    ([0.0, 1.0], np.zeros((1, 1, 2)), "f_samples must be 1-D or 2-D"),
+])
+def test_from_table_rejects_bad_shapes(ts, fs, message):
+    with pytest.raises(ValueError, match=message):
+        from_table(ts, fs)
+
+
+@pytest.mark.parametrize("scale", [[], [[1.0, 2.0]]])
+def test_scaled_per_node_rejects_an_empty_or_nested_scale(scale):
+    with pytest.raises(ValueError, match="scale must be a non-empty 1-D sequence"):
+        scaled_per_node(bounded_rational(), scale)
+
+
 def test_check_consistency_rejects_wrong_potential():
     bad = Nonlinearity(f=lambda k, t: t,
                        potential=lambda k, xi: xi)  # should be xi^2/2

@@ -18,7 +18,7 @@ from dplap.solver import (CONVERGED, ENERGY_FLOOR, INDEFINITE, LINE_SEARCH,
                           multistart_solve, nontriviality_certificate,
                           pick_reported, solve_descent, solve_newton,
                           solve_newton_p2, sweep_alpha, truncate_nonnegative)
-from dplap.spectrum import first_eigenpair
+from dplap.spectrum import EigenConvergenceError, first_eigenpair
 
 from test_existence import clipped_cubic
 
@@ -627,6 +627,37 @@ def test_multistart_deterministic_across_seeds():
         assert x.energy == y.energy
     c = multistart_solve(prob, 1.0, n_starts=6, opts=SolverOptions(seed=99))
     assert all(s.seed == 99 for s in c)
+
+
+def _scripted_solve_newton(monkeypatch, outcomes):
+    """Replace solve_newton by one returning outcomes in turn; returns the starts."""
+    starts = []
+
+    def scripted(prob, alpha, u0, opts=None):
+        starts.append(np.array(u0.interior))
+        return outcomes[len(starts) - 1]
+
+    monkeypatch.setattr(dplap.solver, "solve_newton", scripted)
+    return starts
+
+
+def _outcome(u, energy_value, converged=True, positivity=INDEFINITE):
+    return SolveOutcome(u=GridFunction.from_interior(u), residual=0.0, energy=energy_value,
+                        iterations=0, converged=converged, positivity=positivity)
+
+
+def test_multistart_shapes_starts_from_the_best_effort_eigenpair(monkeypatch):
+    # the eigen solve does not converge at p = 1.1, T = 200; its best pair is used
+    with pytest.raises(EigenConvergenceError) as exc:
+        first_eigenpair(1.1, 200)
+    stray = _outcome(np.zeros(200), 0.0, converged=False)
+    starts = _scripted_solve_newton(monkeypatch, [stray] * 4)
+    prob = ProblemSpec(T=200, p=1.1, nonlinearity=bounded_rational())
+    assert multistart_solve(prob, 1.0, n_starts=1) == []
+    phi = exc.value.best.phi.interior
+    profile = phi / np.max(np.abs(phi))
+    assert len(starts) == 4 and not starts[0].any()
+    assert np.array_equal(starts[1], profile) and np.array_equal(starts[2], -profile)
 
 
 def test_multistart_p3_route_uses_descent():
