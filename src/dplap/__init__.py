@@ -16,12 +16,11 @@ from .existence import (DecayReport, ExistenceCertificate, MultiplicityWindow,
                         check_three_solutions_window, check_thm_esistenza,
                         chi, estimate_gamma, find_admissible_eps, h)
 from .nonlinearities import (bounded_rational, constant, from_table, linear,
-                             power, scaled_per_node, zero)
+                             power, scaled_per_node, truncate_nonnegative, zero)
 from .solver import (INDEFINITE, POSITIVE, ZERO, SolveOutcome, SolverOptions,
                      SweepRow, check_positivity, minimize_on_sublevel,
                      multistart_solve, nontriviality_certificate,
-                     solve_descent, solve_newton, solve_newton_p2,
-                     sweep_alpha, truncate_nonnegative)
+                     solve_descent, solve_newton, solve_newton_p2, sweep_alpha)
 from .spectrum import (EigenConvergenceError, EigenPair, eigenvalues_p2,
                        first_eigenpair, lambda1_closed_form_p2, matrix_A,
                        rayleigh_quotient)

@@ -35,9 +35,6 @@ EXIT_SELFTEST_FAIL = 3
 RESULT_HEADER_KEYS = ("T", "p", "alpha", "seed", "residual", "energy")
 _CERTIFICATE_KEYS = ("eps", "chi_eps", "bound", "margin", "sigma", "verdict")
 _WINDOW_KEYS = ("c", "d", "alpha_lo", "alpha_hi", "verdict")
-# how many nonlinearity.params each kind takes
-_MAX_PARAMS = {"zero": 0, "constant": 1, "linear": 1, "power": 2, "bounded_rational": 0,
-               "custom_table": 0}
 
 
 class ConfigError(ValueError):
@@ -98,6 +95,40 @@ def _require_number(cfg: dict, field: str):
     return val
 
 
+def _power(nl_cfg: dict, params: list) -> Nonlinearity:
+    if not params:
+        raise ConfigError("nonlinearity.params", "power needs [exponent] or [exponent, coeff]")
+    try:
+        return power(*params)
+    except ValueError as exc:
+        raise ConfigError("nonlinearity.params", str(exc)) from exc
+
+
+def _custom_table(nl_cfg: dict, params: list) -> Nonlinearity:
+    if "t" not in nl_cfg or "f" not in nl_cfg:
+        raise ConfigError("nonlinearity", "custom_table needs 't' and 'f' sample arrays")
+    t, f = nl_cfg["t"], nl_cfg["f"]
+    flag = nl_cfg.get("is_nonnegative", False)
+    _require_numbers(t, "nonlinearity.t", "a list of finite numbers")
+    rows = f if isinstance(f, list) and f and isinstance(f[0], list) else [f]
+    for r in rows:
+        _require_numbers(r, "nonlinearity.f",
+                         "a list of finite numbers, or a list of such rows")
+    if not isinstance(flag, bool):
+        raise ConfigError("nonlinearity.is_nonnegative", "must be true or false")
+    try:
+        return from_table(t, f, is_nonnegative=flag)
+    except ValueError as exc:
+        raise ConfigError("nonlinearity", str(exc)) from exc
+
+
+# each config kind: (factory of the nonlinearity object and its params, params it takes)
+_KINDS = {"zero": (lambda cfg, ps: zero(), 0), "constant": (lambda cfg, ps: constant(*ps), 1),
+          "linear": (lambda cfg, ps: linear(*ps), 1), "power": (_power, 2),
+          "bounded_rational": (lambda cfg, ps: bounded_rational(), 0),
+          "custom_table": (_custom_table, 0)}
+
+
 def build_nonlinearity(nl_cfg, T: int) -> Nonlinearity:
     if not isinstance(nl_cfg, dict):
         raise ConfigError("nonlinearity", "must be an object with a 'kind'")
@@ -105,45 +136,14 @@ def build_nonlinearity(nl_cfg, T: int) -> Nonlinearity:
     params = nl_cfg.get("params", [])
     if not isinstance(params, list) or not all(_is_number(v) for v in params):
         raise ConfigError("nonlinearity.params", "must be a list of numbers")
-    if isinstance(kind, str) and len(params) > _MAX_PARAMS.get(kind, len(params)):
-        raise ConfigError("nonlinearity.params",
-                          f"kind {kind!r} takes at most {_MAX_PARAMS[kind]} params, "
-                          f"got {len(params)}")
-    if kind == "zero":
-        nl = zero()
-    elif kind == "constant":
-        nl = constant(*params)
-    elif kind == "linear":
-        nl = linear(*params)
-    elif kind == "power":
-        if not params:
-            raise ConfigError("nonlinearity.params", "power needs [exponent] or [exponent, coeff]")
-        try:
-            nl = power(*params)
-        except ValueError as exc:
-            raise ConfigError("nonlinearity.params", str(exc)) from exc
-    elif kind == "bounded_rational":
-        nl = bounded_rational()
-    elif kind == "custom_table":
-        if "t" not in nl_cfg or "f" not in nl_cfg:
-            raise ConfigError("nonlinearity", "custom_table needs 't' and 'f' sample arrays")
-        t, f = nl_cfg["t"], nl_cfg["f"]
-        flag = nl_cfg.get("is_nonnegative", False)
-        _require_numbers(t, "nonlinearity.t", "a list of finite numbers")
-        rows = f if isinstance(f, list) and f and isinstance(f[0], list) else [f]
-        for r in rows:
-            _require_numbers(r, "nonlinearity.f",
-                             "a list of finite numbers, or a list of such rows")
-        if not isinstance(flag, bool):
-            raise ConfigError("nonlinearity.is_nonnegative", "must be true or false")
-        try:
-            nl = from_table(t, f, is_nonnegative=flag)
-        except ValueError as exc:
-            raise ConfigError("nonlinearity", str(exc)) from exc
-    else:
+    if not isinstance(kind, str) or kind not in _KINDS:  # a list kind is unhashable
         raise ConfigError("nonlinearity.kind",
-                          f"unknown kind {kind!r}; expected one of zero, constant, "
-                          "linear, power, bounded_rational, custom_table")
+                          f"unknown kind {kind!r}; expected one of {', '.join(_KINDS)}")
+    factory, n_params = _KINDS[kind]
+    if len(params) > n_params:
+        raise ConfigError("nonlinearity.params",
+                          f"kind {kind!r} takes at most {n_params} params, got {len(params)}")
+    nl = factory(nl_cfg, params)
     scale = nl_cfg.get("per_k_scale")
     if scale is not None:
         if (not isinstance(scale, list) or len(scale) != T

@@ -191,8 +191,7 @@ def alpha_threshold(prob: ProblemSpec, gamma=None,
     constants gamma_k = liminf_{xi->0+} F_k(xi)/xi^p.  When omitted, the
     nonlinearity's own declared gamma is used; if that is also missing, the
     heuristic estimate_gamma is substituted only when allow_estimated=True.
-    For p = 2 the closed form (2/min gamma) sin^2(pi/(2(T+1))) is computed
-    as well and the two expressions are asserted to agree.
+    At p = 2, lambda_1 is the closed form 4 sin^2(pi/(2(T+1))).
     """
     nl = prob.nonlinearity
     if not nl.is_nonnegative:
@@ -208,17 +207,9 @@ def alpha_threshold(prob: ProblemSpec, gamma=None,
     gam = np.array(_gamma_tuple(gamma, prob.T))
     if np.any(gam <= 0.0):
         raise ValueError("gamma entries must be positive")
-    gmin = float(np.min(gam))
     p, T = prob.p, prob.T
-    if p == 2.0:
-        lam1 = lambda1_closed_form_p2(T)
-        threshold = lam1 / (2.0 * gmin)
-        display = (2.0 / gmin) * math.sin(math.pi / (2.0 * (T + 1))) ** 2
-        if abs(threshold - display) > 1e-12 * max(1.0, abs(threshold)):
-            raise AssertionError("p=2 threshold displays disagree")
-        return threshold
-    lam1 = first_eigenpair(p, T).lambda_
-    return lam1 / (p * gmin)
+    lam1 = lambda1_closed_form_p2(T) if p == 2.0 else first_eigenpair(p, T).lambda_
+    return lam1 / (p * float(np.min(gam)))
 
 
 def check_superlinearity_decay(prob: ProblemSpec, xi_probe=None,

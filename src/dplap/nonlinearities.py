@@ -1,4 +1,4 @@
-"""Built-in right-hand sides with exact potentials.
+"""Built-in right-hand sides with exact potentials, and two transforms.
 
 Each factory returns a Nonlinearity whose f, potential and df are numpy
 expressions over arrays of nodes and arguments (the array contract
@@ -7,6 +7,7 @@ or for from_table the piecewise-quadratic integral of the piecewise-linear
 interpolant.  None of them integrates numerically.  The is_nonnegative flag
 follows the convention documented on Nonlinearity: f(k, t) >= 0 for t >= 0
 and each F_k attains its maximum over [-eps, eps] at the right endpoint.
+scaled_per_node and truncate_nonnegative derive one from another.
 """
 
 from __future__ import annotations
@@ -229,3 +230,31 @@ def scaled_per_node(nl: Nonlinearity, scale) -> Nonlinearity:
                         is_nonnegative=keep_flag,
                         gamma=gamma,
                         name=f"{nl.name}*per_node",)
+
+
+def truncate_nonnegative(nl: Nonlinearity) -> Nonlinearity:
+    """Extend f by its value at 0 for negative arguments.
+
+    The potential of the extension is F_k(xi) for xi >= 0 and f(k,0)*xi for
+    xi < 0.  Every positive solution of the truncated problem solves the
+    original one, since the two right-hand sides agree on positive values.
+    """
+    def f(k, t):
+        return nl.f(k, np.where(t >= 0.0, t, 0.0))
+
+    def potential(k, xi):
+        pos = xi >= 0.0
+        return np.where(pos, nl.F_at(k, np.where(pos, xi, 0.0)),
+                        nl.f(k, np.zeros(np.shape(xi))) * xi)
+
+    df = None
+    if nl.df is not None:
+        def df(k, t):
+            pos = t >= 0.0
+            return np.where(pos, nl.df(k, np.where(pos, t, 0.0)), 0.0)
+
+    return Nonlinearity(f=f, potential=TablePotential.carry(nl.potential, potential),
+                        df=df,
+                        is_nonnegative=nl.is_nonnegative,
+                        gamma=nl.gamma,
+                        name=f"{nl.name}~trunc")

@@ -34,6 +34,7 @@ the loader core.quad uses for QUADPACK's, without importing the
 scipy.linalg package.
 
 Positivity classification and the nontriviality certificate live here too.
+truncate_nonnegative lives in nonlinearities and stays importable from here.
 """
 
 from __future__ import annotations
@@ -42,9 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (GridFunction, Nonlinearity, ProblemSpec, TablePotential, _dirichlet,
-                   _scipy_extension, kappa, p_laplacian, sup_norm)
+from .core import (GridFunction, ProblemSpec, _dirichlet, _scipy_extension, kappa,
+                   p_laplacian, sup_norm)
 from .energy import _check_alpha, _energy, _gradient, _jacobian, energy
+from .nonlinearities import truncate_nonnegative  # noqa: F401  (importable from here too)
 from .spectrum import EigenConvergenceError, EigenPair, first_eigenpair
 
 POSITIVE = "positive"
@@ -133,34 +135,6 @@ def _finish(prob: ProblemSpec, alpha: float, vec: np.ndarray, res: float,
                         seed=opts.seed, stop_reason=stop_reason)
 
 
-def truncate_nonnegative(nl: Nonlinearity) -> Nonlinearity:
-    """Extend f by its value at 0 for negative arguments.
-
-    The potential of the extension is F_k(xi) for xi >= 0 and f(k,0)*xi for
-    xi < 0.  Every positive solution of the truncated problem solves the
-    original one, since the two right-hand sides agree on positive values.
-    """
-    def f(k, t):
-        return nl.f(k, np.where(t >= 0.0, t, 0.0))
-
-    def potential(k, xi):
-        pos = xi >= 0.0
-        return np.where(pos, nl.F_at(k, np.where(pos, xi, 0.0)),
-                        nl.f(k, np.zeros(np.shape(xi))) * xi)
-
-    df = None
-    if nl.df is not None:
-        def df(k, t):
-            pos = t >= 0.0
-            return np.where(pos, nl.df(k, np.where(pos, t, 0.0)), 0.0)
-
-    return Nonlinearity(f=f, potential=TablePotential.carry(nl.potential, potential),
-                        df=df,
-                        is_nonnegative=nl.is_nonnegative,
-                        gamma=nl.gamma,
-                        name=f"{nl.name}~trunc")
-
-
 def _lapack():
     """LAPACK's f2py wrappers, the module scipy.linalg.lapack re-exports.
 
@@ -170,18 +144,24 @@ def _lapack():
     return _scipy_extension("linalg", "_flapack")
 
 
+def _tridiagonal_solve(diag: np.ndarray, off: np.ndarray, g: np.ndarray) -> np.ndarray | None:
+    """s solving H s = -g for the symmetric tridiagonal H = (diag, off), by
+    dgtsv; None when the solve fails (H singular) or s is not finite."""
+    s, info = _lapack().dgtsv(off, diag, off, -g)[3:]
+    return s if info == 0 and np.isfinite(s).all() else None
+
+
 def _newton_step(prob: ProblemSpec, alpha: float, u: np.ndarray,
                  g: np.ndarray) -> np.ndarray | None:
     """The polish's plain Newton step: s solving H s = -g, unshifted.
 
     H is energy._jacobian at u with tangent weights (share 0).  None when H
-    is not finite, the solve fails (H singular) or s is not finite.
+    is not finite or _tridiagonal_solve finds no step.
     """
     diag, off = _jacobian(prob, alpha, u, 0.0)
     if not np.isfinite(diag).all():
         return None
-    s, info = _lapack().dgtsv(off, diag, off, -g)[3:]
-    return s if info == 0 and np.isfinite(s).all() else None
+    return _tridiagonal_solve(diag, off, g)
 
 
 def _shifted_newton_step(prob: ProblemSpec, alpha: float, u: np.ndarray,
@@ -194,9 +174,9 @@ def _shifted_newton_step(prob: ProblemSpec, alpha: float, u: np.ndarray,
     the smallest eigenvalue lam, and tau = max(0, -(1 + _SHIFT_MARGIN) lam),
     so H + tau I is positive definite and s a descent direction (the
     eigenvalue modification of Nocedal & Wright, Numerical Optimization,
-    2nd ed., section 3.4).  Either way dgtsv solves for s.  None when H is
-    not finite, the eigenvalue or the solve fails, or s is not finite or
-    not downhill.
+    2nd ed., section 3.4).  Either way _tridiagonal_solve solves for s.
+    None when H is not finite, the eigenvalue or the solve fails, or s is
+    not finite or not downhill.
     """
     lapack = _lapack()
     diag, off = _jacobian(prob, alpha, u, _SECANT_SHARE)
@@ -207,10 +187,8 @@ def _shifted_newton_step(prob: ProblemSpec, alpha: float, u: np.ndarray,
         if info != 0:
             return None
         diag = diag + max(0.0, -(1.0 + _SHIFT_MARGIN) * float(lam[0]))
-    s, info = lapack.dgtsv(off, diag, off, -g)[3:]
-    if info != 0 or not np.isfinite(s).all() or not float(g @ s) < 0.0:
-        return None
-    return s
+    s = _tridiagonal_solve(diag, off, g)
+    return s if s is not None and float(g @ s) < 0.0 else None
 
 
 def _polish(prob: ProblemSpec, alpha: float, u: np.ndarray,
