@@ -459,6 +459,7 @@ def multistart_solve(prob: ProblemSpec, alpha: float, n_starts: int,
 
     Every start runs through solve_newton.  Distinctness is sup-norm
     distance >= opts.dedup_dist, keeping the lowest-energy representative.
+    At exactly equal energy a positive solution comes first, as in pick_reported.
     """
     return _multistart(prob, alpha, n_starts, opts, extra_starts,
                        _eigen_best_effort(prob.p, prob.T))
@@ -485,7 +486,8 @@ def _multistart(prob: ProblemSpec, alpha: float, n_starts: int,
                 for vec in starts]
 
     kept: list[SolveOutcome] = []
-    for cand in sorted((o for o in outcomes if o.converged), key=lambda o: o.energy):
+    for cand in sorted((o for o in outcomes if o.converged),
+                       key=lambda o: (o.energy, o.positivity != POSITIVE)):
         if all(float(np.max(np.abs(cand.u.interior - seen.u.interior))) >= opts.dedup_dist
                for seen in kept):
             kept.append(cand)

@@ -646,6 +646,18 @@ def _outcome(u, energy_value, converged=True, positivity=INDEFINITE):
                         iterations=0, converged=converged, positivity=positivity)
 
 
+def test_multistart_lists_the_positive_solution_first_on_exact_ties(monkeypatch):
+    # u and -u at one energy, the negative one found first
+    v = np.array([1.0, 2.0])
+    stray = _outcome(np.zeros(2), 0.0, converged=False)
+    positive = _outcome(v, -3.0, positivity=POSITIVE)
+    _scripted_solve_newton(monkeypatch, [_outcome(-v, -3.0), positive, stray, stray])
+    sols = multistart_solve(ProblemSpec(T=2, p=2.0, nonlinearity=bounded_rational()), 1.0,
+                            n_starts=1)
+    assert [s.positivity for s in sols] == [POSITIVE, INDEFINITE]
+    assert np.array_equal(sols[0].u.interior, v)
+
+
 def test_multistart_shapes_starts_from_the_best_effort_eigenpair(monkeypatch):
     # the eigen solve does not converge at p = 1.1, T = 200; its best pair is used
     with pytest.raises(EigenConvergenceError) as exc:
