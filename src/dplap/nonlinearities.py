@@ -7,7 +7,7 @@ or for from_table the piecewise-quadratic integral of the piecewise-linear
 interpolant.  None of them integrates numerically.  The is_nonnegative flag
 follows the convention documented on Nonlinearity: f(k, t) >= 0 for t >= 0
 and each F_k attains its maximum over [-eps, eps] at the right endpoint.
-scaled_per_node and truncate_nonnegative derive one from another.
+scaled_per_node and truncate_nonnegative derive one from another, exact if the base is.
 """
 
 from __future__ import annotations

@@ -196,7 +196,7 @@ def test_bad_field_values_are_named(tmp_path, capsys, field, overrides):
     assert f"config field '{field}'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind", [5, [1], None])
+@pytest.mark.parametrize("kind", [5, [1], None], ids=["int", "list", "missing"])
 def test_non_string_kind_is_an_unknown_kind(tmp_path, capsys, kind):
     nl = {"kind": kind} if kind is not None else {}
     cfg = write_cfg(tmp_path, {"T": 3, "p": 2.0, "alpha": 1.0, "nonlinearity": nl})
@@ -221,7 +221,7 @@ def test_alpha_missing_for_solve(tmp_path, capsys):
     assert "pass --alpha" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("alpha", [math.inf, "1.0", True])
+@pytest.mark.parametrize("alpha", [math.inf, "1.0", True], ids=["inf", "string", "bool"])
 def test_solve_rejects_non_finite_config_alpha(tmp_path, capsys, alpha):
     rc = main(["solve", esempio0_cfg(tmp_path, alpha=alpha)])
     assert rc == EXIT_ERROR
@@ -254,7 +254,8 @@ def test_expand_alphas_list_and_validation():
         expand_alphas(0.5)
 
 
-@pytest.mark.parametrize("n", [0, -2, 1.5, True, "3"])
+@pytest.mark.parametrize("n", [0, -2, 1.5, True, "3"],
+                         ids=["zero", "negative", "fraction", "bool", "string"])
 def test_expand_alphas_names_a_bad_count(n):
     with pytest.raises(ConfigError) as exc:
         expand_alphas({"lo": 0.1, "hi": 1.0, "n": n})
