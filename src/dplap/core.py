@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
 from typing import Callable, Sequence
@@ -107,6 +107,8 @@ class GridFunction:
         return self.values[1:-1]
 
     def __call__(self, k: int) -> float:
+        if not 0 <= k <= self.T + 1:
+            raise ValueError(f"k must lie in 0..{self.T + 1}, got {k!r}")
         return float(self.values[k])
 
 
@@ -130,27 +132,6 @@ def _array_callable(fn):
     if fn is None or _broadcasts(fn):
         return fn
     return np.vectorize(fn, otypes=[float])
-
-
-class TablePotential:
-    """The exact potential of a piecewise-linear f: from_table's, or one
-    derived from it by scaled_per_node or truncate_nonnegative.
-
-    check_consistency does not compare these against quadrature: adaptive
-    quadrature of the kinked f is the less accurate side (2.5e-7 relative
-    at xi = 1.7 on a 4801-point table, over the check's 1e-8).
-    """
-
-    def __init__(self, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]):
-        self.fn = fn
-
-    def __call__(self, k, xi):
-        return self.fn(k, xi)
-
-    @staticmethod
-    def carry(base, fn):
-        """fn, marked as a table potential when it derives from one (base)."""
-        return TablePotential(fn) if isinstance(base, TablePotential) else fn
 
 
 @dataclass(eq=False)
@@ -185,6 +166,12 @@ class Nonlinearity:
     ``gamma`` is declared growth data of F_k(xi)/xi^p as xi -> 0+ (a
     liminf; it cannot be inferred from finitely many samples, so it is
     user-supplied metadata).  A scalar means one value for every node.
+
+    ``breakpoints`` is not a constructor argument: from_table and its two
+    transforms set it to the table's knots with 0 inserted (read-only), and
+    it is None otherwise.  At every node f is linear in t between the
+    breakpoints and constant outside them; a potential with breakpoints
+    skips check_consistency's quadrature comparison.
     """
 
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -193,6 +180,7 @@ class Nonlinearity:
     is_nonnegative: bool = False
     gamma: float | Sequence[float] | None = None
     name: str = ""
+    breakpoints: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
         self.f = _array_callable(self.f)
@@ -255,8 +243,10 @@ class Nonlinearity:
 
     def check_consistency(self, T: int, xi_samples: Sequence[float] = (0.5, 1.7, 3.0)) -> None:
         """Verify F_k(0) = 0 at every node k = 1..T and, for closed-form
-        potentials other than table ones, agreement with direct quadrature
-        of f to 1e-8 relative on sample points.
+        potentials without breakpoints, agreement with direct quadrature
+        of f to 1e-8 relative on sample points.  A table's exact potential
+        is not compared: quadrature of its kinked f is the less accurate
+        side (2.5e-7 relative at xi = 1.7 on a 4801-point table).
 
         Evaluating the potential over all T nodes also makes per-node data
         shorter than T (table rows, scale factors) fail here, by name.
@@ -266,7 +256,7 @@ class Nonlinearity:
         if bad.size:
             k = int(bad[0]) + 1
             raise ValueError(f"potential must vanish at 0: F_{k}(0) = {float(F0[k - 1])!r}")
-        if self.potential is None or isinstance(self.potential, TablePotential):
+        if self.potential is None or self.breakpoints is not None:
             return
         samples = list(xi_samples)
         if not self.is_nonnegative:
@@ -303,8 +293,13 @@ def _check_p(p: float) -> None:
 
 
 def _check_T(T: int) -> None:
-    if int(T) != T or T < 2:
+    if not _whole(T) or T < 2:
         raise ValueError("T must be an integer >= 2")
+
+
+def _whole(x) -> bool:
+    """Whether x is a whole number; inf and NaN are not."""
+    return x == x and x not in (math.inf, -math.inf) and int(x) == x
 
 
 def _gamma_tuple(gamma, T: int) -> tuple[float, ...]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProblemSpec, _gamma_tuple, c_const, kappa
+from .core import ProblemSpec, _gamma_tuple, _whole, c_const, kappa
 from .spectrum import first_eigenpair, lambda1_closed_form_p2
 
 CHI_SAMPLES = 1025
@@ -175,6 +175,8 @@ def estimate_gamma(prob: ProblemSpec, k: int,
     sample cannot certify a liminf; alpha_threshold only consumes this
     through an explicit opt-in flag.
     """
+    if not (_whole(k) and 1 <= k <= prob.T):
+        raise ValueError(f"k must be a node in 1..{prob.T}, got {k!r}")
     xs = np.asarray(xi_samples, dtype=float)
     if xs.size == 0 or np.any(xs <= 0.0) or np.any(np.diff(xs) >= 0.0):
         raise ValueError("xi_samples must be strictly decreasing and positive")

@@ -7,14 +7,15 @@ or for from_table the piecewise-quadratic integral of the piecewise-linear
 interpolant.  None of them integrates numerically.  The is_nonnegative flag
 follows the convention documented on Nonlinearity: f(k, t) >= 0 for t >= 0
 and each F_k attains its maximum over [-eps, eps] at the right endpoint.
-scaled_per_node and truncate_nonnegative derive one from another, exact if the base is.
+scaled_per_node and truncate_nonnegative derive one from another, exact if
+the base is; both pass on from_table's breakpoints, which only this module sets.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Nonlinearity, TablePotential, _gamma_tuple
+from .core import Nonlinearity, _gamma_tuple
 
 
 def zero() -> Nonlinearity:
@@ -22,7 +23,6 @@ def zero() -> Nonlinearity:
                         potential=lambda k, xi: np.zeros(np.shape(xi)),
                         df=lambda k, t: np.zeros(np.shape(t)),
                         is_nonnegative=True,
-                        gamma=None,
                         name="zero")
 
 
@@ -32,7 +32,6 @@ def constant(value: float = 1.0) -> Nonlinearity:
                         potential=lambda k, xi: v * xi,
                         df=lambda k, t: np.zeros(np.shape(t)),
                         is_nonnegative=v >= 0.0,
-                        gamma=None,
                         name=f"constant({v:g})")
 
 
@@ -42,7 +41,6 @@ def linear(slope: float = 1.0) -> Nonlinearity:
                         potential=lambda k, xi: 0.5 * s * xi * xi,
                         df=lambda k, t: np.full(np.shape(t), s),
                         is_nonnegative=s >= 0.0,
-                        gamma=None,
                         name=f"linear({s:g})")
 
 
@@ -72,7 +70,6 @@ def power(exponent: float, coeff: float = 1.0) -> Nonlinearity:
 
     return Nonlinearity(f=f, potential=potential, df=df,
                         is_nonnegative=c >= 0.0,
-                        gamma=None,
                         name=f"power({q:g},{c:g})")
 
 
@@ -100,17 +97,17 @@ def _node_index(k, n: int, what: str):
     return k - 1
 
 
-def _check_flag_second_half(f, potential, ts: np.ndarray, n_rows: int) -> None:
+def _check_flag_second_half(f, potential, knots: np.ndarray, n_rows: int) -> None:
     """is_nonnegative's second half for a table: F_k(-x) <= F_k(x), x >= 0.
 
     H(x) = F_k(x) - F_k(-x) integrates g(s) = f(s) + f(-s) over [0, x].  g
-    is linear between the merged breakpoints |t| and constant beyond them,
+    is linear between the merged breakpoints |knots| and constant beyond them,
     so H is piecewise quadratic: it is checked at every breakpoint, at every
     root where g turns from negative to positive inside a piece, and along
     the tail (where g must not be negative).  Rounding is allowed for:
     1e-12 times the integral of |f(s)| + |f(-s)| up to the point.
     """
-    s = np.union1d(np.abs(ts), [0.0])
+    s = np.unique(np.abs(knots))  # the knots include 0
     k = np.arange(1, n_rows + 1)[:, None]
     right, left = f(k, s), f(k, -s)
     g, size, h = right + left, np.abs(right) + np.abs(left), np.diff(s)
@@ -142,14 +139,15 @@ def from_table(t_samples, f_samples, is_nonnegative: bool = False) -> Nonlineari
     the breakpoint a between 0 and xi nearest to xi, plus the trapezoid from
     that breakpoint to xi.  The sums run outward from 0 (a breakpoint is
     inserted there), so F_k stays accurate relative to its size near 0.
+    These knots, 0 included, are the result's read-only breakpoints.
 
     is_nonnegative=True is checked in both halves, and a failure raises
     ValueError: a sample at t >= 0, or the interpolated f(0), must not be
     negative, and F_k(-x) <= F_k(x) must hold for every x >= 0 (exactly, on
     the piecewise-quadratic potential, up to rounding).
     """
-    ts = np.asarray(t_samples, dtype=float)
-    fs = np.asarray(f_samples, dtype=float)
+    ts = np.array(t_samples, dtype=float)  # copies: the caller's arrays may change
+    fs = np.array(f_samples, dtype=float)
     if ts.ndim != 1 or ts.size < 2 or np.any(np.diff(ts) <= 0.0):
         raise ValueError("t_samples must be a strictly increasing 1-D sequence")
     if fs.ndim == 1:
@@ -179,6 +177,7 @@ def from_table(t_samples, f_samples, is_nonnegative: bool = False) -> Nonlineari
     else:
         knots = np.insert(ts, z, 0.0)
         vals = np.insert(rows, z, interp(np.arange(rows.shape[0]), 0.0), axis=1)
+    knots.setflags(write=False)
     if is_nonnegative and np.any(vals[:, z:] < 0.0):  # knots[z] = 0
         raise ValueError("is_nonnegative declared, but f < 0 at some t >= 0: "
                          f"min {float(np.min(vals[:, z:]))!r}")
@@ -198,11 +197,11 @@ def from_table(t_samples, f_samples, is_nonnegative: bool = False) -> Nonlineari
         return G[r, a] + (xi - knots[a]) * (vals[r, a] + interp(r, xi)) / 2.0
 
     if is_nonnegative:
-        _check_flag_second_half(f, potential, ts, rows.shape[0])
-    return Nonlinearity(f=f, potential=TablePotential(potential), df=None,
-                        is_nonnegative=is_nonnegative,
-                        gamma=None,
-                        name="custom_table")
+        _check_flag_second_half(f, potential, knots, rows.shape[0])
+    nl = Nonlinearity(f=f, potential=potential, is_nonnegative=is_nonnegative,
+                      name="custom_table")
+    nl.breakpoints = knots
+    return nl
 
 
 def scaled_per_node(nl: Nonlinearity, scale) -> Nonlinearity:
@@ -217,8 +216,7 @@ def scaled_per_node(nl: Nonlinearity, scale) -> Nonlinearity:
     f = lambda k, t: pick(k) * nl.f(k, t)
     potential = None
     if nl.potential is not None:
-        potential = TablePotential.carry(
-            nl.potential, lambda k, xi: pick(k) * nl.potential(k, xi))
+        potential = lambda k, xi: pick(k) * nl.potential(k, xi)
     df = None
     if nl.df is not None:
         df = lambda k, t: pick(k) * nl.df(k, t)
@@ -226,10 +224,12 @@ def scaled_per_node(nl: Nonlinearity, scale) -> Nonlinearity:
     if nl.gamma is not None:
         gamma = tuple(float(s) * gk for s, gk in zip(sc, _gamma_tuple(nl.gamma, sc.size)))
     keep_flag = nl.is_nonnegative and bool(np.all(sc >= 0.0))
-    return Nonlinearity(f=f, potential=potential, df=df,
-                        is_nonnegative=keep_flag,
-                        gamma=gamma,
-                        name=f"{nl.name}*per_node",)
+    out = Nonlinearity(f=f, potential=potential, df=df,
+                       is_nonnegative=keep_flag,
+                       gamma=gamma,
+                       name=f"{nl.name}*per_node")
+    out.breakpoints = nl.breakpoints
+    return out
 
 
 def truncate_nonnegative(nl: Nonlinearity) -> Nonlinearity:
@@ -253,8 +253,9 @@ def truncate_nonnegative(nl: Nonlinearity) -> Nonlinearity:
             pos = t >= 0.0
             return np.where(pos, nl.df(k, np.where(pos, t, 0.0)), 0.0)
 
-    return Nonlinearity(f=f, potential=TablePotential.carry(nl.potential, potential),
-                        df=df,
-                        is_nonnegative=nl.is_nonnegative,
-                        gamma=nl.gamma,
-                        name=f"{nl.name}~trunc")
+    out = Nonlinearity(f=f, potential=potential, df=df,
+                       is_nonnegative=nl.is_nonnegative,
+                       gamma=nl.gamma,
+                       name=f"{nl.name}~trunc")
+    out.breakpoints = nl.breakpoints  # 0 is a knot already
+    return out

@@ -43,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (GridFunction, ProblemSpec, _dirichlet, _scipy_extension, kappa,
-                   p_laplacian, sup_norm)
+from .core import (GridFunction, ProblemSpec, _dirichlet, _scipy_extension, _whole,
+                   kappa, p_laplacian, sup_norm)
 from .energy import _check_alpha, _energy, _gradient, _jacobian, energy
 from .nonlinearities import truncate_nonnegative  # noqa: F401  (importable from here too)
 from .spectrum import EigenConvergenceError, EigenPair, first_eigenpair
@@ -87,9 +87,9 @@ class SolverOptions:
     def __post_init__(self):
         if not 0.0 < self.tol < np.inf:
             raise ValueError("tol must be positive and finite")
-        if int(self.max_iters) != self.max_iters or self.max_iters < 1:
+        if not _whole(self.max_iters) or self.max_iters < 1:
             raise ValueError("max_iters must be a positive integer")
-        if int(self.seed) != self.seed or self.seed < 0:
+        if not _whole(self.seed) or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         object.__setattr__(self, "seed", int(self.seed))
         if not self.dedup_dist > 0.0:

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from dplap.core import (QUAD_ABS_TOL, GridFunction, Nonlinearity, ProblemSpec,
-                        TablePotential, c_const, forward_difference, kappa, p_laplacian,
-                        p_norm, phi_p, quad, sup_norm, theta)
+from dplap.core import (QUAD_ABS_TOL, GridFunction, Nonlinearity, ProblemSpec, c_const,
+                        forward_difference, kappa, p_laplacian, p_norm, phi_p, quad,
+                        sup_norm, theta)
 from dplap.existence import check_thm_esistenza
 from dplap.nonlinearities import (bounded_rational, constant, from_table, linear,
                                   power, scaled_per_node, zero)
@@ -81,6 +81,25 @@ def test_from_interior_and_zero():
     z = GridFunction.zero(4)
     assert z.T == 4
     assert np.all(z.values == 0.0)
+
+
+@pytest.mark.parametrize("k", [-1, -5, 5, 100])
+def test_grid_function_rejects_nodes_off_the_grid(k):
+    # u(-1) would otherwise read u(T+1) through negative indexing
+    with pytest.raises(ValueError, match=r"k must lie in 0\.\.4"):
+        GridFunction.from_interior([1.0, 2.0, 3.0])(k)
+
+
+@pytest.mark.parametrize("make", [
+    lambda T: ProblemSpec(T=T, p=2.0, nonlinearity=zero()),
+    lambda T: kappa(2.0, T),
+    lambda T: c_const(2.0, T),
+    lambda T: theta(1.0, 2.0, T),
+], ids=["ProblemSpec", "kappa", "c_const", "theta"])
+@pytest.mark.parametrize("T", [math.inf, -math.inf, math.nan, 4.5, 1])
+def test_non_finite_or_fractional_T_is_named(make, T):
+    with pytest.raises(ValueError, match="T must be an integer >= 2"):
+        make(T)
 
 
 def test_grid_function_copies_its_input():
@@ -374,13 +393,76 @@ def test_table_potential_matches_trapezoid_sum(ts):
     assert nl.eval_F(1, 0.0) == 0.0
 
 
-def test_table_potentials_keep_their_type_through_scaling_and_truncation():
+def test_table_breakpoints_pass_through_scaling_and_truncation():
     table = from_table(TABLE_T, TABLE_F)
-    assert isinstance(table.potential, TablePotential)
-    assert isinstance(scaled_per_node(table, [2.0, 3.0]).potential, TablePotential)
-    assert isinstance(truncate_nonnegative(table).potential, TablePotential)
-    assert not isinstance(scaled_per_node(bounded_rational(), [2.0]).potential, TablePotential)
-    assert not isinstance(truncate_nonnegative(bounded_rational()).potential, TablePotential)
+    assert np.array_equal(table.breakpoints, TABLE_T)
+    assert scaled_per_node(table, [2.0, 3.0]).breakpoints is table.breakpoints
+    assert truncate_nonnegative(table).breakpoints is table.breakpoints
+    for nl in (bounded_rational(), scaled_per_node(bounded_rational(), [2.0]),
+               truncate_nonnegative(bounded_rational()), _exp_decay()):
+        assert nl.breakpoints is None, nl.name
+
+
+BREAKPOINT_T = {
+    "0 a sample": TABLE_T,
+    "0 inside": np.array([-3.3, -0.7, 0.45, 1.9, 4.1]),
+    "0 left": np.array([0.5, 1.0, 2.5, 4.0]),
+    "0 right": np.array([-4.0, -2.0, -0.25]),
+}
+
+
+def _table_variants(ts, two_d):
+    """A table on ts (one row for every node, or three rows) and its transforms."""
+    fs = np.cos(ts) + 0.3 * ts
+    table = from_table(ts, np.outer([1.0, -2.0, 0.5], fs) if two_d else fs)
+    return {"table": table,
+            "scaled": scaled_per_node(table, [1.5, -0.5, 2.0]),
+            "truncated": truncate_nonnegative(table)}
+
+
+@pytest.mark.parametrize("two_d", [False, True], ids=["1-D", "2-D"])
+@pytest.mark.parametrize("case", BREAKPOINT_T)
+def test_f_is_linear_between_breakpoints_and_constant_outside(case, two_d):
+    ts = BREAKPOINT_T[case]
+    for name, nl in _table_variants(ts, two_d).items():
+        b = nl.breakpoints
+        assert np.array_equal(b, np.union1d(ts, [0.0])), name
+        assert not b.flags.writeable, name
+        k = np.repeat(np.arange(1, 4)[:, None], b.size, axis=1)
+        ends = nl.f(k, np.broadcast_to(b, k.shape))
+        mid = nl.f(k[:, 1:], np.broadcast_to((b[1:] + b[:-1]) / 2.0, k[:, 1:].shape))
+        np.testing.assert_allclose(mid, (ends[:, 1:] + ends[:, :-1]) / 2.0, rtol=1e-13,
+                                   atol=1e-15 * np.max(np.abs(ends)), err_msg=name)
+        far, kk = np.array([[1e-3, 0.7, 50.0]] * 3), k[:, :3]
+        np.testing.assert_array_equal(nl.f(kk, b[0] - far), ends[:, [0, 0, 0]], err_msg=name)
+        np.testing.assert_array_equal(nl.f(kk, b[-1] + far), ends[:, [-1, -1, -1]],
+                                      err_msg=name)
+        ProblemSpec(T=3, p=2.0, nonlinearity=nl)  # exact: no quadrature comparison
+
+
+def test_table_breakpoints_are_the_callers_samples_copied():
+    ts, fs = np.array([-1.0, 0.0, 2.0]), np.array([1.0, 0.0, 4.0])
+    nl = from_table(ts, fs)
+    ts[1], fs[2] = 0.5, -9.0
+    assert np.array_equal(nl.breakpoints, [-1.0, 0.0, 2.0])
+    assert nl.eval_f(1, 2.0) == 4.0
+    assert ts.flags.writeable
+    with pytest.raises(ValueError):
+        nl.breakpoints[0] = 5.0
+
+
+def test_breakpoints_are_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        Nonlinearity(f=lambda k, t: t, potential=lambda k, xi: xi,
+                     breakpoints=np.array([0.0]))
+
+
+@pytest.mark.parametrize("transform", [lambda nl: scaled_per_node(nl, [1.0, 2.0, 3.0]),
+                                       truncate_nonnegative], ids=["scaled", "truncated"])
+def test_a_wrong_potential_stays_wrong_through_the_transforms(transform):
+    bad = Nonlinearity(f=lambda k, t: t, potential=lambda k, xi: xi)  # should be xi^2/2
+    with pytest.raises(ValueError, match="disagrees"):
+        ProblemSpec(T=3, p=2.0, nonlinearity=transform(bad))
 
 
 def test_dense_table_problem_skips_the_quadrature_comparison():

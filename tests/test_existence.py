@@ -349,6 +349,14 @@ def test_estimate_gamma_linear():
     assert estimate_gamma(prob, 1) == pytest.approx(0.5, rel=1e-9)
 
 
+@pytest.mark.parametrize("k", [0, -1, 5, 1.5, np.inf, np.nan])
+def test_estimate_gamma_rejects_a_node_off_the_grid(k):
+    # node-independent f used to answer 0.3466 for k = 0, -1 and 5
+    with pytest.raises(ValueError, match=r"k must be a node in 1\.\.4"):
+        estimate_gamma(_prob(T=4), k)
+    assert estimate_gamma(_prob(T=4), 4) == pytest.approx(0.5 * np.log(2.0), rel=1e-12)
+
+
 def test_estimate_gamma_bounded_rational():
     prob = _prob(T=3)
     est = estimate_gamma(prob, 2)

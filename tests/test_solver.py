@@ -197,6 +197,14 @@ def test_solver_options_seed_is_a_non_negative_int():
     assert sols and all(type(s.seed) is int for s in sols)
 
 
+@pytest.mark.parametrize("field", ["max_iters", "seed"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_solver_options_name_a_non_finite_count(field, bad):
+    # int(inf) raises OverflowError and int(nan) a bare ValueError
+    with pytest.raises(ValueError, match=f"{field} must be a"):
+        SolverOptions(**{field: bad})
+
+
 def test_non_converged_outcome_names_stop_reason():
     prob = esempio0()
     unreachable = solve_newton(prob, 1.0, eigen_start(prob), SolverOptions(tol=1e-300))

@@ -95,6 +95,12 @@ def test_first_eigenpair_p2_matches_closed_form():
         assert pair.lambda_ == pytest.approx(lambda1_closed_form_p2(T), rel=1e-10)
 
 
+@pytest.mark.parametrize("T", [np.inf, np.nan, 2.5])
+def test_first_eigenpair_names_a_non_finite_T(T):
+    with pytest.raises(ValueError, match="T must be an integer >= 2"):
+        first_eigenpair(2.0, T)
+
+
 def test_first_eigenpair_normalisation_and_sign():
     for p, T in ((2.0, 5), (3.0, 4), (2.5, 7)):
         pair = first_eigenpair(p, T)
