@@ -16,16 +16,15 @@ import sys
 import numpy as np
 
 from . import core
-from .core import GridFunction, Nonlinearity, ProblemSpec, _gamma_tuple
-from .energy import energy, gradient
-from .existence import (DEFAULT_EPS_GRID, DEFAULT_EPS_RANGE, alpha_threshold,
-                        check_thm_esistenza, check_three_solutions_window,
-                        find_admissible_eps)
+from .core import GridFunction, Nonlinearity, ProblemSpec, _scipy_extension
+from .energy import _check_alpha, energy, gradient
+from .existence import (DEFAULT_EPS_GRID, DEFAULT_EPS_RANGE, _positive_gamma,
+                        alpha_threshold, check_thm_esistenza,
+                        check_three_solutions_window, find_admissible_eps)
 from .nonlinearities import (bounded_rational, constant, from_table, linear,
                              power, scaled_per_node, zero)
-from .solver import SolverOptions, multistart_solve, pick_reported, sweep_alpha
-from .spectrum import (EIGEN_TOL, EigenConvergenceError, eigenvalues_p2,
-                       first_eigenpair, matrix_A)
+from .solver import SolverOptions, _check_alphas, multistart_solve, pick_reported, sweep_alpha
+from .spectrum import EIGEN_TOL, EigenConvergenceError, eigenvalues_p2, first_eigenpair
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -81,6 +80,14 @@ def _is_number(val) -> bool:
     return isinstance(val, int) or math.isfinite(val)
 
 
+def _as_field(field: str, build, *args):
+    """build(*args), a ValueError it raises reported on the config field."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ConfigError(field, str(exc)) from exc
+
+
 def _require_numbers(vals, field: str, what: str) -> None:
     if not isinstance(vals, list) or not all(_is_number(v) for v in vals):
         raise ConfigError(field, f"must be {what}")
@@ -98,10 +105,7 @@ def _require_number(cfg: dict, field: str):
 def _power(nl_cfg: dict, params: list) -> Nonlinearity:
     if not params:
         raise ConfigError("nonlinearity.params", "power needs [exponent] or [exponent, coeff]")
-    try:
-        return power(*params)
-    except ValueError as exc:
-        raise ConfigError("nonlinearity.params", str(exc)) from exc
+    return _as_field("nonlinearity.params", power, *params)
 
 
 def _custom_table(nl_cfg: dict, params: list) -> Nonlinearity:
@@ -116,10 +120,11 @@ def _custom_table(nl_cfg: dict, params: list) -> Nonlinearity:
                          "a list of finite numbers, or a list of such rows")
     if not isinstance(flag, bool):
         raise ConfigError("nonlinearity.is_nonnegative", "must be true or false")
-    try:
-        return from_table(t, f, is_nonnegative=flag)
-    except ValueError as exc:
-        raise ConfigError("nonlinearity", str(exc)) from exc
+    nl = _as_field("nonlinearity", from_table, t, f)
+    if flag and not nl.is_nonnegative:
+        raise ConfigError("nonlinearity.is_nonnegative",
+                          "true, but f < 0 at some t >= 0 or F(-x) > F(x) for some x > 0")
+    return nl
 
 
 # each config kind: (factory of the nonlinearity object and its params, params it takes)
@@ -157,12 +162,10 @@ def build_nonlinearity(nl_cfg, T: int) -> Nonlinearity:
 def build_problem(cfg: dict):
     """Validate a config dict; return (ProblemSpec, alpha field, gamma field)."""
     T = _require_number(cfg, "T")
-    if int(T) != T or T < 2:
-        raise ConfigError("T", "must be an integer >= 2")
+    _as_field("T", core._check_T, T)
     T = int(T)
     p = float(_require_number(cfg, "p"))
-    if not p > 1.0:
-        raise ConfigError("p", "p must exceed 1")
+    _as_field("p", core._check_p, p)
     if "nonlinearity" not in cfg:
         raise ConfigError("nonlinearity", "missing")
     nl = build_nonlinearity(cfg["nonlinearity"], T)
@@ -171,20 +174,16 @@ def build_problem(cfg: dict):
         items = gamma if isinstance(gamma, list) else [gamma]
         if not all(_is_number(g) for g in items):
             raise ConfigError("gamma", f"must be a number or a list of length T={T}")
-        try:
-            gamma = _gamma_tuple(gamma, T)
-        except ValueError as exc:
-            raise ConfigError("gamma", str(exc)) from exc
-    alpha = cfg.get("alpha")
-    try:
-        prob = ProblemSpec(T=T, p=p, nonlinearity=nl)
-    except ValueError as exc:
-        raise ConfigError("nonlinearity", str(exc)) from exc
-    return prob, alpha, gamma
+        gamma = _as_field("gamma", _positive_gamma, gamma, T)
+    prob = _as_field("nonlinearity", ProblemSpec, T, p, nl)
+    return prob, cfg.get("alpha"), gamma
 
 
 def expand_alphas(alpha_field) -> list[float]:
     """Turn the config alpha field (sweep object or explicit list) into a list."""
+    if not isinstance(alpha_field, (dict, list)):
+        raise ConfigError("alpha", "sweep requires alpha as {lo, hi, n} or a list")
+    alphas = alpha_field
     if isinstance(alpha_field, dict):
         for key in ("lo", "hi", "n"):
             if key not in alpha_field:
@@ -197,12 +196,10 @@ def expand_alphas(alpha_field) -> list[float]:
                 raise ConfigError(f"alpha.{key}", "must be a number")
         if not (0 < lo < hi):
             raise ConfigError("alpha", "sweep needs 0 < lo < hi")
-        return [float(a) for a in np.geomspace(lo, hi, n)]
-    if isinstance(alpha_field, list):
-        if not alpha_field or not all(_is_number(a) for a in alpha_field):
-            raise ConfigError("alpha", "list must be nonempty numbers")
-        return [float(a) for a in alpha_field]
-    raise ConfigError("alpha", "sweep requires alpha as {lo, hi, n} or a list")
+        alphas = np.geomspace(lo, hi, n)
+    elif not all(_is_number(a) for a in alpha_field):
+        raise ConfigError("alpha", "list must be numbers")
+    return [float(a) for a in _as_field("alpha", _check_alphas, alphas)]
 
 
 def scalar_alpha(alpha_field, flag_value):
@@ -215,6 +212,7 @@ def scalar_alpha(alpha_field, flag_value):
                           "config declares a sweep; pass --alpha or use the sweep command")
     if not _is_number(alpha_field):
         raise ConfigError("alpha", "must be a finite number")
+    _as_field("alpha", _check_alpha, alpha_field)
     return float(alpha_field)
 
 
@@ -309,7 +307,7 @@ def cmd_check(args) -> int:
             thr = alpha_threshold(prob, gamma)
             print(_header("alpha_threshold", thr))
             print(f"# alpha in ({_fmt(thr)}, inf) guarantees a positive solution")
-        except ValueError as exc:
+        except (ValueError, EigenConvergenceError) as exc:
             print(f"# alpha_threshold unavailable: {exc}")
     if verdicts and not all(verdicts):
         return EXIT_NO_RESULT
@@ -360,10 +358,13 @@ def _selftest_remark_inequality():
 
 
 def _p2_spectrum_deviation(T: int) -> tuple[np.ndarray, float]:
-    """The closed-form p = 2 eigenvalues and the largest relative deviation
-    of the numeric eigenvalues of matrix_A from them."""
+    """The closed-form p = 2 eigenvalues and the largest relative deviation from
+    them of matrix_A's, by LAPACK's dsterf on its diagonals in O(T) memory."""
     closed = eigenvalues_p2(T)
-    numeric = np.sort(np.linalg.eigvalsh(matrix_A(T)))
+    numeric, info = _scipy_extension("linalg", "_flapack").dsterf(
+        np.full(T, 2.0), np.full(T - 1, -1.0))
+    if info != 0:
+        raise RuntimeError(f"dsterf did not converge at T={T} (info {info})")
     return closed, float(np.max(np.abs(numeric - closed) / closed))
 
 

@@ -158,9 +158,9 @@ class Nonlinearity:
     f >= 0 on all of R, when the potential is even, and always after
     ``truncate_nonnegative``.  The flag enables the fast path in the
     smallness checks and admits the positive-solution threshold.
-    ``from_table`` checks both halves (f >= 0 at the samples with t >= 0
-    and at t = 0, and F_k(-x) <= F_k(x) for every x >= 0, which together
-    give the maximum at eps); for other callables the flag is the caller's
+    ``from_table`` computes it from both halves (f >= 0 at the breakpoints
+    t >= 0, and F_k(-x) <= F_k(x) for every x >= 0, which together give
+    the maximum at eps); for other callables the flag is the caller's
     claim.
 
     ``gamma`` is declared growth data of F_k(xi)/xi^p as xi -> 0+ (a

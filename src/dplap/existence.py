@@ -184,6 +184,14 @@ def estimate_gamma(prob: ProblemSpec, k: int,
     return float(np.min(F / xs ** prob.p))
 
 
+def _positive_gamma(gamma, T: int) -> tuple[float, ...]:
+    """Declared gamma as a length-T tuple; every entry must be positive."""
+    gam = _gamma_tuple(gamma, T)
+    if not all(g > 0.0 for g in gam):
+        raise ValueError("gamma entries must be positive")
+    return gam
+
+
 def alpha_threshold(prob: ProblemSpec, gamma=None,
                     allow_estimated: bool = False) -> float:
     """lambda_{1,p} / (p * min_k gamma_k), the lower edge of the alpha range
@@ -206,12 +214,10 @@ def alpha_threshold(prob: ProblemSpec, gamma=None,
                 "no gamma declared; pass gamma= or set allow_estimated=True "
                 "to accept the heuristic sampled estimate")
         gamma = [estimate_gamma(prob, k) for k in range(1, prob.T + 1)]
-    gam = np.array(_gamma_tuple(gamma, prob.T))
-    if np.any(gam <= 0.0):
-        raise ValueError("gamma entries must be positive")
+    gam = _positive_gamma(gamma, prob.T)
     p, T = prob.p, prob.T
     lam1 = lambda1_closed_form_p2(T) if p == 2.0 else first_eigenpair(p, T).lambda_
-    return lam1 / (p * float(np.min(gam)))
+    return lam1 / (p * min(gam))
 
 
 def check_superlinearity_decay(prob: ProblemSpec, xi_probe=None,

@@ -5,8 +5,8 @@ expressions over arrays of nodes and arguments (the array contract
 documented on Nonlinearity), and whose potential is exact: a closed form,
 or for from_table the piecewise-quadratic integral of the piecewise-linear
 interpolant.  None of them integrates numerically.  The is_nonnegative flag
-follows the convention documented on Nonlinearity: f(k, t) >= 0 for t >= 0
-and each F_k attains its maximum over [-eps, eps] at the right endpoint.
+(documented on Nonlinearity: f(k, t) >= 0 for t >= 0, and each F_k attains
+its maximum over [-eps, eps] at eps) is computed by from_table.
 scaled_per_node and truncate_nonnegative derive one from another, exact if
 the base is; both pass on from_table's breakpoints, which only this module sets.
 """
@@ -97,18 +97,17 @@ def _node_index(k, n: int, what: str):
     return k - 1
 
 
-def _check_flag_second_half(f, potential, knots: np.ndarray, n_rows: int) -> None:
-    """is_nonnegative's second half for a table: F_k(-x) <= F_k(x), x >= 0.
-
-    H(x) = F_k(x) - F_k(-x) integrates g(s) = f(s) + f(-s) over [0, x].  g
-    is linear between the merged breakpoints |knots| and constant beyond them,
-    so H is piecewise quadratic: it is checked at every breakpoint, at every
-    root where g turns from negative to positive inside a piece, and along
-    the tail (where g must not be negative).  Rounding is allowed for:
-    1e-12 times the integral of |f(s)| + |f(-s)| up to the point.
-    """
-    s = np.unique(np.abs(knots))  # the knots include 0
+def _nonnegative(f, potential, knots: np.ndarray, n_rows: int) -> bool:
+    """A table's is_nonnegative: at every node f >= 0 at the knots t >= 0 (between
+    them f can round below a zero sample) and F_k(-x) <= F_k(x) for x >= 0.
+    H(x) = F_k(x) - F_k(-x) integrates g(s) = f(s) + f(-s), linear between the
+    merged breakpoints |knots| and constant beyond: H is read at each breakpoint,
+    at each root where g turns positive, and on the tail (where g must not be
+    negative), allowing 1e-12 times the integral of |f(s)| + |f(-s)| for rounding."""
     k = np.arange(1, n_rows + 1)[:, None]
+    if np.any(f(k, knots[knots >= 0.0]) < 0.0):
+        return False
+    s = np.sort(np.abs(knots))  # holds 0; a repeated |knot| only adds an empty piece
     right, left = f(k, s), f(k, -s)
     g, size, h = right + left, np.abs(right) + np.abs(left), np.diff(s)
     H = potential(k, s) - potential(k, -s)
@@ -117,16 +116,10 @@ def _check_flag_second_half(f, potential, knots: np.ndarray, n_rows: int) -> Non
     dip = np.divide(h * g0 * g0, 2.0 * (g1 - g0), out=np.zeros_like(g0),
                     where=(g0 < 0.0) & (g1 > 0.0))  # H(root) = H(left end) - dip
     low = np.minimum(H[..., 1:], H[..., :-1] - dip)
-    if np.any(low < -allow):
-        raise ValueError("is_nonnegative declared, but F(-x) > F(x) for some x > 0: "
-                         f"min F(x) - F(-x) = {float(np.min(low))!r}")
-    if np.any(g[..., -1] < -1e-12 * size[..., -1]):
-        raise ValueError("is_nonnegative declared, but f(t) + f(-t) < 0 on the "
-                         "constant tails, so F(-x) > F(x) for large x: "
-                         f"{float(np.min(g[..., -1]))!r}")
+    return not (np.any(low < -allow) or np.any(g[..., -1] < -1e-12 * size[..., -1]))
 
 
-def from_table(t_samples, f_samples, is_nonnegative: bool = False) -> Nonlinearity:
+def from_table(t_samples, f_samples) -> Nonlinearity:
     """Piecewise-linear f from samples, with its exact potential.
 
     t_samples: strictly increasing 1-D abscissae.
@@ -141,10 +134,8 @@ def from_table(t_samples, f_samples, is_nonnegative: bool = False) -> Nonlineari
     inserted there), so F_k stays accurate relative to its size near 0.
     These knots, 0 included, are the result's read-only breakpoints.
 
-    is_nonnegative=True is checked in both halves, and a failure raises
-    ValueError: a sample at t >= 0, or the interpolated f(0), must not be
-    negative, and F_k(-x) <= F_k(x) must hold for every x >= 0 (exactly, on
-    the piecewise-quadratic potential, up to rounding).
+    is_nonnegative is computed, not declared (_nonnegative): at every node,
+    f >= 0 at the knots t >= 0 and F_k(-x) <= F_k(x) for every x >= 0.
     """
     ts = np.array(t_samples, dtype=float)  # copies: the caller's arrays may change
     fs = np.array(f_samples, dtype=float)
@@ -178,9 +169,6 @@ def from_table(t_samples, f_samples, is_nonnegative: bool = False) -> Nonlineari
         knots = np.insert(ts, z, 0.0)
         vals = np.insert(rows, z, interp(np.arange(rows.shape[0]), 0.0), axis=1)
     knots.setflags(write=False)
-    if is_nonnegative and np.any(vals[:, z:] < 0.0):  # knots[z] = 0
-        raise ValueError("is_nonnegative declared, but f < 0 at some t >= 0: "
-                         f"min {float(np.min(vals[:, z:]))!r}")
     trap = np.diff(knots) * (vals[:, 1:] + vals[:, :-1]) / 2.0
     G = np.zeros_like(vals)  # G[r, a] = integral of row r from 0 to knots[a]
     G[:, z + 1:] = np.cumsum(trap[:, z:], axis=1)
@@ -196,10 +184,8 @@ def from_table(t_samples, f_samples, is_nonnegative: bool = False) -> Nonlineari
                      np.searchsorted(knots[:-1], xi, side="left"))
         return G[r, a] + (xi - knots[a]) * (vals[r, a] + interp(r, xi)) / 2.0
 
-    if is_nonnegative:
-        _check_flag_second_half(f, potential, knots, rows.shape[0])
-    nl = Nonlinearity(f=f, potential=potential, is_nonnegative=is_nonnegative,
-                      name="custom_table")
+    nl = Nonlinearity(f=f, potential=potential, name="custom_table",
+                      is_nonnegative=_nonnegative(f, potential, knots, rows.shape[0]))
     nl.breakpoints = knots
     return nl
 

@@ -518,6 +518,18 @@ class SweepRow:
     error: str = ""
 
 
+def _check_alphas(alphas) -> np.ndarray:
+    """sweep_alpha's alphas as an array: nonempty, positive, strictly increasing."""
+    arr = np.asarray(list(alphas), dtype=float)
+    if arr.size == 0:
+        raise ValueError("alphas must be nonempty")
+    if np.any(arr <= 0.0):
+        raise ValueError("alpha must be positive")
+    if np.any(np.diff(arr) <= 0.0):
+        raise ValueError("alphas must be strictly increasing")
+    return arr
+
+
 def sweep_alpha(prob: ProblemSpec, alphas, opts: SolverOptions | None = None,
                 n_starts: int = 8) -> list[SweepRow]:
     """Multistart solve per alpha, warm-started from the previous best.
@@ -527,13 +539,7 @@ def sweep_alpha(prob: ProblemSpec, alphas, opts: SolverOptions | None = None,
     (odd nonlinearities pair u with -u), the positive representative is
     reported.
     """
-    arr = np.asarray(list(alphas), dtype=float)
-    if arr.size == 0:
-        raise ValueError("alphas must be nonempty")
-    if np.any(arr <= 0.0):
-        raise ValueError("alpha must be positive")
-    if np.any(np.diff(arr) <= 0.0):
-        raise ValueError("alphas must be strictly increasing")
+    arr = _check_alphas(alphas)
     opts = opts if opts is not None else SolverOptions()
     eig = _eigen_best_effort(prob.p, prob.T)
     rows: list[SweepRow] = []

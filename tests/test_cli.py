@@ -15,11 +15,13 @@ import dplap.core
 from dplap.cli import (EXIT_ERROR, EXIT_NO_RESULT, EXIT_OK, EXIT_SELFTEST_FAIL,
                        RESULT_HEADER_KEYS, ConfigError, expand_alphas,
                        load_config, main, read_result, write_result)
+import dplap.spectrum
 from dplap.core import GridFunction, ProblemSpec
 from dplap.energy import strong_residual
-from dplap.nonlinearities import bounded_rational
+from dplap.existence import h
+from dplap.nonlinearities import bounded_rational, from_table
 from dplap.solver import SweepRow
-from dplap.spectrum import EigenConvergenceError
+from dplap.spectrum import EigenConvergenceError, eigenvalues_p2
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -194,6 +196,51 @@ def test_bad_field_values_are_named(tmp_path, capsys, field, overrides):
     rc = main(["check", write_cfg(tmp_path, cfg), "--eps", "0.5"])
     assert rc == EXIT_ERROR
     assert f"config field '{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, field, overrides", [
+    ("solve", "alpha", {"alpha": -1}),
+    ("sweep", "alpha", {"alpha": [1.0, 0.5]}),
+    ("sweep", "alpha", {"alpha": [1.0, -0.5]}),
+    ("sweep", "alpha", {"alpha": []}),
+    ("check", "gamma", {"gamma": -1}),
+    ("check", "gamma", {"gamma": 0}),
+    ("check", "gamma", {"gamma": [0.5, 0.5, 0.5, 0.5, -0.5]}),
+], ids=["solve-negative", "sweep-decreasing", "sweep-negative", "sweep-empty",
+        "check-gamma-negative", "check-gamma-zero", "check-gamma-entry"])
+def test_library_rules_name_their_config_field(tmp_path, capsys, command, field,
+                                               overrides):
+    # the value passes the CLI's type checks and fails the library's own rule
+    args = [command, esempio0_cfg(tmp_path, **overrides)]
+    if command != "check":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == EXIT_ERROR
+    assert f"config field '{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fs", [[-1.0, -1.0, -1.0], [-10.0, 0.0, 0.1]],
+                         ids=["negative", "odd-part-negative"])
+def test_a_true_is_nonnegative_key_is_checked(tmp_path, capsys, fs):
+    nl = {**TABLE, "f": fs, "is_nonnegative": True}
+    cfg = write_cfg(tmp_path, {"T": 3, "p": 2.0, "nonlinearity": nl})
+    assert main(["check", cfg, "--eps", "0.5"]) == EXIT_ERROR
+    assert "config field 'nonlinearity.is_nonnegative'" in capsys.readouterr().err
+    for claim in ({"is_nonnegative": False}, {}):  # claims nothing
+        nl = {**TABLE, "f": fs, **claim}
+        cfg = write_cfg(tmp_path, {"T": 3, "p": 2.0, "nonlinearity": nl})
+        assert main(["check", cfg, "--eps", "0.5"]) == EXIT_NO_RESULT
+
+
+def test_an_undeclared_nonnegative_table_gets_the_exact_chi(tmp_path, capsys):
+    # TABLE is odd and >= 0 for t >= 0: with or without the key, chi = h(eps)
+    outs = []
+    for claim in ({"is_nonnegative": True}, {"is_nonnegative": False}, {}):
+        cfg = write_cfg(tmp_path, {"T": 3, "p": 2.0, "nonlinearity": {**TABLE, **claim}})
+        assert main(["check", cfg, "--eps", "0.5"]) == EXIT_NO_RESULT  # chi 0.75 > 0.5
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+    prob = ProblemSpec(T=3, p=2.0, nonlinearity=from_table(TABLE["t"], TABLE["f"]))
+    assert float(parse_headers(outs[0])["chi_eps"]) == h(0.5, prob)
 
 
 @pytest.mark.parametrize("kind", [5, [1], None], ids=["int", "list", "missing"])
@@ -390,6 +437,19 @@ def test_eigen_p2_output(capsys):
     assert "max relative deviation" in out
 
 
+def test_p2_spectrum_deviation_builds_no_dense_matrix(monkeypatch):
+    # LAPACK dsterf reads the two diagonals: matrix_A's T x T arrays are
+    # never built, and the deviation stays within the selftest's tolerance
+    def dense(T):
+        raise AssertionError("matrix_A called")
+    monkeypatch.setattr(dplap.spectrum, "matrix_A", dense)
+    monkeypatch.setattr(np.linalg, "eigvalsh", dense)
+    for T in range(2, 61):
+        closed, deviation = cli._p2_spectrum_deviation(T)
+        assert np.array_equal(closed, eigenvalues_p2(T))
+        assert deviation <= 1e-10
+
+
 def test_eigen_p3_skips_closed_form_block(capsys):
     rc = main(["eigen", "--p", "3", "--T", "4"])
     assert rc == EXIT_OK
@@ -508,6 +568,18 @@ def test_check_threshold_unavailable_is_a_comment(tmp_path, capsys):
     out = capsys.readouterr().out
     assert ("# alpha_threshold unavailable: alpha_threshold requires a nonlinearity "
             "flagged nonnegative") in out
+    assert "alpha_threshold =" not in out
+
+
+def test_check_threshold_eigen_failure_is_a_comment(tmp_path, capsys):
+    # first_eigenpair raises EigenConvergenceError at p = 1.1, T = 50: the
+    # threshold is unavailable, and the certificate's verdict sets the exit
+    cfg = esempio0_cfg(tmp_path, T=50, p=1.1)
+    rc = main(["check", cfg, "--eps", "0.5"])
+    assert rc == EXIT_NO_RESULT
+    out = capsys.readouterr().out
+    assert parse_headers(out)["verdict"] == "false"
+    assert "# alpha_threshold unavailable: first eigenpair (p=1.1, T=50)" in out
     assert "alpha_threshold =" not in out
 
 
@@ -638,6 +710,19 @@ def test_eigen_does_not_load_scipy_linalg():
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    rc = dplap.cli.main(['eigen', '--p', '3', '--T', '20'])\n"
             "sys.exit(rc != 0 or 'scipy.linalg' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_eigen_p2_loads_lapack_without_scipy_linalg():
+    # the closed-form comparison calls LAPACK's dsterf through its extension
+    # module: `dplap eigen --p 2` pays no scipy.linalg package import
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dplap.core.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, contextlib, io, dplap.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = dplap.cli.main(['eigen', '--p', '2', '--T', '20'])\n"
+            "sys.exit(rc != 0 or 'scipy.linalg' in sys.modules\n"
+            "         or 'scipy.linalg._flapack' not in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+import dplap.existence
 from dplap.core import (QUAD_ABS_TOL, GridFunction, Nonlinearity, ProblemSpec, c_const,
                         forward_difference, kappa, p_laplacian, p_norm, phi_p, quad,
                         sup_norm, theta)
-from dplap.existence import check_thm_esistenza
+from dplap.existence import check_thm_esistenza, chi, h
 from dplap.nonlinearities import (bounded_rational, constant, from_table, linear,
                                   power, scaled_per_node, zero)
 from dplap.solver import truncate_nonnegative
@@ -469,7 +470,8 @@ def test_dense_table_problem_skips_the_quadrature_comparison():
     # quad(limit=200) of this kinked f is off by 2.5e-7 relative at xi = 1.7,
     # past the check's 1e-8, and warns; the exact potential must not meet it
     t = np.linspace(-60.0, 60.0, 4801)
-    table = from_table(t, np.clip(t ** 3, -1000.0, 1000.0), is_nonnegative=True)
+    table = from_table(t, np.clip(t ** 3, -1000.0, 1000.0))
+    assert table.is_nonnegative
     for nl in (table, scaled_per_node(table, [1.0, 2.0]), truncate_nonnegative(table)):
         ProblemSpec(T=2, p=2.0, nonlinearity=nl)
 
@@ -485,32 +487,62 @@ def test_gamma_tuple_broadcasts_scalars():
 
 
 def test_from_table_checks_the_nonnegative_flag():
-    # a flagged table that is negative at some t >= 0 would make chi the
-    # sum of F(eps) and pass the smallness test on a negative number
+    # the flag is computed: a table negative at some t >= 0 must not take
+    # chi = h(eps), which would pass the smallness test on a negative number
     t = [-2.0, 0.0, 2.0]
     for ts, fs in ((t, [-1.0, -1.0, -1.0]),        # constant -1
                    ([-1.0, 1.0], [-3.0, 1.0]),     # interpolated f(0) = -1
                    ([0.5, 1.0], [-0.5, 1.0]),      # f(0) held at the first sample
                    ([0.0, 1.0, 2.0], [0.0, 1.0, -0.5]),
                    ([0.0, 1.0], [[0.0, 1.0], [0.0, -1.0]])):  # one node's row
-        with pytest.raises(ValueError, match="is_nonnegative"):
-            from_table(ts, fs, is_nonnegative=True)
+        assert from_table(ts, fs).is_nonnegative is False
     unflagged = ProblemSpec(T=4, p=2.0, nonlinearity=from_table(t, [-1.0, -1.0, -1.0]))
     assert not check_thm_esistenza(unflagged, 0.01).verdict
     # negative values left of 0 are allowed: the flag's convention covers odd f
-    from_table(t, [-2.0, 0.0, 2.0], is_nonnegative=True)
-    # the flag's second half, F(-x) <= F(x): this table certified eps = 1 at
-    # T = 4, p = 2 with chi_eps 0.1 when the true value is 10
+    assert from_table(t, [-2.0, 0.0, 2.0]).is_nonnegative is True
+    # the flag's second half, F(-x) <= F(x): this table would certify eps = 1
+    # at T = 4, p = 2 with chi_eps 0.1 when the true value is 10
     for ts, fs in ((t, [-10.0, 0.0, 0.1]),
                    # F(x) - F(-x) is 0 at the breakpoints 2 and 3, -2 at 2.5
                    ([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0], [0.0, -8.0, 0.0, 0.0, 4.0, 0.0, 8.0]),
                    # fine up to |t| = 4, then f(t) + f(-t) = -1 on the tails
                    ([-4.0, -1.0, 0.0, 1.0], [-2.0, 0.0, 0.0, 1.0]),
                    (t, [[-2.0, 0.0, 2.0], [-10.0, 0.0, 0.1]])):  # one node's row
-        with pytest.raises(ValueError, match="is_nonnegative"):
-            from_table(ts, fs, is_nonnegative=True)
+        assert from_table(ts, fs).is_nonnegative is False
     assert not check_thm_esistenza(ProblemSpec(T=4, p=2.0, nonlinearity=from_table(
         t, [-10.0, 0.0, 0.1])), 1.0).verdict
+
+
+def test_from_table_takes_no_nonnegative_argument():
+    with pytest.raises(TypeError):
+        from_table([0.0, 1.0], [0.0, 1.0], is_nonnegative=True)
+
+
+def test_table_flag_on_a_narrow_bump_and_a_dense_rational_table():
+    # a narrow bump at 0.5008 and its mirror dip at 0.5012: not nonnegative,
+    # so chi stays on the sampled path (its wrong verdict is a sampling matter)
+    bump = from_table([-1.0, 0.0, 0.5, 0.5004, 0.5008, 0.5012, 0.5016, 1.0],
+                      [0.0, 0.0, 0.0, 1000.0, 0.0, -1000.0, 0.0, 0.0])
+    assert bump.is_nonnegative is False
+    # t / (1 + t^2) on 201 points: odd, and >= 0 for t >= 0
+    t = np.linspace(-5.0, 5.0, 201)
+    rational = from_table(t, t / (1.0 + t * t))
+    assert rational.is_nonnegative is True
+    # its transforms keep the flag; a negative scale drops it
+    assert truncate_nonnegative(rational).is_nonnegative is True
+    assert scaled_per_node(rational, [1.0, 2.0]).is_nonnegative is True
+    assert scaled_per_node(rational, [1.0, -2.0]).is_nonnegative is False
+
+
+def test_a_nonnegative_table_takes_the_exact_chi_path(monkeypatch):
+    # nonnegative on all of R, never declared so: chi is h(eps), F summed at
+    # eps, and no maximum is sampled
+    t = np.linspace(-3.0, 3.0, 13)
+    prob = ProblemSpec(T=4, p=2.0, nonlinearity=from_table(t, t * t))
+    monkeypatch.setattr(dplap.existence, "_max_potentials",
+                        lambda *args: pytest.fail("chi sampled a nonnegative table"))
+    for eps in (0.3, 1.0, 5.0):
+        assert chi(eps, prob) == h(eps, prob)
 
 
 @pytest.mark.parametrize("ts, fs, message", [

@@ -62,6 +62,38 @@ def outcomes_name_their_stop_reason(monkeypatch):
         assert out.converged or out.stop_reason != CONVERGED
 
 
+def test_a_residual_crawl_ends_in_the_stall_window(monkeypatch):
+    # a window of one iteration: the first step that does not cut the
+    # residual by 1% ends the loop, and the polish cannot finish at p = 1.5
+    monkeypatch.setattr(dplap.solver, "_STALL_WINDOW", 1)
+    prob = esempio0(T=4, p=1.5)
+    u0 = GridFunction.from_interior(np.random.default_rng(0).uniform(-2.0, 2.0, 4))
+    out = solve_descent(prob, 1.0, u0)
+    assert out.stop_reason == STALL_WINDOW
+    assert out.iterations == 4
+    assert not out.converged
+
+
+def test_a_non_finite_jacobian_takes_no_newton_step():
+    # df = inf: neither Newton step exists, so solve_newton is gradient
+    # descent step for step, and the polish declines as well
+    base = bounded_rational()
+    nl = Nonlinearity(f=base.f, potential=base.potential,
+                      df=lambda k, t: np.full(np.shape(t), np.inf))
+    prob = ProblemSpec(T=6, p=2.0, nonlinearity=nl)
+    u0 = GridFunction.from_interior(np.linspace(0.2, 1.0, 6))
+    u = u0.interior
+    g = _gradient(prob, 0.5, u)
+    assert dplap.solver._newton_step(prob, 0.5, u, g) is None
+    assert dplap.solver._shifted_newton_step(prob, 0.5, u, g) is None
+    newton, descent = solve_newton(prob, 0.5, u0), solve_descent(prob, 0.5, u0)
+    assert np.array_equal(newton.u.values, descent.u.values)
+    assert (newton.residual, newton.energy, newton.iterations, newton.stop_reason) == (
+        descent.residual, descent.energy, descent.iterations, descent.stop_reason)
+    assert newton.iterations == 183
+    assert not newton.converged
+
+
 # ------------------------------------------------------------ properties
 
 @st.composite
