@@ -23,7 +23,7 @@ from .existence import (DEFAULT_EPS_GRID, DEFAULT_EPS_RANGE, _positive_gamma,
                         check_three_solutions_window, find_admissible_eps)
 from .nonlinearities import (bounded_rational, constant, from_table, linear,
                              power, scaled_per_node, zero)
-from .solver import SolverOptions, _check_alphas, multistart_solve, pick_reported, sweep_alpha
+from .solver import SolverOptions, _check_alphas, multistart_solve, sweep_alpha
 from .spectrum import EIGEN_TOL, EigenConvergenceError, eigenvalues_p2, first_eigenpair
 
 EXIT_OK = 0
@@ -256,7 +256,7 @@ def cmd_solve(args) -> int:
     if not sols:
         print("no converged solution")
         return EXIT_NO_RESULT
-    best = pick_reported(sols)
+    best = sols[0]
     write_result(args.out, prob, alpha, opts.seed, best.residual, best.energy, best.u)
     print(f"wrote {args.out}: {len(sols)} distinct solution(s); best energy "
           f"{_fmt(best.energy)}, residual {_fmt(best.residual)}, "
@@ -265,9 +265,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_eigen(args) -> int:
-    opts = SolverOptions(tol=args.tol)
     try:
-        pair = first_eigenpair(args.p, args.T, opts)
+        pair = first_eigenpair(args.p, args.T, args.tol)
     except EigenConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

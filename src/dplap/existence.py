@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ProblemSpec, _gamma_tuple, _whole, c_const, kappa
+from .nonlinearities import _value_at_root
 from .spectrum import first_eigenpair, lambda1_closed_form_p2
 
 CHI_SAMPLES = 1025
@@ -71,14 +72,27 @@ class DecayReport:
 
 
 def _max_potentials(prob: ProblemSpec, eps: float) -> np.ndarray:
-    """max of F_k over [-eps, eps] for k = 1..T, one F_at call per round
-    over all nodes: a dense sample, then rounds that halve the spacing
-    around each node's best point by sampling the two midpoints next to it.
-    Only points inside [-eps, eps] are evaluated: next to a best point at
-    an endpoint the outer midpoint is skipped, as F there is F(+-eps),
-    which the dense sample holds.  Returns the largest value evaluated, a
-    lower bound on the max."""
+    """max of F_k over [-eps, eps] for k = 1..T.
+
+    With breakpoints (a table) the max is exact: f is linear between the
+    points x of -eps, the breakpoints inside and eps, so F peaks at one of
+    them or at the root of a piece where f turns from positive to negative.
+
+    Otherwise one F_at call per round over all nodes: a dense sample, then
+    rounds that halve the spacing around each node's best point by sampling
+    the two midpoints next to it.  Only points inside [-eps, eps] are
+    evaluated: next to a best point at an endpoint the outer midpoint is
+    skipped, as F there is F(+-eps), which the dense sample holds.  Returns
+    the largest value evaluated, a lower bound on the max."""
     nl = prob.nonlinearity
+    if nl.breakpoints is not None:
+        x = np.concatenate(([-eps], nl.breakpoints[np.abs(nl.breakpoints) < eps], [eps]))
+        k, xs = (a.ravel() for a in np.broadcast_arrays(np.arange(1, prob.T + 1)[:, None], x))
+        F = nl.F_at(k, xs).reshape(prob.T, x.size)
+        f = np.asarray(nl.f(k, xs), dtype=float).reshape(prob.T, x.size)
+        f0, f1 = f[:, :-1], f[:, 1:]
+        peak = _value_at_root(F[:, :-1], np.diff(x), f0, f1, (f0 > 0.0) & (f1 < 0.0))
+        return np.maximum(F.max(axis=1), peak.max(axis=1))
     nodes = np.arange(1, prob.T + 1)[:, None]
     rows = np.arange(prob.T)
     best_x = np.zeros(prob.T)
@@ -116,7 +130,10 @@ def _pth_power(name: str, x: float, p: float) -> float:
 
 
 def chi(eps: float, prob: ProblemSpec) -> float:
-    """sum_k max_{|xi| <= eps} F_k(xi), divided by eps^p."""
+    """sum_k max_{|xi| <= eps} F_k(xi), divided by eps^p.
+
+    Exact when the nonlinearity is flagged nonnegative or has breakpoints;
+    otherwise the max is sampled (_max_potentials), a lower bound."""
     eps_p = _pth_power("eps", eps, prob.p)
     if prob.nonlinearity.is_nonnegative:
         # F_k is nondecreasing on [0, eps] and dominates the negative side,

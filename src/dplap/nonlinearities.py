@@ -97,6 +97,14 @@ def _node_index(k, n: int, what: str):
     return k - 1
 
 
+def _value_at_root(F0, h, g0, g1, where):
+    """F at the root of its derivative on pieces of length h where F' is linear
+    from g0 to g1 and `where` marks a sign change: F0 + h g0^2 / (2 (g0 - g1)),
+    a maximum where F' turns from positive to negative and a minimum where it
+    turns from negative to positive.  F0 where `where` is false."""
+    return F0 + np.divide(h * g0 * g0, 2.0 * (g0 - g1), out=np.zeros_like(g0), where=where)
+
+
 def _nonnegative(f, potential, knots: np.ndarray, n_rows: int) -> bool:
     """A table's is_nonnegative: at every node f >= 0 at the knots t >= 0 (between
     them f can round below a zero sample) and F_k(-x) <= F_k(x) for x >= 0.
@@ -113,9 +121,7 @@ def _nonnegative(f, potential, knots: np.ndarray, n_rows: int) -> bool:
     H = potential(k, s) - potential(k, -s)
     allow = 1e-12 * np.cumsum(h * (size[..., 1:] + size[..., :-1]) / 2.0, axis=-1)
     g0, g1 = g[..., :-1], g[..., 1:]
-    dip = np.divide(h * g0 * g0, 2.0 * (g1 - g0), out=np.zeros_like(g0),
-                    where=(g0 < 0.0) & (g1 > 0.0))  # H(root) = H(left end) - dip
-    low = np.minimum(H[..., 1:], H[..., :-1] - dip)
+    low = np.minimum(H[..., 1:], _value_at_root(H[..., :-1], h, g0, g1, (g0 < 0.0) & (g1 > 0.0)))
     return not (np.any(low < -allow) or np.any(g[..., -1] < -1e-12 * size[..., -1]))
 
 
@@ -141,6 +147,9 @@ def from_table(t_samples, f_samples) -> Nonlinearity:
     fs = np.array(f_samples, dtype=float)
     if ts.ndim != 1 or ts.size < 2 or np.any(np.diff(ts) <= 0.0):
         raise ValueError("t_samples must be a strictly increasing 1-D sequence")
+    for name, arr in (("t_samples", ts), ("f_samples", fs)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} must be finite")
     if fs.ndim == 1:
         if fs.shape != ts.shape:
             raise ValueError("f_samples length must match t_samples")

@@ -381,15 +381,10 @@ def minimize_on_sublevel(prob: ProblemSpec, alpha: float, sigma: float,
         frac = 0.75 ** i  # spread the starts over the ball's radial shells
         starts.append(direction * (sigma * frac / n) ** (1.0 / p))
 
-    outcomes = [run(s) for s in starts]
     # lowest energy is the ball minimizer; among runs tied at float
     # resolution, a converged interior one carries the stronger guarantee
-    e_min = min(o.energy for o in outcomes)
-    near = [o for o in outcomes
-            if o.energy <= e_min + 1e-12 * (1.0 + abs(e_min))]
-    near.sort(key=lambda o: (0 if o.converged and not o.boundary_hit else 1,
-                             o.energy))
-    best = near[0]
+    best = _first_of_ties(sorted((run(s) for s in starts), key=lambda o: o.energy),
+                          lambda o: o.converged and not o.boundary_hit)
     if best.converged and not best.boundary_hit:
         eps_eq = (sigma / kappa(p, T) ** p) ** (1.0 / p)
         if not sup_norm(best.u) < eps_eq:
@@ -443,6 +438,15 @@ def nontriviality_certificate(prob: ProblemSpec, alpha: float, eigen: EigenPair,
     return None
 
 
+def _first_of_ties(outcomes: list[SolveOutcome], prefer) -> SolveOutcome:
+    """The first of the energy-sorted outcomes that prefer accepts among those
+    within 1e-12 (1 + |E_min|) of the lowest energy; the lowest one when
+    prefer accepts none of them."""
+    low = outcomes[0].energy
+    cutoff = low + 1e-12 * (1.0 + abs(low))
+    return next((o for o in outcomes if o.energy <= cutoff and prefer(o)), outcomes[0])
+
+
 def _eigen_best_effort(p: float, T: int) -> EigenPair:
     try:
         return first_eigenpair(p, T)
@@ -459,7 +463,9 @@ def multistart_solve(prob: ProblemSpec, alpha: float, n_starts: int,
 
     Every start runs through solve_newton.  Distinctness is sup-norm
     distance >= opts.dedup_dist, keeping the lowest-energy representative.
-    At exactly equal energy a positive solution comes first, as in pick_reported.
+    The first solution is the one a report shows: among those tied with the
+    lowest energy up to rounding, a positive one (odd nonlinearities pair u
+    with -u at equal energy).
     """
     return _multistart(prob, alpha, n_starts, opts, extra_starts,
                        _eigen_best_effort(prob.p, prob.T))
@@ -486,23 +492,14 @@ def _multistart(prob: ProblemSpec, alpha: float, n_starts: int,
                 for vec in starts]
 
     kept: list[SolveOutcome] = []
-    for cand in sorted((o for o in outcomes if o.converged),
-                       key=lambda o: (o.energy, o.positivity != POSITIVE)):
+    for cand in sorted((o for o in outcomes if o.converged), key=lambda o: o.energy):
         if all(float(np.max(np.abs(cand.u.interior - seen.u.interior))) >= opts.dedup_dist
                for seen in kept):
             kept.append(cand)
+    if kept:
+        first = _first_of_ties(kept, lambda o: o.positivity == POSITIVE)
+        kept = [first] + [o for o in kept if o is not first]
     return kept
-
-
-def pick_reported(sols: list[SolveOutcome]) -> SolveOutcome:
-    """The solution a report shows, from multistart_solve's energy-sorted list.
-
-    Lowest energy wins; a positive solution wins an exact-energy tie (odd
-    nonlinearities pair u with -u at equal energy).
-    """
-    best = sols[0]
-    cutoff = best.energy + 1e-12 * (1.0 + abs(best.energy))
-    return next((s for s in sols if s.energy <= cutoff and s.positivity == POSITIVE), best)
 
 
 @dataclass(frozen=True)
@@ -552,7 +549,7 @@ def sweep_alpha(prob: ProblemSpec, alphas, opts: SolverOptions | None = None,
             cert = nontriviality_certificate(prob, a, eig)
             zeta = cert[0] if cert is not None else None
             if sols:
-                best = pick_reported(sols)
+                best = sols[0]
                 rows.append(SweepRow(alpha=a, n_solutions=len(sols),
                                      min_energy=best.energy,
                                      sup_norm=sup_norm(best.u),

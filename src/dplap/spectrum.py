@@ -15,14 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import GridFunction, _check_p, _check_T, _dirichlet, _p_laplacian, phi_p
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .solver import SolverOptions
 
 EIGEN_TOL = 1e-9
 
@@ -97,7 +93,7 @@ def _shoot(lam: float, p: float, T: int) -> tuple[float, list[float] | None]:
     return (1 + T % 2) * flux - lam * x ** e, half
 
 
-def first_eigenpair(p: float, T: int, opts: "SolverOptions | None" = None) -> EigenPair:
+def first_eigenpair(p: float, T: int, tol: float = EIGEN_TOL) -> EigenPair:
     """First eigenpair by symmetric shooting and bisection on lambda.
 
     _shoot runs the eigen recurrence over half the grid; by discrete Sturm
@@ -107,7 +103,7 @@ def first_eigenpair(p: float, T: int, opts: "SolverOptions | None" = None) -> Ei
     whose mirrored, normalised profile has the smaller defect wins: phi is
     positive and exactly symmetric by construction.  lambda_ is the
     Rayleigh quotient of that phi, hence >= lambda_1 up to rounding: the
-    safe side for existence.alpha_threshold.  Only opts.tol is read.
+    safe side for existence.alpha_threshold.
 
     The stop is relative: the defect must reach tol times
     min(1, lambda max phi^(p-1)), the size of the terms it balances, so
@@ -124,7 +120,8 @@ def first_eigenpair(p: float, T: int, opts: "SolverOptions | None" = None) -> Ei
     """
     _check_p(p)
     _check_T(T)
-    tol = EIGEN_TOL if opts is None else opts.tol
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     lo, hi = 0.0, 2.0
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         if _shoot(mid, p, T)[0] > 0.0:

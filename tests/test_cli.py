@@ -481,7 +481,7 @@ def test_infinite_p_is_rejected(capsys):
 
 
 def test_eigen_convergence_failure_exit_1(capsys, monkeypatch):
-    def boom(p, T, opts=None):
+    def boom(p, T, tol=None):
         raise EigenConvergenceError("quotient descent stalled", None)
     monkeypatch.setattr(cli, "first_eigenpair", boom)
     rc = main(["eigen", "--p", "1.05", "--T", "9"])

@@ -558,6 +558,18 @@ def test_from_table_rejects_bad_shapes(ts, fs, message):
         from_table(ts, fs)
 
 
+@pytest.mark.parametrize("ts, fs, message", [
+    ([0.0, np.nan, 1.0], [0.0, 1.0, 2.0], "t_samples must be finite"),
+    ([0.0, 1.0, np.inf], [0.0, 1.0, 2.0], "t_samples must be finite"),
+    ([0.0, 1.0, 2.0], [0.0, np.inf, 1.0], "f_samples must be finite"),
+    ([0.0, 1.0], [[0.0, 1.0], [np.nan, 1.0]], "f_samples must be finite"),
+])
+def test_from_table_rejects_non_finite_samples(ts, fs, message):
+    # a NaN knot passed the increasing test and gave a NaN chi
+    with pytest.raises(ValueError, match=message):
+        from_table(ts, fs)
+
+
 @pytest.mark.parametrize("scale", [[], [[1.0, 2.0]]])
 def test_scaled_per_node_rejects_an_empty_or_nested_scale(scale):
     with pytest.raises(ValueError, match="scale must be a non-empty 1-D sequence"):

@@ -11,7 +11,7 @@ from dplap.existence import (CHI_SAMPLES, CHI_ZOOM_ROUNDS, DecayReport,
                              estimate_gamma, find_admissible_eps, h,
                              _max_potentials)
 from dplap.nonlinearities import (bounded_rational, constant, from_table, linear,
-                                  power, scaled_per_node, zero)
+                                  power, scaled_per_node, truncate_nonnegative, zero)
 from dplap.spectrum import lambda1_closed_form_p2
 
 
@@ -111,8 +111,12 @@ def test_chi_zoom_finds_each_row_peak_between_knots():
     t = np.arange(-4.0, 5.0)
     roots = np.array([-2.3, -0.6, 0.35, 1.7, 2.85])
     rows = (roots[:, None] - t) * (1.0 + 0.5 * np.abs(t))
-    prob = ProblemSpec(T=roots.size, p=2.0, nonlinearity=from_table(t, rows))
-    got = _max_potentials(prob, 3.5)
+    table = from_table(t, rows)
+    prob = ProblemSpec(T=roots.size, p=2.0, nonlinearity=table)
+    got = _max_potentials(prob, 3.5)  # exact: the table's breakpoints are set
+    # the same f and F without breakpoints take the sampled zoom
+    bare = Nonlinearity(f=table.f, potential=table.potential)
+    zoomed = _max_potentials(ProblemSpec(T=roots.size, p=2.0, nonlinearity=bare), 3.5)
     for k, f in enumerate(rows):
         j = np.flatnonzero((f[:-1] > 0.0) & (f[1:] < 0.0))[0]
         r = t[j] + f[j] / (f[j] - f[j + 1])  # root of the linear piece
@@ -123,6 +127,43 @@ def test_chi_zoom_finds_each_row_peak_between_knots():
         exact = np.trapezoid(np.interp(pts, t, f), pts)
         assert exact > 0.0
         assert got[k] == pytest.approx(exact, rel=1e-12)
+        assert zoomed[k] == pytest.approx(exact, rel=1e-12)
+
+
+def test_chi_of_a_table_catches_a_spike_between_samples():
+    # f is zero but for a spike of width 1.6e-3 inside [0.5, 0.5016]: F rises
+    # to 0.4 there and comes back to 0; a sampled max missed it (chi 0, a
+    # false "true"), the exact max over the breakpoints does not
+    nl = from_table([-1, 0, 0.5, 0.5004, 0.5008, 0.5012, 0.5016, 1],
+                    [0, 0, 0, 1000, 0, -1000, 0, 0])
+    assert not nl.is_nonnegative
+    prob = ProblemSpec(T=5, p=2.0, nonlinearity=nl)
+    cert = check_thm_esistenza(prob, 1.0)
+    assert cert.chi_eps == pytest.approx(2.0, rel=1e-12)  # 5 nodes, F max 0.4
+    assert cert.verdict is False
+
+
+def test_chi_of_a_table_is_the_dense_maximum():
+    # on random tables, per-node rows, scaled and truncated ones, the exact
+    # max is never below F on a dense grid and above it only by the grid's miss
+    rng = np.random.default_rng(3)
+    for trial in range(40):
+        t = np.unique(rng.uniform(-3.0, 3.0, rng.integers(2, 10)))
+        T = int(rng.integers(2, 5))
+        nl = from_table(t, rng.normal(size=(T, t.size)))
+        if trial % 3 == 1:
+            nl = scaled_per_node(nl, rng.uniform(-1.0, 2.0, T))
+        elif trial % 3 == 2:
+            nl = truncate_nonnegative(nl)
+        prob = ProblemSpec(T=T, p=2.0, nonlinearity=nl)
+        eps = float(rng.uniform(0.05, 4.0))
+        grid = np.union1d(np.linspace(-eps, eps, 20001),
+                          nl.breakpoints[np.abs(nl.breakpoints) < eps])
+        dense = nl.F_at(np.repeat(np.arange(1, T + 1), grid.size),
+                        np.tile(grid, T)).reshape(T, grid.size).max(axis=1)
+        got = _max_potentials(prob, eps)
+        assert np.all(got >= dense - 1e-14 * (1.0 + np.abs(dense)))
+        assert np.all(got <= dense + 1e-5 * (1.0 + np.abs(dense)))
 
 
 def test_chi_rejects_nonpositive_eps():

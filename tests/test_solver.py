@@ -16,7 +16,7 @@ from dplap.solver import (CONVERGED, ENERGY_FLOOR, INDEFINITE, LINE_SEARCH,
                           SolveOutcome, SolverOptions, SweepRow,
                           check_positivity, minimize_on_sublevel,
                           multistart_solve, nontriviality_certificate,
-                          pick_reported, solve_descent, solve_newton,
+                          solve_descent, solve_newton,
                           solve_newton_p2, sweep_alpha, truncate_nonnegative)
 from dplap.spectrum import EigenConvergenceError, first_eigenpair
 
@@ -782,9 +782,9 @@ def test_sweep_computes_the_first_eigenpair_once(monkeypatch):
     # the sweep's pair shapes every alpha's starts; none is recomputed
     calls = []
 
-    def counting(p, T, opts=None):
+    def counting(p, T, tol=1e-9):
         calls.append((p, T))
-        return first_eigenpair(p, T, opts)
+        return first_eigenpair(p, T, tol)
 
     monkeypatch.setattr(dplap.solver, "first_eigenpair", counting)
     rows = sweep_alpha(esempio0(), [0.1, 0.5, 1.0], n_starts=2)
@@ -799,15 +799,28 @@ def test_sweep_reports_positive_representative_on_ties():
     assert rows[0].sup_norm == pytest.approx(1.962256585023781, rel=1e-8)
 
 
-def test_pick_reported_prefers_positive_only_on_exact_ties():
+def test_first_of_ties_prefers_only_within_rounding_of_the_lowest_energy():
     def outcome(e, pos):
         return SolveOutcome(u=GridFunction.zero(2), residual=0.0, energy=e,
                             iterations=0, converged=True, positivity=pos)
 
+    def positive(o):
+        return o.positivity == POSITIVE
+
     neg, pos = outcome(-1.0, INDEFINITE), outcome(-1.0, POSITIVE)
-    assert pick_reported([neg, pos]) is pos
+    assert dplap.solver._first_of_ties([neg, pos], positive) is pos
     higher = outcome(-1.0 + 1e-9, POSITIVE)
-    assert pick_reported([neg, higher]) is neg
+    assert dplap.solver._first_of_ties([neg, higher], positive) is neg
+
+
+def test_multistart_lists_the_positive_solution_first_at_rounding_ties():
+    # u and -u converge separately, their energies an ulp apart; the
+    # positive one still comes first, as dplap solve and sweeps report it
+    sols = multistart_solve(esempio0(T=3), 1.0, 8)
+    assert sols[0].positivity == POSITIVE
+    assert sols[0].energy <= min(s.energy for s in sols) + 1e-12
+    rest = [s.energy for s in sols[1:]]
+    assert rest == sorted(rest)
 
 
 def test_sweep_validates_alphas():
@@ -847,7 +860,7 @@ def test_sweep_failure_rows_keep_the_last_good_warm_start(monkeypatch):
         if alpha == 0.8:
             raise RuntimeError("scripted failure")
         sols = real(prob, alpha, n_starts, opts, extra_starts, eig)
-        best[alpha] = np.array(pick_reported(sols).u.interior)
+        best[alpha] = np.array(sols[0].u.interior)
         return sols
 
     monkeypatch.setattr(dplap.solver, "_multistart", scripted)

@@ -7,7 +7,6 @@ from dplap.core import GridFunction, kappa, p_norm
 from dplap.spectrum import (EigenConvergenceError, EigenPair, eigenvalues_p2,
                             first_eigenpair, lambda1_closed_form_p2, matrix_A,
                             rayleigh_quotient)
-from dplap.solver import SolverOptions
 
 
 def test_matrix_A_small_cases():
@@ -146,7 +145,7 @@ def test_first_eigenpair_quotient_minimality():
 
 
 def test_first_eigenpair_respects_options():
-    loose = first_eigenpair(3.0, 5, SolverOptions(tol=1e-6))
+    loose = first_eigenpair(3.0, 5, tol=1e-6)
     assert loose.residual <= 1e-6
 
 
@@ -196,7 +195,7 @@ def test_first_eigenpair_near_p1_failure_carries_best():
     assert best.residual <= 1e-6
     assert np.min(best.phi.interior) > 0.0
     # loosening the tolerance turns the same computation into a success
-    ok = first_eigenpair(1.1, 9, SolverOptions(tol=1e-6))
+    ok = first_eigenpair(1.1, 9, tol=1e-6)
     assert ok.residual <= 1e-6
     assert ok.lambda_ == pytest.approx(best.lambda_, rel=1e-9)
 
@@ -211,6 +210,8 @@ def test_first_eigenpair_validates_arguments():
         (bad_T, lambda: matrix_A(1)),
         (bad_T, lambda: eigenvalues_p2(2.5)),
         (bad_T, lambda: lambda1_closed_form_p2(0)),
+        ("tol must be positive and finite", lambda: first_eigenpair(2.0, 5, tol=np.inf)),
+        ("tol must be positive and finite", lambda: first_eigenpair(2.0, 5, tol=0.0)),
     ]
     for message, call in cases:
         with pytest.raises(ValueError, match=message):
