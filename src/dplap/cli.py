@@ -4,27 +4,22 @@ Subcommands: solve, eigen, check, sweep, selftest.  Problem configs are JSON
 files (one problem per file); results are line-oriented text with `# key =
 value` headers and `k u(k)` rows; sweeps are CSV.  Numbers are printed with
 17 significant digits so files round-trip doubles losslessly.
+
+Every call is a fresh process, so only dplap.core is imported up front and
+each command imports the modules it runs: `eigen` needs no solver,
+existence or nonlinearities module, and `solve` and `sweep` no existence.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
 import numpy as np
 
 from . import core
-from .core import GridFunction, Nonlinearity, ProblemSpec, _scipy_extension
-from .energy import _check_alpha, energy, gradient
-from .existence import (DEFAULT_EPS_GRID, DEFAULT_EPS_RANGE, _positive_gamma,
-                        alpha_threshold, check_thm_esistenza,
-                        check_three_solutions_window, find_admissible_eps)
-from .nonlinearities import (bounded_rational, constant, from_table, linear,
-                             power, scaled_per_node, zero)
-from .solver import SolverOptions, _check_alphas, multistart_solve, sweep_alpha
-from .spectrum import EIGEN_TOL, EigenConvergenceError, eigenvalues_p2, first_eigenpair
+from .core import GridFunction, Nonlinearity, ProblemSpec, _positive_gamma, _scipy_extension
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -61,6 +56,7 @@ def _print_headers(obj, keys) -> None:
 
 
 def load_config(path: str) -> dict:
+    import json  # `eigen` and `selftest` read no config
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -102,13 +98,13 @@ def _require_number(cfg: dict, field: str):
     return val
 
 
-def _power(nl_cfg: dict, params: list) -> Nonlinearity:
+def _power(nls, nl_cfg: dict, params: list) -> Nonlinearity:
     if not params:
         raise ConfigError("nonlinearity.params", "power needs [exponent] or [exponent, coeff]")
-    return _as_field("nonlinearity.params", power, *params)
+    return _as_field("nonlinearity.params", nls.power, *params)
 
 
-def _custom_table(nl_cfg: dict, params: list) -> Nonlinearity:
+def _custom_table(nls, nl_cfg: dict, params: list) -> Nonlinearity:
     if "t" not in nl_cfg or "f" not in nl_cfg:
         raise ConfigError("nonlinearity", "custom_table needs 't' and 'f' sample arrays")
     t, f = nl_cfg["t"], nl_cfg["f"]
@@ -120,21 +116,24 @@ def _custom_table(nl_cfg: dict, params: list) -> Nonlinearity:
                          "a list of finite numbers, or a list of such rows")
     if not isinstance(flag, bool):
         raise ConfigError("nonlinearity.is_nonnegative", "must be true or false")
-    nl = _as_field("nonlinearity", from_table, t, f)
+    nl = _as_field("nonlinearity", nls.from_table, t, f)
     if flag and not nl.is_nonnegative:
         raise ConfigError("nonlinearity.is_nonnegative",
                           "true, but f < 0 at some t >= 0 or F(-x) > F(x) for some x > 0")
     return nl
 
 
-# each config kind: (factory of the nonlinearity object and its params, params it takes)
-_KINDS = {"zero": (lambda cfg, ps: zero(), 0), "constant": (lambda cfg, ps: constant(*ps), 1),
-          "linear": (lambda cfg, ps: linear(*ps), 1), "power": (_power, 2),
-          "bounded_rational": (lambda cfg, ps: bounded_rational(), 0),
+# each config kind: (factory of (dplap.nonlinearities, config object, params),
+# params it takes); build_nonlinearity imports the module and passes it in
+_KINDS = {"zero": (lambda nls, cfg, ps: nls.zero(), 0),
+          "constant": (lambda nls, cfg, ps: nls.constant(*ps), 1),
+          "linear": (lambda nls, cfg, ps: nls.linear(*ps), 1), "power": (_power, 2),
+          "bounded_rational": (lambda nls, cfg, ps: nls.bounded_rational(), 0),
           "custom_table": (_custom_table, 0)}
 
 
 def build_nonlinearity(nl_cfg, T: int) -> Nonlinearity:
+    from . import nonlinearities
     if not isinstance(nl_cfg, dict):
         raise ConfigError("nonlinearity", "must be an object with a 'kind'")
     kind = nl_cfg.get("kind")
@@ -148,19 +147,21 @@ def build_nonlinearity(nl_cfg, T: int) -> Nonlinearity:
     if len(params) > n_params:
         raise ConfigError("nonlinearity.params",
                           f"kind {kind!r} takes at most {n_params} params, got {len(params)}")
-    nl = factory(nl_cfg, params)
+    nl = factory(nonlinearities, nl_cfg, params)
     scale = nl_cfg.get("per_k_scale")
     if scale is not None:
         if (not isinstance(scale, list) or len(scale) != T
                 or not all(_is_number(v) for v in scale)):
             raise ConfigError("nonlinearity.per_k_scale",
                               f"must be a list of length T={T} of finite numbers")
-        nl = scaled_per_node(nl, scale)
+        nl = nonlinearities.scaled_per_node(nl, scale)
     return nl
 
 
 def build_problem(cfg: dict):
-    """Validate a config dict; return (ProblemSpec, alpha field, gamma field)."""
+    """Validate a config dict; return (ProblemSpec, alpha field, gamma field).
+    A table's gamma must not exceed its exact value."""
+    from .nonlinearities import _check_gamma
     T = _require_number(cfg, "T")
     _as_field("T", core._check_T, T)
     T = int(T)
@@ -176,11 +177,14 @@ def build_problem(cfg: dict):
             raise ConfigError("gamma", f"must be a number or a list of length T={T}")
         gamma = _as_field("gamma", _positive_gamma, gamma, T)
     prob = _as_field("nonlinearity", ProblemSpec, T, p, nl)
+    if gamma is not None:
+        _as_field("gamma", _check_gamma, nl, gamma, p)
     return prob, cfg.get("alpha"), gamma
 
 
 def expand_alphas(alpha_field) -> list[float]:
     """Turn the config alpha field (sweep object or explicit list) into a list."""
+    from .solver import _check_alphas
     if not isinstance(alpha_field, (dict, list)):
         raise ConfigError("alpha", "sweep requires alpha as {lo, hi, n} or a list")
     alphas = alpha_field
@@ -203,6 +207,7 @@ def expand_alphas(alpha_field) -> list[float]:
 
 
 def scalar_alpha(alpha_field, flag_value):
+    from .energy import _check_alpha
     if flag_value is not None:
         return float(flag_value)
     if alpha_field is None:
@@ -248,6 +253,7 @@ def read_result(path: str):
 
 
 def cmd_solve(args) -> int:
+    from .solver import SolverOptions, multistart_solve
     cfg = load_config(args.config)
     prob, alpha_field, _ = build_problem(cfg)
     alpha = scalar_alpha(alpha_field, args.alpha)
@@ -265,6 +271,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_eigen(args) -> int:
+    from .spectrum import EigenConvergenceError, first_eigenpair
     try:
         pair = first_eigenpair(args.p, args.T, args.tol)
     except EigenConvergenceError as exc:
@@ -282,6 +289,9 @@ def cmd_eigen(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .existence import (alpha_threshold, check_thm_esistenza,
+                            check_three_solutions_window, find_admissible_eps)
+    from .spectrum import EigenConvergenceError
     cfg = load_config(args.config)
     prob, _, gamma = build_problem(cfg)
     verdicts: list[bool] = []
@@ -314,6 +324,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .solver import SolverOptions, sweep_alpha
     cfg = load_config(args.config)
     prob, alpha_field, _ = build_problem(cfg)
     alphas = expand_alphas(alpha_field)
@@ -359,6 +370,7 @@ def _selftest_remark_inequality():
 def _p2_spectrum_deviation(T: int) -> tuple[np.ndarray, float]:
     """The closed-form p = 2 eigenvalues and the largest relative deviation from
     them of matrix_A's, by LAPACK's dsterf on its diagonals in O(T) memory."""
+    from .spectrum import eigenvalues_p2
     closed = eigenvalues_p2(T)
     numeric, info = _scipy_extension("linalg", "_flapack").dsterf(
         np.full(T, 2.0), np.full(T - 1, -1.0))
@@ -373,6 +385,8 @@ def _selftest_p2_spectrum():
 
 
 def _selftest_gradient_fd():
+    from .energy import energy, gradient
+    from .nonlinearities import bounded_rational
     rng = np.random.Generator(np.random.Philox(1234))
     nl = bounded_rational()
     alpha = 0.7
@@ -436,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="multistart solve at a single alpha")
     s.add_argument("config", help="JSON problem config")
     s.add_argument("--alpha", type=float, default=None, help="overrides the config alpha")
-    s.add_argument("--tol", type=float, default=SolverOptions.tol)
+    s.add_argument("--tol", type=float, default=core.SOLVER_TOL)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--starts", type=int, default=8, help="number of random starts")
     s.add_argument("--out", default="result.txt")
@@ -445,23 +459,23 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eigen", help="first eigenpair; full p=2 spectrum")
     e.add_argument("--p", type=float, required=True)
     e.add_argument("--T", type=int, required=True)
-    e.add_argument("--tol", type=float, default=EIGEN_TOL)
+    e.add_argument("--tol", type=float, default=core.EIGEN_TOL)
     e.set_defaults(func=cmd_eigen)
 
     c = sub.add_parser("check", help="existence and multiplicity certificates")
     c.add_argument("config")
     c.add_argument("--eps", type=float, default=None, help="test one eps")
     c.add_argument("--eps-scan", action="store_true", help="scan for an admissible eps")
-    c.add_argument("--eps-lo", type=float, default=DEFAULT_EPS_RANGE[0])
-    c.add_argument("--eps-hi", type=float, default=DEFAULT_EPS_RANGE[1])
-    c.add_argument("--eps-n", type=int, default=DEFAULT_EPS_GRID)
+    c.add_argument("--eps-lo", type=float, default=core.DEFAULT_EPS_RANGE[0])
+    c.add_argument("--eps-hi", type=float, default=core.DEFAULT_EPS_RANGE[1])
+    c.add_argument("--eps-n", type=int, default=core.DEFAULT_EPS_GRID)
     c.add_argument("--cd", nargs=2, type=float, metavar=("C", "D"),
                    help="evaluate the three-solutions window at (c, d)")
     c.set_defaults(func=cmd_check)
 
     w = sub.add_parser("sweep", help="alpha sweep to CSV")
     w.add_argument("config", help="config whose alpha is {lo, hi, n} or a list")
-    w.add_argument("--tol", type=float, default=SolverOptions.tol)
+    w.add_argument("--tol", type=float, default=core.SOLVER_TOL)
     w.add_argument("--seed", type=int, default=0)
     w.add_argument("--starts", type=int, default=8)
     w.add_argument("--out", default="sweep.csv")

@@ -17,6 +17,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 QUAD_ABS_TOL = 1e-10
+# defaults shared by the library and the `dplap` parser, which reads them
+# here so that building it imports no solver, spectrum or existence module
+SOLVER_TOL = 1e-10  # SolverOptions.tol; `dplap solve/sweep --tol`
+EIGEN_TOL = 1e-9  # first_eigenpair's tol; `dplap eigen --tol`
+DEFAULT_EPS_RANGE = (1e-3, 1e3)  # find_admissible_eps; `dplap check --eps-lo/--eps-hi`
+DEFAULT_EPS_GRID = 200  # find_admissible_eps; `dplap check --eps-n`
 # probe of the array contract: two distinct nodes, arguments of both signs
 _PROBE_K = np.array([1, 2])
 _PROBE_T = np.array([0.5, -1.25])
@@ -308,6 +314,14 @@ def _gamma_tuple(gamma, T: int) -> tuple[float, ...]:
     if len(g) != T:
         raise ValueError(f"gamma must have length T={T}, got {len(g)}")
     return g
+
+
+def _positive_gamma(gamma, T: int) -> tuple[float, ...]:
+    """Declared gamma as a length-T tuple; every entry must be positive."""
+    gam = _gamma_tuple(gamma, T)
+    if not all(g > 0.0 for g in gam):
+        raise ValueError("gamma entries must be positive")
+    return gam
 
 
 def phi_p(s, p: float):

@@ -15,16 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProblemSpec, _gamma_tuple, _whole, c_const, kappa
-from .nonlinearities import _value_at_root
+from .core import (DEFAULT_EPS_GRID, DEFAULT_EPS_RANGE, ProblemSpec, _positive_gamma, _whole,
+                   c_const, kappa)
+from .nonlinearities import _check_gamma, _value_at_root
 from .spectrum import first_eigenpair, lambda1_closed_form_p2
 
 CHI_SAMPLES = 1025
 # rounds after chi's dense sample, each halving the spacing around the best
 # point: 32 take it from eps/512 to eps * 4.5e-13 for 64 F values per node
 CHI_ZOOM_ROUNDS = 32
-DEFAULT_EPS_RANGE = (1e-3, 1e3)
-DEFAULT_EPS_GRID = 200
 DEFAULT_GAMMA_SAMPLES = (1.0, 0.1, 0.01)
 
 
@@ -201,14 +200,6 @@ def estimate_gamma(prob: ProblemSpec, k: int,
     return float(np.min(F / xs ** prob.p))
 
 
-def _positive_gamma(gamma, T: int) -> tuple[float, ...]:
-    """Declared gamma as a length-T tuple; every entry must be positive."""
-    gam = _gamma_tuple(gamma, T)
-    if not all(g > 0.0 for g in gam):
-        raise ValueError("gamma entries must be positive")
-    return gam
-
-
 def alpha_threshold(prob: ProblemSpec, gamma=None,
                     allow_estimated: bool = False) -> float:
     """lambda_{1,p} / (p * min_k gamma_k), the lower edge of the alpha range
@@ -218,7 +209,9 @@ def alpha_threshold(prob: ProblemSpec, gamma=None,
     constants gamma_k = liminf_{xi->0+} F_k(xi)/xi^p.  When omitted, the
     nonlinearity's own declared gamma is used; if that is also missing, the
     heuristic estimate_gamma is substituted only when allow_estimated=True.
-    At p = 2, lambda_1 is the closed form 4 sin^2(pi/(2(T+1))).
+    A table's gamma is known exactly, and one above it raises a ValueError
+    naming the node.  At p = 2, lambda_1 is the closed form
+    4 sin^2(pi/(2(T+1))).
     """
     nl = prob.nonlinearity
     if not nl.is_nonnegative:
@@ -232,6 +225,7 @@ def alpha_threshold(prob: ProblemSpec, gamma=None,
                 "to accept the heuristic sampled estimate")
         gamma = [estimate_gamma(prob, k) for k in range(1, prob.T + 1)]
     gam = _positive_gamma(gamma, prob.T)
+    _check_gamma(nl, gam, prob.p)
     p, T = prob.p, prob.T
     lam1 = lambda1_closed_form_p2(T) if p == 2.0 else first_eigenpair(p, T).lambda_
     return lam1 / (p * min(gam))

@@ -125,6 +125,46 @@ def _nonnegative(f, potential, knots: np.ndarray, n_rows: int) -> bool:
     return not (np.any(low < -allow) or np.any(g[..., -1] < -1e-12 * size[..., -1]))
 
 
+def _table_gamma(nl: Nonlinearity, T: int, p: float) -> np.ndarray:
+    """A table's exact gamma_k = liminf_{xi->0+} F_k(xi)/xi^p at k = 1..T.
+
+    Near 0+, f_k is f_k(0) + s t with s the slope to the first breakpoint
+    b > 0 (s = 0 without one: f is constant beyond the last), so F_k(xi) is
+    f_k(0) xi + s xi^2 / 2: the ratio tends to +-inf with f_k(0) != 0, and
+    with f_k(0) = 0 to s/2 at p = 2, to 0 at p < 2, and to +-inf or 0 by
+    the sign of s at p > 2.  An f_k(0) within 1e-12 of f at the breakpoints
+    next to 0 counts as 0: interpolating at an inserted 0 can turn an odd
+    table's exact 0 into +-1e-18."""
+    z = int(np.searchsorted(nl.breakpoints, 0.0))  # the breakpoints hold 0
+    x = nl.breakpoints[max(z - 1, 0):z + 2]  # 0 and its neighbours
+    i = min(z, 1)  # the column of 0
+    k, xs = (a.ravel() for a in np.broadcast_arrays(np.arange(1, T + 1)[:, None], x))
+    f = np.asarray(nl.f(k, xs), dtype=float).reshape(T, x.size)
+    f0 = np.where(np.abs(f[:, i]) <= 1e-12 * np.max(np.abs(f), axis=1), 0.0, f[:, i])
+    s = (f[:, i + 1] - f0) / x[i + 1] if i + 1 < x.size else np.zeros(T)
+    if p == 2.0:
+        lead = s / 2.0
+    elif p < 2.0:
+        lead = np.zeros(T)
+    else:
+        lead = np.where(s > 0.0, np.inf, np.where(s < 0.0, -np.inf, 0.0))
+    return np.where(f0 > 0.0, np.inf, np.where(f0 < 0.0, -np.inf, lead))
+
+
+def _check_gamma(nl: Nonlinearity, gamma: tuple[float, ...], p: float) -> None:
+    """For a table (breakpoints set), a ValueError naming the first node whose
+    positive gamma exceeds the exact one (_table_gamma), allowing 1e-12
+    relative for rounding; other nonlinearities' gamma stays a claim."""
+    if nl.breakpoints is None:
+        return
+    exact = _table_gamma(nl, len(gamma), p)
+    over = np.flatnonzero(np.asarray(gamma) > np.maximum(exact, 0.0) * (1.0 + 1e-12))
+    if over.size:
+        k = int(over[0]) + 1
+        raise ValueError(f"gamma {gamma[k - 1]!r} at node k={k} exceeds the table's exact "
+                         f"liminf F_k(xi)/xi^p = {float(exact[k - 1])!r}")
+
+
 def from_table(t_samples, f_samples) -> Nonlinearity:
     """Piecewise-linear f from samples, with its exact potential.
 

@@ -43,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (GridFunction, ProblemSpec, _dirichlet, _scipy_extension, _whole,
-                   kappa, p_laplacian, sup_norm)
+from .core import (SOLVER_TOL, GridFunction, ProblemSpec, _dirichlet, _scipy_extension,
+                   _whole, kappa, p_laplacian, sup_norm)
 from .energy import _check_alpha, _energy, _gradient, _jacobian, energy
 from .nonlinearities import truncate_nonnegative  # noqa: F401  (importable from here too)
 from .spectrum import EigenConvergenceError, EigenPair, first_eigenpair
@@ -79,7 +79,7 @@ class SolverOptions:
     fixed (_ARMIJO_C, _BACKTRACK).
     """
 
-    tol: float = 1e-10
+    tol: float = SOLVER_TOL
     max_iters: int = 100_000
     seed: int = 0
     dedup_dist: float = 1e-6

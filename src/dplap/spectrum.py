@@ -18,9 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridFunction, _check_p, _check_T, _dirichlet, _p_laplacian, phi_p
-
-EIGEN_TOL = 1e-9
+from .core import EIGEN_TOL, GridFunction, _check_p, _check_T, _dirichlet, _p_laplacian, phi_p
 
 
 @dataclass(frozen=True)

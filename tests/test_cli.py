@@ -15,6 +15,7 @@ import dplap.core
 from dplap.cli import (EXIT_ERROR, EXIT_NO_RESULT, EXIT_OK, EXIT_SELFTEST_FAIL,
                        RESULT_HEADER_KEYS, ConfigError, expand_alphas,
                        load_config, main, read_result, write_result)
+import dplap.solver
 import dplap.spectrum
 from dplap.core import GridFunction, ProblemSpec
 from dplap.energy import strong_residual
@@ -404,7 +405,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
 
 
 def test_solve_without_solutions_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "multistart_solve", lambda *a, **k: [])
+    monkeypatch.setattr(dplap.solver, "multistart_solve", lambda *a, **k: [])
     rc = main(["solve", esempio0_cfg(tmp_path), "--out", str(tmp_path / "r.txt")])
     assert rc == EXIT_NO_RESULT
     assert "no converged solution" in capsys.readouterr().out
@@ -483,7 +484,7 @@ def test_infinite_p_is_rejected(capsys):
 def test_eigen_convergence_failure_exit_1(capsys, monkeypatch):
     def boom(p, T, tol=None):
         raise EigenConvergenceError("quotient descent stalled", None)
-    monkeypatch.setattr(cli, "first_eigenpair", boom)
+    monkeypatch.setattr(dplap.spectrum, "first_eigenpair", boom)
     rc = main(["eigen", "--p", "1.05", "--T", "9"])
     assert rc == EXIT_ERROR
     assert "quotient descent stalled" in capsys.readouterr().err
@@ -583,6 +584,23 @@ def test_check_threshold_eigen_failure_is_a_comment(tmp_path, capsys):
     assert "alpha_threshold =" not in out
 
 
+def test_check_rejects_a_gamma_above_a_tables_exact_one(tmp_path, capsys):
+    # t/(1+t^2) has gamma 0.49875 at p = 2: a declared 5.0 once printed a
+    # threshold 10x below lambda_1 with "guarantees a positive solution"
+    t = np.linspace(-5.0, 5.0, 201)
+    table = {"kind": "custom_table", "t": t.tolist(), "f": (t / (1 + t * t)).tolist(),
+             "is_nonnegative": True}
+    cfg = write_cfg(tmp_path, {"T": 10, "p": 2.0, "gamma": 5.0, "nonlinearity": table})
+    assert main(["check", cfg]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert ("config field 'gamma': gamma 5.0 at node k=1 exceeds the table's exact "
+            "liminf F_k(xi)/xi^p = 0.498753") in captured.err
+    assert captured.out == ""
+    cfg = write_cfg(tmp_path, {"T": 10, "p": 2.0, "gamma": 0.49875, "nonlinearity": table})
+    assert main(["check", cfg]) == EXIT_OK
+    assert "guarantees a positive solution" in capsys.readouterr().out
+
+
 def test_check_cd_validation_exit_1(tmp_path, capsys):
     rc = main(["check", esempio0_cfg(tmp_path), "--cd", "2.0", "1.0"])
     assert rc == EXIT_ERROR
@@ -660,7 +678,7 @@ def test_sweep_row_errors_warn_and_exit_2(tmp_path, capsys, monkeypatch):
     rows = [SweepRow(alpha=1.0, n_solutions=0, min_energy=None, sup_norm=None,
                      positivity=None, nontriviality_zeta=None,
                      error="synthetic failure")]
-    monkeypatch.setattr(cli, "sweep_alpha", lambda *a, **k: rows)
+    monkeypatch.setattr(dplap.solver, "sweep_alpha", lambda *a, **k: rows)
     out = str(tmp_path / "s.csv")
     rc = main(["sweep", esempio0_cfg(tmp_path, alpha=[1.0]), "--out", out])
     assert rc == EXIT_NO_RESULT
@@ -711,6 +729,27 @@ def test_eigen_does_not_load_scipy_linalg():
             "    rc = dplap.cli.main(['eigen', '--p', '3', '--T', '20'])\n"
             "sys.exit(rc != 0 or 'scipy.linalg' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+@pytest.mark.parametrize("args, loaded", [
+    ("eigen --p 3 --T 20", {"core", "energy", "spectrum"}),
+    ("check {cfg} --eps-scan", {"core", "energy", "spectrum", "nonlinearities", "existence"}),
+    ("solve {cfg} --alpha 1 --out {out}",
+     {"core", "energy", "spectrum", "nonlinearities", "solver"}),
+    ("sweep {cfg} --out {out}", {"core", "energy", "spectrum", "nonlinearities", "solver"}),
+])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, args, loaded):
+    # every CLI call is a fresh process that pays for each dplap module it imports
+    argv = args.format(cfg=esempio0_cfg(tmp_path, alpha=[1.0]), out=tmp_path / "out").split()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dplap.core.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, contextlib, io, dplap.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    rc = dplap.cli.main({argv!r})\n"
+            "print(rc, *sorted(m for m in sys.modules if m.startswith('dplap.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60).stdout.split()
+    assert out == [str(EXIT_OK)] + sorted(f"dplap.{m}" for m in loaded | {"cli"})
 
 
 def test_eigen_p2_loads_lapack_without_scipy_linalg():

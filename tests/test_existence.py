@@ -10,8 +10,8 @@ from dplap.existence import (CHI_SAMPLES, CHI_ZOOM_ROUNDS, DecayReport,
                              check_three_solutions_window, chi,
                              estimate_gamma, find_admissible_eps, h,
                              _max_potentials)
-from dplap.nonlinearities import (bounded_rational, constant, from_table, linear,
-                                  power, scaled_per_node, truncate_nonnegative, zero)
+from dplap.nonlinearities import (_table_gamma, bounded_rational, constant, from_table,
+                                  linear, power, scaled_per_node, truncate_nonnegative, zero)
 from dplap.spectrum import lambda1_closed_form_p2
 
 
@@ -381,6 +381,58 @@ def test_gamma_length_mismatch_names_gamma_and_T():
         alpha_threshold(_prob(T=4), gamma=[0.5, 0.5])
     with pytest.raises(ValueError, match="gamma must have length T=4, got 3"):
         scaled_per_node(scaled_per_node(bounded_rational(), [1, 2, 3]), [1, 2, 3, 4])
+
+
+def _rational_table(n=201, shift=0.0):
+    """t/(1+t^2) (plus shift) sampled at n points over [-5, 5]."""
+    t = np.linspace(-5.0, 5.0, n)
+    return from_table(t, shift + t / (1.0 + t * t))
+
+
+def test_table_gamma_is_exact_from_the_first_piece():
+    # f(0) = 0 and the first piece has slope s = f(b)/b at b = 0.05
+    nl = _rational_table()
+    s = 1.0 / 1.0025
+    assert _table_gamma(nl, 3, 2.0) == pytest.approx(np.full(3, s / 2.0), rel=1e-14)
+    assert np.array_equal(_table_gamma(nl, 3, 1.5), np.zeros(3))
+    assert np.array_equal(_table_gamma(nl, 3, 3.0), np.full(3, np.inf))
+    # f(0) > 0: F(xi)/xi^p grows without bound at every p
+    for p in (1.5, 2.0, 3.0):
+        assert np.all(_table_gamma(_rational_table(shift=0.1), 3, p) == np.inf)
+    # an even sample count leaves 0 between samples: the interpolant rounds
+    # this odd table's f(0) to -3.5e-18, which must not read as f(0) < 0
+    odd = _rational_table(n=202)
+    assert float(odd.f(1, 0.0)) < 0.0
+    assert _table_gamma(odd, 1, 2.0) == pytest.approx(0.5, rel=1e-3)
+    # 0 is inserted as a breakpoint; flat to the right of 0 means s = 0
+    assert np.array_equal(_table_gamma(from_table([-1.0, 2.0], [-1.0, 2.0]), 2, 2.0),
+                          np.full(2, 0.5))
+    assert np.array_equal(_table_gamma(from_table([-1.0, 0.0, 1.0], [-1.0, 0.0, 0.0]), 2, 3.0),
+                          np.zeros(2))
+    # per node: rows, a scale and a truncation are all read through f
+    rows = from_table([0.0, 1.0], [[0.0, 1.0], [0.0, 3.0]])
+    assert np.array_equal(_table_gamma(rows, 2, 2.0), [0.5, 1.5])
+    scaled = truncate_nonnegative(scaled_per_node(nl, [1.0, 4.0]))
+    assert _table_gamma(scaled, 2, 2.0) == pytest.approx([s / 2.0, 2.0 * s], rel=1e-14)
+
+
+def test_alpha_threshold_rejects_a_gamma_above_a_tables_exact_one():
+    # the table is t/(1+t^2), whose exact gamma at p = 2 is its first slope
+    # over 2, not the 5 declared: that gave a threshold 10x too low
+    prob = ProblemSpec(T=10, p=2.0, nonlinearity=_rational_table())
+    assert prob.nonlinearity.is_nonnegative
+    with pytest.raises(ValueError, match="gamma 5.0 at node k=1 exceeds"):
+        alpha_threshold(prob, gamma=5.0)
+    gam = [0.4] * 10
+    gam[2] = 0.5
+    with pytest.raises(ValueError, match="gamma 0.5 at node k=3 exceeds"):
+        alpha_threshold(prob, gamma=gam)
+    exact = 0.5 / 1.0025
+    assert alpha_threshold(prob, gamma=exact) == pytest.approx(
+        lambda1_closed_form_p2(10) / (2.0 * exact), rel=1e-15)
+    # p < 2: the exact gamma is 0, so no positive gamma holds
+    with pytest.raises(ValueError, match="gamma"):
+        alpha_threshold(ProblemSpec(T=3, p=1.5, nonlinearity=_rational_table()), gamma=0.1)
 
 
 # -------------------------------------------------------- gamma estimate

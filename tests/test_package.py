@@ -1,0 +1,36 @@
+"""The package namespace: public names load their home module on first access."""
+
+import importlib
+import os
+import subprocess
+import sys
+
+import dplap
+
+
+def test_lazy_package_surface():
+    for name in dplap.__all__:
+        if name == "__version__":
+            continue
+        home = importlib.import_module(f"dplap.{dplap._HOME[name]}")
+        obj = getattr(dplap, name)
+        assert obj is getattr(home, name), name
+        # classes and functions are defined in their home module
+        assert getattr(obj, "__module__", home.__name__) == home.__name__, name
+    assert set(dplap.__all__) <= set(dir(dplap))
+    star = {}
+    exec("from dplap import *", star)
+    assert set(star) - {"__builtins__"} == set(dplap.__all__)
+
+    # in a fresh process: a bare import runs only core and energy; loading
+    # dplap.energy again through dplap.solver leaves dplap.energy the function;
+    # a submodule is an attribute without its own import
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dplap.__file__)))
+    code = ("import sys, dplap\n"
+            "print([m for m in ('solver', 'existence', 'nonlinearities', 'spectrum', 'cli')\n"
+            "       if 'dplap.' + m in sys.modules])\n"
+            "import dplap.solver\n"
+            "print(callable(dplap.energy), dplap.existence is sys.modules['dplap.existence'])")
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert run.stdout == "[]\nTrue True\n", run.stderr
