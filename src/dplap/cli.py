@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import core
-from .core import GridFunction, Nonlinearity, ProblemSpec, _positive_gamma, _scipy_extension
+from .core import GridFunction, Nonlinearity, ProblemSpec, _scipy_extension
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -98,13 +98,7 @@ def _require_number(cfg: dict, field: str):
     return val
 
 
-def _power(nls, nl_cfg: dict, params: list) -> Nonlinearity:
-    if not params:
-        raise ConfigError("nonlinearity.params", "power needs [exponent] or [exponent, coeff]")
-    return _as_field("nonlinearity.params", nls.power, *params)
-
-
-def _custom_table(nls, nl_cfg: dict, params: list) -> Nonlinearity:
+def _custom_table(nls, nl_cfg: dict) -> Nonlinearity:
     if "t" not in nl_cfg or "f" not in nl_cfg:
         raise ConfigError("nonlinearity", "custom_table needs 't' and 'f' sample arrays")
     t, f = nl_cfg["t"], nl_cfg["f"]
@@ -123,13 +117,11 @@ def _custom_table(nls, nl_cfg: dict, params: list) -> Nonlinearity:
     return nl
 
 
-# each config kind: (factory of (dplap.nonlinearities, config object, params),
-# params it takes); build_nonlinearity imports the module and passes it in
-_KINDS = {"zero": (lambda nls, cfg, ps: nls.zero(), 0),
-          "constant": (lambda nls, cfg, ps: nls.constant(*ps), 1),
-          "linear": (lambda nls, cfg, ps: nls.linear(*ps), 1), "power": (_power, 2),
-          "bounded_rational": (lambda nls, cfg, ps: nls.bounded_rational(), 0),
-          "custom_table": (_custom_table, 0)}
+# each config kind and the most params it takes: custom_table is built from
+# the config's sample arrays, every other kind by the dplap.nonlinearities
+# factory of its name
+_KINDS = {"zero": 0, "constant": 1, "linear": 1, "power": 2, "bounded_rational": 0,
+          "custom_table": 0}
 
 
 def build_nonlinearity(nl_cfg, T: int) -> Nonlinearity:
@@ -138,16 +130,19 @@ def build_nonlinearity(nl_cfg, T: int) -> Nonlinearity:
         raise ConfigError("nonlinearity", "must be an object with a 'kind'")
     kind = nl_cfg.get("kind")
     params = nl_cfg.get("params", [])
-    if not isinstance(params, list) or not all(_is_number(v) for v in params):
-        raise ConfigError("nonlinearity.params", "must be a list of numbers")
+    _require_numbers(params, "nonlinearity.params", "a list of numbers")
     if not isinstance(kind, str) or kind not in _KINDS:  # a list kind is unhashable
         raise ConfigError("nonlinearity.kind",
                           f"unknown kind {kind!r}; expected one of {', '.join(_KINDS)}")
-    factory, n_params = _KINDS[kind]
-    if len(params) > n_params:
+    if len(params) > _KINDS[kind]:
         raise ConfigError("nonlinearity.params",
-                          f"kind {kind!r} takes at most {n_params} params, got {len(params)}")
-    nl = factory(nonlinearities, nl_cfg, params)
+                          f"kind {kind!r} takes at most {_KINDS[kind]} params, got {len(params)}")
+    if kind == "custom_table":
+        nl = _custom_table(nonlinearities, nl_cfg)
+    elif kind == "power" and not params:
+        raise ConfigError("nonlinearity.params", "power needs [exponent] or [exponent, coeff]")
+    else:
+        nl = _as_field("nonlinearity.params", getattr(nonlinearities, kind), *params)
     scale = nl_cfg.get("per_k_scale")
     if scale is not None:
         if (not isinstance(scale, list) or len(scale) != T
@@ -170,15 +165,12 @@ def build_problem(cfg: dict):
     if "nonlinearity" not in cfg:
         raise ConfigError("nonlinearity", "missing")
     nl = build_nonlinearity(cfg["nonlinearity"], T)
+    prob = _as_field("nonlinearity", ProblemSpec, T, p, nl)
     gamma = cfg.get("gamma")
     if gamma is not None:
-        items = gamma if isinstance(gamma, list) else [gamma]
-        if not all(_is_number(g) for g in items):
-            raise ConfigError("gamma", f"must be a number or a list of length T={T}")
-        gamma = _as_field("gamma", _positive_gamma, gamma, T)
-    prob = _as_field("nonlinearity", ProblemSpec, T, p, nl)
-    if gamma is not None:
-        _as_field("gamma", _check_gamma, nl, gamma, p)
+        _require_numbers(gamma if isinstance(gamma, list) else [gamma], "gamma",
+                         f"a number or a list of length T={T}")
+        gamma = _as_field("gamma", _check_gamma, nl, gamma, T, p)
     return prob, cfg.get("alpha"), gamma
 
 

@@ -23,6 +23,7 @@ SOLVER_TOL = 1e-10  # SolverOptions.tol; `dplap solve/sweep --tol`
 EIGEN_TOL = 1e-9  # first_eigenpair's tol; `dplap eigen --tol`
 DEFAULT_EPS_RANGE = (1e-3, 1e3)  # find_admissible_eps; `dplap check --eps-lo/--eps-hi`
 DEFAULT_EPS_GRID = 200  # find_admissible_eps; `dplap check --eps-n`
+_CONSISTENCY_XI = (0.5, 1.7, 3.0)  # check_consistency's quadrature comparison points
 # probe of the array contract: two distinct nodes, arguments of both signs
 _PROBE_K = np.array([1, 2])
 _PROBE_T = np.array([0.5, -1.25])
@@ -247,31 +248,32 @@ class Nonlinearity:
         """Declared gamma as a length-T tuple (scalars broadcast)."""
         return None if self.gamma is None else _gamma_tuple(self.gamma, T)
 
-    def check_consistency(self, T: int, xi_samples: Sequence[float] = (0.5, 1.7, 3.0)) -> None:
+    def check_consistency(self, T: int) -> None:
         """Verify F_k(0) = 0 at every node k = 1..T and, for closed-form
         potentials without breakpoints, agreement with direct quadrature
-        of f to 1e-8 relative on sample points.  A table's exact potential
-        is not compared: quadrature of its kinked f is the less accurate
-        side (2.5e-7 relative at xi = 1.7 on a 4801-point table).
+        of f to 1e-8 relative at _CONSISTENCY_XI; a NaN fails either test.
+        A table's exact potential is not compared: quadrature of its kinked
+        f is the less accurate side (2.5e-7 relative at xi = 1.7 on a
+        4801-point table).
 
         Evaluating the potential over all T nodes also makes per-node data
         shorter than T (table rows, scale factors) fail here, by name.
         """
         F0 = self.F_at(np.arange(1, T + 1), np.zeros(T))
-        bad = np.flatnonzero(np.abs(F0) > 1e-12)
+        bad = np.flatnonzero(~(np.abs(F0) <= 1e-12))
         if bad.size:
             k = int(bad[0]) + 1
             raise ValueError(f"potential must vanish at 0: F_{k}(0) = {float(F0[k - 1])!r}")
         if self.potential is None or self.breakpoints is not None:
             return
-        samples = list(xi_samples)
+        samples = list(_CONSISTENCY_XI)
         if not self.is_nonnegative:
-            samples += [-x for x in xi_samples]
+            samples += [-x for x in _CONSISTENCY_XI]
         for k in (1, T):
             for xi in samples:
                 closed = self.eval_F(k, xi)
                 direct = self._quad_F(k, xi)
-                if abs(closed - direct) > 1e-8 * (1.0 + abs(closed)):
+                if not abs(closed - direct) <= 1e-8 * (1.0 + abs(closed)):
                     raise ValueError(
                         f"closed-form potential disagrees with quadrature of f at "
                         f"k={k}, xi={xi}: {closed!r} vs {direct!r}")
@@ -314,14 +316,6 @@ def _gamma_tuple(gamma, T: int) -> tuple[float, ...]:
     if len(g) != T:
         raise ValueError(f"gamma must have length T={T}, got {len(g)}")
     return g
-
-
-def _positive_gamma(gamma, T: int) -> tuple[float, ...]:
-    """Declared gamma as a length-T tuple; every entry must be positive."""
-    gam = _gamma_tuple(gamma, T)
-    if not all(g > 0.0 for g in gam):
-        raise ValueError("gamma entries must be positive")
-    return gam
 
 
 def phi_p(s, p: float):

@@ -102,8 +102,8 @@ def weak_residual(u: GridFunction, v: GridFunction, prob: ProblemSpec,
 def hessian_p2(u: GridFunction, prob: ProblemSpec, alpha: float = 1.0) -> np.ndarray:
     """Jacobian of the p = 2 gradient: tridiag(-1, 2, -1) - alpha diag(df/dt).
 
-    Only defined for p = 2 (the energy is not C^2 for p < 2, and the
-    Newton path is restricted to the linear-diffusion case).
+    Only defined for p = 2 (the energy is not C^2 for p < 2); the solvers'
+    Newton steps at any p > 1 use the tridiagonal _jacobian, densified here.
     """
     _check_alpha(alpha)
     if prob.p != 2.0:

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_EPS_GRID, DEFAULT_EPS_RANGE, ProblemSpec, _positive_gamma, _whole,
-                   c_const, kappa)
+from .core import DEFAULT_EPS_GRID, DEFAULT_EPS_RANGE, ProblemSpec, _whole, c_const, kappa
 from .nonlinearities import _check_gamma, _value_at_root
 from .spectrum import first_eigenpair, lambda1_closed_form_p2
 
@@ -173,10 +172,10 @@ def find_admissible_eps(prob: ProblemSpec,
         raise ValueError("eps_range must satisfy 0 < lo < hi < inf")
     _pth_power("eps_range lo", lo, prob.p)
     _pth_power("eps_range hi", hi, prob.p)
-    if n_grid < 1:
-        raise ValueError("n_grid must be at least 1")
+    if not _whole(n_grid) or n_grid < 1:
+        raise ValueError("n_grid must be a positive integer")
     best: ExistenceCertificate | None = None
-    for eps in np.geomspace(lo, hi, n_grid):
+    for eps in np.geomspace(lo, hi, int(n_grid)):
         cert = check_thm_esistenza(prob, float(eps))
         if cert.verdict and (best is None or cert.margin > best.margin):
             best = cert
@@ -194,8 +193,8 @@ def estimate_gamma(prob: ProblemSpec, k: int,
     if not (_whole(k) and 1 <= k <= prob.T):
         raise ValueError(f"k must be a node in 1..{prob.T}, got {k!r}")
     xs = np.asarray(xi_samples, dtype=float)
-    if xs.size == 0 or np.any(xs <= 0.0) or np.any(np.diff(xs) >= 0.0):
-        raise ValueError("xi_samples must be strictly decreasing and positive")
+    if xs.size == 0 or not np.all(np.isfinite(xs) & (xs > 0.0)) or np.any(np.diff(xs) >= 0.0):
+        raise ValueError("xi_samples must be strictly decreasing, positive and finite")
     F = prob.nonlinearity.F_at(np.full(xs.size, k), xs)
     return float(np.min(F / xs ** prob.p))
 
@@ -224,8 +223,7 @@ def alpha_threshold(prob: ProblemSpec, gamma=None,
                 "no gamma declared; pass gamma= or set allow_estimated=True "
                 "to accept the heuristic sampled estimate")
         gamma = [estimate_gamma(prob, k) for k in range(1, prob.T + 1)]
-    gam = _positive_gamma(gamma, prob.T)
-    _check_gamma(nl, gam, prob.p)
+    gam = _check_gamma(nl, gamma, prob.T, prob.p)
     p, T = prob.p, prob.T
     lam1 = lambda1_closed_form_p2(T) if p == 2.0 else first_eigenpair(p, T).lambda_
     return lam1 / (p * min(gam))

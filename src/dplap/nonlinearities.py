@@ -18,6 +18,14 @@ import numpy as np
 from .core import Nonlinearity, _gamma_tuple
 
 
+def _finite(name: str, x) -> float:
+    """float(x); a ValueError naming it unless it is finite."""
+    v = float(x)
+    if not np.isfinite(v):
+        raise ValueError(f"{name} must be finite")
+    return v
+
+
 def zero() -> Nonlinearity:
     return Nonlinearity(f=lambda k, t: np.zeros(np.shape(t)),
                         potential=lambda k, xi: np.zeros(np.shape(xi)),
@@ -27,7 +35,7 @@ def zero() -> Nonlinearity:
 
 
 def constant(value: float = 1.0) -> Nonlinearity:
-    v = float(value)
+    v = _finite("value", value)
     return Nonlinearity(f=lambda k, t: np.full(np.shape(t), v),
                         potential=lambda k, xi: v * xi,
                         df=lambda k, t: np.zeros(np.shape(t)),
@@ -36,7 +44,7 @@ def constant(value: float = 1.0) -> Nonlinearity:
 
 
 def linear(slope: float = 1.0) -> Nonlinearity:
-    s = float(slope)
+    s = _finite("slope", slope)
     return Nonlinearity(f=lambda k, t: s * t,
                         potential=lambda k, xi: 0.5 * s * xi * xi,
                         df=lambda k, t: np.full(np.shape(t), s),
@@ -53,9 +61,9 @@ def power(exponent: float, coeff: float = 1.0) -> Nonlinearity:
     needing Newton should stick to exponent >= 1).
     """
     q = float(exponent)
-    c = float(coeff)
-    if q <= 0.0:
-        raise ValueError("exponent must be positive")
+    if not 0.0 < q < np.inf:
+        raise ValueError("exponent must be positive and finite")
+    c = _finite("coeff", coeff)
 
     def f(k, t):
         return c * np.sign(t) * np.abs(t) ** q
@@ -151,18 +159,23 @@ def _table_gamma(nl: Nonlinearity, T: int, p: float) -> np.ndarray:
     return np.where(f0 > 0.0, np.inf, np.where(f0 < 0.0, -np.inf, lead))
 
 
-def _check_gamma(nl: Nonlinearity, gamma: tuple[float, ...], p: float) -> None:
-    """For a table (breakpoints set), a ValueError naming the first node whose
-    positive gamma exceeds the exact one (_table_gamma), allowing 1e-12
-    relative for rounding; other nonlinearities' gamma stays a claim."""
+def _check_gamma(nl: Nonlinearity, gamma, T: int, p: float) -> tuple[float, ...]:
+    """A declared gamma (scalar or length T) as a length-T tuple of positive
+    entries.  For a table (breakpoints set), a ValueError names the first node
+    whose gamma exceeds the exact one (_table_gamma), allowing 1e-12 relative
+    for rounding; other nonlinearities' gamma stays a claim."""
+    gam = _gamma_tuple(gamma, T)
+    if not all(g > 0.0 for g in gam):
+        raise ValueError("gamma entries must be positive")
     if nl.breakpoints is None:
-        return
-    exact = _table_gamma(nl, len(gamma), p)
-    over = np.flatnonzero(np.asarray(gamma) > np.maximum(exact, 0.0) * (1.0 + 1e-12))
+        return gam
+    exact = _table_gamma(nl, T, p)
+    over = np.flatnonzero(np.asarray(gam) > np.maximum(exact, 0.0) * (1.0 + 1e-12))
     if over.size:
         k = int(over[0]) + 1
-        raise ValueError(f"gamma {gamma[k - 1]!r} at node k={k} exceeds the table's exact "
+        raise ValueError(f"gamma {gam[k - 1]!r} at node k={k} exceeds the table's exact "
                          f"liminf F_k(xi)/xi^p = {float(exact[k - 1])!r}")
+    return gam
 
 
 def from_table(t_samples, f_samples) -> Nonlinearity:

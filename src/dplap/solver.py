@@ -352,8 +352,8 @@ def minimize_on_sublevel(prob: ProblemSpec, alpha: float, sigma: float,
     sup_norm(u) < (sigma/kappa^p)^(1/p) is asserted a posteriori (against
     certificate.eps too when one is given).
     """
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
+    if not 0.0 < sigma < np.inf:
+        raise ValueError("sigma must be positive and finite")
     opts = opts if opts is not None else SolverOptions()
     _check_alpha(alpha)
     p, T = prob.p, prob.T
@@ -428,8 +428,8 @@ def nontriviality_certificate(prob: ProblemSpec, alpha: float, eigen: EigenPair,
     if zeta_grid is None:
         zeta_grid = np.geomspace(1.0, 1e-8, 60)
     zs = np.asarray(zeta_grid, dtype=float)
-    if zs.size == 0 or np.any(zs <= 0.0) or np.any(np.diff(zs) >= 0.0):
-        raise ValueError("zeta_grid must be strictly decreasing and positive")
+    if zs.size == 0 or not np.all(np.isfinite(zs) & (zs > 0.0)) or np.any(np.diff(zs) >= 0.0):
+        raise ValueError("zeta_grid must be strictly decreasing, positive and finite")
     for zeta in zs:
         scaled = GridFunction(eigen.phi.values * float(zeta))
         e = energy(scaled, prob, alpha)
@@ -476,8 +476,8 @@ def _multistart(prob: ProblemSpec, alpha: float, n_starts: int,
     """multistart_solve with the first eigenpair given (sweep_alpha reuses one)."""
     opts = opts if opts is not None else SolverOptions()
     _check_alpha(alpha)
-    if n_starts < 1:
-        raise ValueError("n_starts must be at least 1")
+    if not _whole(n_starts) or n_starts < 1:
+        raise ValueError("n_starts must be a positive integer")
     T = prob.T
     profile = eig.phi.interior / np.max(np.abs(eig.phi.interior))
     starts = [np.zeros(T), profile.copy(), -profile]
@@ -485,7 +485,7 @@ def _multistart(prob: ProblemSpec, alpha: float, n_starts: int,
         vec = extra.interior if isinstance(extra, GridFunction) else extra
         starts.append(np.array(vec, dtype=float))
     rng = np.random.Generator(np.random.Philox(opts.seed))
-    for _ in range(n_starts):
+    for _ in range(int(n_starts)):
         starts.append(rng.uniform(-2.0, 2.0, T))
 
     outcomes = [solve_newton(prob, alpha, GridFunction.from_interior(vec), opts)

@@ -590,6 +590,26 @@ def test_check_consistency_rejects_potential_not_vanishing_at_zero():
         bad.check_consistency(3)
 
 
+@pytest.mark.parametrize("potential, match", [
+    (lambda k, xi: np.full(np.shape(xi), np.nan), "vanish"),
+    (lambda k, xi: np.where(xi == 0.0, 0.0, np.nan), "disagrees"),
+], ids=["nan-everywhere", "nan-off-zero"])
+def test_check_consistency_rejects_a_nan_potential(potential, match):
+    with pytest.raises(ValueError, match=match):
+        ProblemSpec(T=3, p=2.0, nonlinearity=Nonlinearity(f=lambda k, t: t,
+                                                          potential=potential))
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: power(math.nan), "exponent"), (lambda: power(math.inf), "exponent"),
+    (lambda: power(2.0, math.inf), "coeff"), (lambda: constant(math.nan), "value"),
+    (lambda: linear(math.inf), "slope"),
+], ids=["power-nan", "power-inf", "power-coeff-inf", "constant-nan", "linear-inf"])
+def test_factories_reject_non_finite_parameters_by_name(build, field):
+    with pytest.raises(ValueError, match=field):
+        ProblemSpec(T=3, p=2.0, nonlinearity=build())
+
+
 # ------------------------------------------------------------- ProblemSpec
 
 def test_problem_spec_validates_T_and_p():

@@ -311,6 +311,12 @@ def test_find_admissible_eps_validates_range():
         find_admissible_eps(prob, (0.5, 1.0), 0)
 
 
+@pytest.mark.parametrize("n_grid", [2.5, np.inf])
+def test_find_admissible_eps_names_a_non_integer_n_grid(n_grid):
+    with pytest.raises(ValueError, match="n_grid"):
+        find_admissible_eps(_prob(), (0.5, 1.0), n_grid)
+
+
 # ------------------------------------------------------- alpha threshold
 
 def test_alpha_threshold_esempio0():
@@ -471,6 +477,12 @@ def test_estimate_gamma_validates_samples():
         estimate_gamma(prob, 1, xi_samples=(0.1, 1.0))
     with pytest.raises(ValueError, match="decreasing"):
         estimate_gamma(prob, 1, xi_samples=(1.0, -0.5))
+
+
+def test_estimate_gamma_rejects_non_finite_samples():
+    for samples in ((np.inf, 1.0), (np.nan,), (1.0, np.nan)):
+        with pytest.raises(ValueError, match="decreasing"):
+            estimate_gamma(_prob(), 1, xi_samples=samples)
 
 
 # -------------------------------------------------------- decay heuristic

@@ -559,6 +559,13 @@ def test_nontriviality_validates_grid():
         nontriviality_certificate(prob, 1.0, pair, zeta_grid=[1.0, -0.5])
 
 
+def test_nontriviality_rejects_a_non_finite_grid():
+    pair = first_eigenpair(2.0, 5)
+    for grid in ([np.inf, 1.0], [1.0, np.nan]):
+        with pytest.raises(ValueError, match="decreasing"):
+            nontriviality_certificate(esempio0(), 1.0, pair, zeta_grid=grid)
+
+
 # ------------------------------------------------- minimize_on_sublevel
 
 def test_sublevel_zero_f_returns_zero():
@@ -603,6 +610,11 @@ def test_sublevel_respects_sigma_scale():
 def test_sublevel_validates_sigma():
     with pytest.raises(ValueError, match="sigma"):
         minimize_on_sublevel(esempio0(), 1.0, sigma=0.0)
+
+
+def test_sublevel_rejects_an_infinite_sigma():
+    with pytest.raises(ValueError, match="sigma"):
+        minimize_on_sublevel(esempio0(), 1.0, sigma=np.inf)
 
 
 # ------------------------------------------------------ multistart_solve
@@ -655,6 +667,20 @@ def test_multistart_extra_starts_are_used():
 def test_multistart_validates_n_starts():
     with pytest.raises(ValueError, match="n_starts"):
         multistart_solve(esempio0(), 1.0, n_starts=0)
+
+
+@pytest.mark.parametrize("n_starts", [2.5, np.inf, np.nan])
+def test_multistart_and_sweep_name_a_non_integer_n_starts(n_starts):
+    with pytest.raises(ValueError, match="n_starts"):
+        multistart_solve(esempio0(), 1.0, n_starts=n_starts)
+    rows = sweep_alpha(esempio0(), [0.5, 1.0], n_starts=n_starts)
+    assert all("n_starts" in r.error for r in rows)
+
+
+def test_multistart_takes_a_whole_float_n_starts():
+    ref = multistart_solve(esempio0(), 1.0, n_starts=2)
+    got = multistart_solve(esempio0(), 1.0, n_starts=2.0)
+    assert [s.energy for s in got] == [s.energy for s in ref]
 
 
 def test_multistart_deterministic_across_seeds():
