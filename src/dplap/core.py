@@ -6,6 +6,7 @@ immutable after construction and safe to share between tasks.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
@@ -153,7 +154,8 @@ class Nonlinearity:
     is called once on a 2-element probe array, and one that raises, returns
     the wrong shape or disagrees with its own per-element values (rtol 1e-12)
     is wrapped in ``np.vectorize``.  ``f_vec``, ``F_vec`` and ``df_vec`` are
-    then one call each over the interior nodes.
+    then one call each over the interior nodes, and pass k as one shared
+    read-only array per T: a callable that writes into k raises.
 
     ``potential``, when given, must be the closed form of
     F_k(xi) = integral of f(k, s) ds over [0, xi]; otherwise F_k is
@@ -234,15 +236,15 @@ class Nonlinearity:
     # each energy, gradient and Jacobian through exactly one of these
     def f_vec(self, u_interior: np.ndarray) -> np.ndarray:
         u = np.asarray(u_interior, dtype=float)
-        return np.asarray(self.f(np.arange(1, u.size + 1), u), dtype=float)
+        return np.asarray(self.f(_nodes(u.size), u), dtype=float)
 
     def F_vec(self, u_interior: np.ndarray) -> np.ndarray:
         u = np.asarray(u_interior, dtype=float)
-        return self.F_at(np.arange(1, u.size + 1), u)
+        return self.F_at(_nodes(u.size), u)
 
     def df_vec(self, u_interior: np.ndarray) -> np.ndarray:
         u = np.asarray(u_interior, dtype=float)
-        return self.df_at(np.arange(1, u.size + 1), u)
+        return self.df_at(_nodes(u.size), u)
 
     def gamma_tuple(self, T: int) -> tuple[float, ...] | None:
         """Declared gamma as a length-T tuple (scalars broadcast)."""
@@ -259,7 +261,7 @@ class Nonlinearity:
         Evaluating the potential over all T nodes also makes per-node data
         shorter than T (table rows, scale factors) fail here, by name.
         """
-        F0 = self.F_at(np.arange(1, T + 1), np.zeros(T))
+        F0 = self.F_at(_nodes(T), np.zeros(T))
         bad = np.flatnonzero(~(np.abs(F0) <= 1e-12))
         if bad.size:
             k = int(bad[0]) + 1
@@ -293,6 +295,14 @@ class ProblemSpec:
         _check_p(self.p)
         object.__setattr__(self, "p", float(self.p))
         self.nonlinearity.check_consistency(self.T)
+
+
+@functools.lru_cache(maxsize=64)
+def _nodes(T: int) -> np.ndarray:
+    """The node indices 1..T as one shared read-only array."""
+    k = np.arange(1, T + 1)
+    k.setflags(write=False)
+    return k
 
 
 def _check_p(p: float) -> None:
@@ -374,14 +384,16 @@ def _edges(vec: np.ndarray) -> np.ndarray:
     return du
 
 
-# the solvers' kernels on interior arrays: p is checked by the callers
-def _dirichlet(vec: np.ndarray, p: float) -> float:
+# the solvers' kernels on interior arrays: p is checked by the callers, and
+# du, when given, must be _edges(vec) (the descent loop computes it once)
+def _dirichlet(vec: np.ndarray, p: float, du: np.ndarray | None = None) -> float:
     """sum over k=1..T+1 of |u(k)-u(k-1)|^p."""
-    return float((np.abs(_edges(vec)) ** p).sum())
+    du = _edges(vec) if du is None else du
+    return float((np.abs(du) ** p).sum())
 
 
-def _p_laplacian(vec: np.ndarray, p: float) -> np.ndarray:
-    du = _edges(vec)
+def _p_laplacian(vec: np.ndarray, p: float, du: np.ndarray | None = None) -> np.ndarray:
+    du = _edges(vec) if du is None else du
     phi = np.sign(du) * np.abs(du) ** (p - 1.0)
     return -(phi[1:] - phi[:-1])
 

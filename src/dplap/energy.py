@@ -21,14 +21,17 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError("alpha must be positive and finite")
 
 
-# J_alpha and its derivatives on interior arrays: every caller goes through these
-def _energy(prob: ProblemSpec, alpha: float, vec: np.ndarray) -> float:
-    return (_dirichlet(vec, prob.p) / prob.p
+# J_alpha and its derivatives on interior arrays: every caller goes through
+# these.  du, when given, is _edges(vec), computed once per iterate by the caller.
+def _energy(prob: ProblemSpec, alpha: float, vec: np.ndarray,
+            du: np.ndarray | None = None) -> float:
+    return (_dirichlet(vec, prob.p, du) / prob.p
             - alpha * float(prob.nonlinearity.F_vec(vec).sum()))
 
 
-def _gradient(prob: ProblemSpec, alpha: float, vec: np.ndarray) -> np.ndarray:
-    return _p_laplacian(vec, prob.p) - alpha * prob.nonlinearity.f_vec(vec)
+def _gradient(prob: ProblemSpec, alpha: float, vec: np.ndarray,
+              du: np.ndarray | None = None) -> np.ndarray:
+    return _p_laplacian(vec, prob.p, du) - alpha * prob.nonlinearity.f_vec(vec)
 
 
 def _newton_weights(p: float, du: np.ndarray, share: float) -> np.ndarray:
@@ -50,11 +53,11 @@ def _newton_weights(p: float, du: np.ndarray, share: float) -> np.ndarray:
     return np.where(a >= share * top, p - 1.0, 1.0) * a ** (p - 2.0)
 
 
-def _jacobian(prob: ProblemSpec, alpha: float, vec: np.ndarray,
-              share: float) -> tuple[np.ndarray, np.ndarray]:
+def _jacobian(prob: ProblemSpec, alpha: float, vec: np.ndarray, share: float,
+              du: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(diagonal, off-diagonal) of the tridiagonal Newton matrix of J_alpha:
     edge weights from _newton_weights, minus alpha f' on the diagonal."""
-    w = _newton_weights(prob.p, _edges(vec), share)
+    w = _newton_weights(prob.p, _edges(vec) if du is None else du, share)
     return w[:-1] + w[1:] - alpha * prob.nonlinearity.df_vec(vec), -w[1:-1]
 
 

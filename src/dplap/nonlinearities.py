@@ -97,11 +97,17 @@ def bounded_rational() -> Nonlinearity:
 
 def _node_index(k, n: int, what: str):
     """k - 1 for per-node data with n entries; nodes outside 1..n raise."""
-    k = np.asarray(k)
-    if k.size and np.min(k) < 1:
-        raise ValueError(f"node indices start at 1, got {int(np.min(k))}")
-    if k.size and np.max(k) > n:
-        raise ValueError(f"{what} ({n}) fewer than T={int(np.max(k))}: one needed per node")
+    if isinstance(k, (int, np.integer)):  # quadrature calls f one node at a time
+        lo = hi = k
+    else:
+        k = np.asarray(k)
+        if not k.size:
+            return k - 1
+        lo, hi = k.min(), k.max()
+    if lo < 1:
+        raise ValueError(f"node indices start at 1, got {int(lo)}")
+    if hi > n:
+        raise ValueError(f"{what} ({n}) fewer than T={int(hi)}: one needed per node")
     return k - 1
 
 

@@ -43,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SOLVER_TOL, GridFunction, ProblemSpec, _dirichlet, _scipy_extension,
-                   _whole, kappa, p_laplacian, sup_norm)
+from .core import (SOLVER_TOL, GridFunction, ProblemSpec, _dirichlet, _edges,
+                   _scipy_extension, _whole, kappa, p_laplacian, sup_norm)
 from .energy import _check_alpha, _energy, _gradient, _jacobian, energy
 from .nonlinearities import truncate_nonnegative  # noqa: F401  (importable from here too)
 from .spectrum import EigenConvergenceError, EigenPair, first_eigenpair
@@ -123,13 +123,16 @@ def _check_descent(Ju: float, Jc: float) -> None:
         raise RuntimeError(f"accepted step raised the energy from {Ju!r} to {Jc!r}")
 
 
-def _finish(prob: ProblemSpec, alpha: float, vec: np.ndarray, res: float,
+def _finish(prob: ProblemSpec, alpha: float, vec: np.ndarray, res: float, J: float,
             iters: int, opts: SolverOptions, stop_reason: str,
             boundary_hit: bool = False) -> SolveOutcome:
+    """The outcome at vec, whose residual res and energy J the caller holds
+    already: _descend's last values, or the polish's residual and a fresh
+    _energy when the polish moved vec."""
     gf = GridFunction.from_interior(vec)
     converged = res <= opts.tol
     pos = check_positivity(gf, prob, alpha, opts.tol) if converged else INDEFINITE
-    return SolveOutcome(u=gf, residual=float(res), energy=float(_energy(prob, alpha, vec)),
+    return SolveOutcome(u=gf, residual=float(res), energy=float(J),
                         iterations=int(iters), converged=bool(converged),
                         boundary_hit=bool(boundary_hit), positivity=pos,
                         seed=opts.seed, stop_reason=stop_reason)
@@ -144,10 +147,12 @@ def _lapack():
     return _scipy_extension("linalg", "_flapack")
 
 
-def _tridiagonal_solve(diag: np.ndarray, off: np.ndarray, g: np.ndarray) -> np.ndarray | None:
+def _tridiagonal_solve(lapack, diag: np.ndarray, off: np.ndarray,
+                      g: np.ndarray) -> np.ndarray | None:
     """s solving H s = -g for the symmetric tridiagonal H = (diag, off), by
-    dgtsv; None when the solve fails (H singular) or s is not finite."""
-    s, info = _lapack().dgtsv(off, diag, off, -g)[3:]
+    the _lapack() module's dgtsv; None when the solve fails (H singular) or
+    s is not finite."""
+    s, info = lapack.dgtsv(off, diag, off, -g)[3:]
     return s if info == 0 and np.isfinite(s).all() else None
 
 
@@ -161,17 +166,18 @@ def _newton_step(prob: ProblemSpec, alpha: float, u: np.ndarray,
     diag, off = _jacobian(prob, alpha, u, 0.0)
     if not np.isfinite(diag).all():
         return None
-    return _tridiagonal_solve(diag, off, g)
+    return _tridiagonal_solve(_lapack(), diag, off, g)
 
 
 def _shifted_newton_step(prob: ProblemSpec, alpha: float, u: np.ndarray,
-                         g: np.ndarray) -> np.ndarray | None:
+                         g: np.ndarray, du: np.ndarray | None = None) -> np.ndarray | None:
     """The descent loop's Newton direction: s solving (H + tau I) s = -g.
 
-    H is energy._jacobian at u (secant share _SECANT_SHARE).  The LDL^T
-    factorisation dpttrf decides definiteness: when it succeeds H is
-    positive definite and tau = 0.  Only when it fails does dstebz compute
-    the smallest eigenvalue lam, and tau = max(0, -(1 + _SHIFT_MARGIN) lam),
+    H is energy._jacobian at u (secant share _SECANT_SHARE), from u's edges
+    du when the caller has them.  The LDL^T factorisation dpttrf decides
+    definiteness: when it succeeds H is positive definite and tau = 0.
+    Only when it fails does dstebz compute the smallest eigenvalue lam, and
+    tau = max(0, -(1 + _SHIFT_MARGIN) lam),
     so H + tau I is positive definite and s a descent direction (the
     eigenvalue modification of Nocedal & Wright, Numerical Optimization,
     2nd ed., section 3.4).  Either way _tridiagonal_solve solves for s.
@@ -179,7 +185,7 @@ def _shifted_newton_step(prob: ProblemSpec, alpha: float, u: np.ndarray,
     not finite or not downhill.
     """
     lapack = _lapack()
-    diag, off = _jacobian(prob, alpha, u, _SECANT_SHARE)
+    diag, off = _jacobian(prob, alpha, u, _SECANT_SHARE, du)
     if not np.isfinite(diag).all():
         return None
     if lapack.dpttrf(diag, off)[2] != 0:
@@ -187,7 +193,7 @@ def _shifted_newton_step(prob: ProblemSpec, alpha: float, u: np.ndarray,
         if info != 0:
             return None
         diag = diag + max(0.0, -(1.0 + _SHIFT_MARGIN) * float(lam[0]))
-    s = _tridiagonal_solve(diag, off, g)
+    s = _tridiagonal_solve(lapack, diag, off, g)
     return s if s is not None and float(g @ s) < 0.0 else None
 
 
@@ -225,10 +231,29 @@ def _polish(prob: ProblemSpec, alpha: float, u: np.ndarray,
     return u, res
 
 
+def _armijo(prob: ProblemSpec, alpha: float, u: np.ndarray, Ju: float,
+            direction: np.ndarray, slope: float, t: float, project):
+    """The Armijo line search along direction from trial size t, halved by
+    _BACKTRACK down to _MIN_STEP: (t, point, its edges, its energy) for the
+    first trial (mapped by project, when given) whose finite energy passes
+    the test against Ju and slope, or None.  Each trial computes its edges
+    once; _descend reuses them for the gradient and the next Jacobian."""
+    while t >= _MIN_STEP:
+        cand = u + t * direction
+        if project is not None:
+            cand = project(cand)
+        du = _edges(cand)
+        Jc = _energy(prob, alpha, cand, du)
+        if np.isfinite(Jc) and Jc <= Ju + _ARMIJO_C * t * slope:
+            return t, cand, du, Jc
+        t *= _BACKTRACK
+    return None
+
+
 def _descend(prob: ProblemSpec, alpha: float, u: np.ndarray, opts: SolverOptions,
-             newton: bool, project=None) -> tuple[np.ndarray, float, int, str]:
+             newton: bool, project=None) -> tuple[np.ndarray, float, float, int, str]:
     """The Armijo loop on J_alpha behind every route; returns (u, residual,
-    iterations, stop_reason).
+    energy, iterations, stop_reason) at its last iterate.
 
     With newton, each iteration first tries the spectrally shifted Newton
     step of _shifted_newton_step from t = 1 (one tridiagonal solve);
@@ -239,67 +264,58 @@ def _descend(prob: ProblemSpec, alpha: float, u: np.ndarray, opts: SolverOptions
     non-increasing across accepted iterates.  An accepted step that leaves
     J unchanged in floating point means Armijo can no longer see progress:
     the loop stops there (ENERGY_FLOOR) instead of idling until the stall
-    window, and the caller's residual polish takes over.
+    window, and the caller's residual polish takes over.  Each iterate's
+    edge differences are computed once, by its trial, and its energy is
+    returned for _finish.
     """
-    Ju = _energy(prob, alpha, u)
-    g = _gradient(prob, alpha, u)
+    du = _edges(u)
+    Ju = _energy(prob, alpha, u, du)
+    g = _gradient(prob, alpha, u, du)
     res = float(np.abs(g).max())
     step = 1.0
     iters = 0
     best_res, best_at = res, 0
     while True:
         if res <= opts.tol:
-            return u, res, iters, CONVERGED
+            return u, res, Ju, iters, CONVERGED
         if iters >= opts.max_iters:
-            return u, res, iters, MAX_ITERS
-        descent = -g
-        candidates = []
-        if newton:
-            s = _shifted_newton_step(prob, alpha, u, g)
-            if s is not None:
-                candidates.append((s, float(g @ s), 1.0))
-        candidates.append((descent, -float(g @ g), min(2.0 * step, 1e6)))
-        moved = False
-        for direction, slope, t in candidates:
-            while t >= _MIN_STEP:
-                cand = u + t * direction
-                if project is not None:
-                    cand = project(cand)
-                Jc = _energy(prob, alpha, cand)
-                if np.isfinite(Jc) and Jc <= Ju + _ARMIJO_C * t * slope:
-                    moved = True
-                    break
-                t *= _BACKTRACK
-            if moved:
-                break
-        if not moved:
-            return u, res, iters, LINE_SEARCH
+            return u, res, Ju, iters, MAX_ITERS
+        s = _shifted_newton_step(prob, alpha, u, g, du) if newton else None
+        trial = None if s is None else _armijo(prob, alpha, u, Ju, s, float(g @ s), 1.0,
+                                               project)
+        if trial is None:
+            trial = _armijo(prob, alpha, u, Ju, -g, -float(g @ g), min(2.0 * step, 1e6),
+                            project)
+            if trial is None:
+                return u, res, Ju, iters, LINE_SEARCH
+            step = trial[0]  # remember the accepted gradient step size
+        _, cand, du, Jc = trial
         _check_descent(Ju, Jc)
         at_floor = Jc >= Ju
-        if direction is descent:
-            step = t  # remember the accepted gradient step size
         u, Ju = cand, Jc
-        g = _gradient(prob, alpha, u)
+        g = _gradient(prob, alpha, u, du)
         res = float(np.abs(g).max())
         iters += 1
         if res <= opts.tol:
             continue
         if at_floor:
-            return u, res, iters, ENERGY_FLOOR
+            return u, res, Ju, iters, ENERGY_FLOOR
         if res < 0.99 * best_res:
             best_res, best_at = res, iters
         elif iters - best_at >= _STALL_WINDOW:
-            return u, res, iters, STALL_WINDOW  # residual crawl (e.g. circling a saddle)
+            return u, res, Ju, iters, STALL_WINDOW  # residual crawl (e.g. circling a saddle)
 
 
 def _solve(prob: ProblemSpec, alpha: float, u0: GridFunction,
            opts: SolverOptions | None, newton: bool) -> SolveOutcome:
     opts = opts if opts is not None else SolverOptions()
     _check_alpha(alpha)
-    u, res, iters, reason = _descend(prob, alpha, _check_start(prob, u0), opts, newton)
+    u, res, J, iters, reason = _descend(prob, alpha, _check_start(prob, u0), opts, newton)
     if res > opts.tol:
-        u, res = _polish(prob, alpha, u, opts.tol)
-    return _finish(prob, alpha, u, res, iters, opts, reason)
+        polished, res = _polish(prob, alpha, u, opts.tol)
+        if polished is not u:
+            u, J = polished, _energy(prob, alpha, polished)
+    return _finish(prob, alpha, u, res, J, iters, opts, reason)
 
 
 def solve_newton(prob: ProblemSpec, alpha: float, u0: GridFunction,
@@ -363,15 +379,15 @@ def minimize_on_sublevel(prob: ProblemSpec, alpha: float, sigma: float,
         return vec * (sigma / n) ** (1.0 / p) if n > sigma else vec
 
     def run(start: np.ndarray) -> SolveOutcome:
-        u, res, iters, reason = _descend(prob, alpha, project(start), opts,
-                                         newton=False, project=project)
+        u, res, J, iters, reason = _descend(prob, alpha, project(start), opts,
+                                            newton=False, project=project)
         hit = _dirichlet(u, p) >= sigma * (1.0 - _BOUNDARY_SLACK)
         if not hit and res > opts.tol:
-            # interior stall: unconstrained polish, kept only if it stays inside
+            # interior stall: unconstrained polish, kept only if it moved and stays inside
             cand, cres = _polish(prob, alpha, u, opts.tol)
-            if _dirichlet(cand, p) < sigma * (1.0 - _BOUNDARY_SLACK):
-                u, res = cand, cres
-        return _finish(prob, alpha, u, res, iters, opts, reason, boundary_hit=hit)
+            if cand is not u and _dirichlet(cand, p) < sigma * (1.0 - _BOUNDARY_SLACK):
+                u, res, J = cand, cres, _energy(prob, alpha, cand)
+        return _finish(prob, alpha, u, res, J, iters, opts, reason, boundary_hit=hit)
 
     rng = np.random.Generator(np.random.Philox(opts.seed))
     starts = [np.zeros(T)]
@@ -476,8 +492,7 @@ def _multistart(prob: ProblemSpec, alpha: float, n_starts: int,
     """multistart_solve with the first eigenpair given (sweep_alpha reuses one)."""
     opts = opts if opts is not None else SolverOptions()
     _check_alpha(alpha)
-    if not _whole(n_starts) or n_starts < 1:
-        raise ValueError("n_starts must be a positive integer")
+    _check_n_starts(n_starts)
     T = prob.T
     profile = eig.phi.interior / np.max(np.abs(eig.phi.interior))
     starts = [np.zeros(T), profile.copy(), -profile]
@@ -515,6 +530,11 @@ class SweepRow:
     error: str = ""
 
 
+def _check_n_starts(n_starts) -> None:
+    if not _whole(n_starts) or n_starts < 1:
+        raise ValueError("n_starts must be a positive integer")
+
+
 def _check_alphas(alphas) -> np.ndarray:
     """sweep_alpha's alphas as an array: nonempty, positive, strictly increasing."""
     arr = np.asarray(list(alphas), dtype=float)
@@ -532,11 +552,13 @@ def sweep_alpha(prob: ProblemSpec, alphas, opts: SolverOptions | None = None,
     """Multistart solve per alpha, warm-started from the previous best.
 
     Rows come back in input order; a row that raises records the message in
-    its error field and the sweep continues.  When the lowest energy is tied
-    (odd nonlinearities pair u with -u), the positive representative is
-    reported.
+    its error field and the sweep continues.  The alphas and n_starts are
+    checked before the first row, so a bad one raises instead.  When the
+    lowest energy is tied (odd nonlinearities pair u with -u), the positive
+    representative is reported.
     """
     arr = _check_alphas(alphas)
+    _check_n_starts(n_starts)
     opts = opts if opts is not None else SolverOptions()
     eig = _eigen_best_effort(prob.p, prob.T)
     rows: list[SweepRow] = []

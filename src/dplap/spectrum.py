@@ -7,8 +7,10 @@ Rayleigh quotient sum |du|^p / sum |u(k)|^p over non-zero grid functions.
 In one dimension the eigen equation is the three-term recurrence
     phi_p(d(k)) = phi_p(d(k-1)) - lambda phi_p(u(k)),   d(k) = u(k+1) - u(k),
 so first_eigenpair shoots it from u(0) = 0, u(1) = 1 over half the grid and
-bisects lambda on the sign of the symmetry defect: O(T) per shot, no
-linear algebra and no solver code.
+finds lambda on the sign of the symmetry defect: Illinois regula falsi
+narrows a bracket to 1e-9 relative, then bisection on [0, 2] runs to
+adjacent floats, shooting only the midpoints inside that bracket.  O(T) per
+shot, no linear algebra and no solver code.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EIGEN_TOL, GridFunction, _check_p, _check_T, _dirichlet, _p_laplacian, phi_p
+
+_BRACKET_WIDTH = 1e-9  # relative width at which _illinois_bracket hands over to bisection
 
 
 @dataclass(frozen=True)
@@ -91,17 +95,55 @@ def _shoot(lam: float, p: float, T: int) -> tuple[float, list[float] | None]:
     return (1 + T % 2) * flux - lam * x ** e, half
 
 
+def _illinois_bracket(p: float, T: int) -> tuple[float, float]:
+    """(a, b) in [0, 2] with a shot defect > 0 at a and <= 0 at b, and b - a
+    at most _BRACKET_WIDTH relative to b.
+
+    Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971): the secant
+    point of the bracket ends, with the value kept at one end halved each
+    time that end survives twice in a row, so the bracket shrinks
+    superlinearly where bisection gains one bit per shot.  A secant point
+    that rounds onto an end falls back to the midpoint.
+    """
+    a, fa = 0.0, _shoot(0.0, p, T)[0]
+    b, fb = 2.0, _shoot(2.0, p, T)[0]
+    kept = 0  # +1: a moved last, -1: b moved last
+    while b - a > _BRACKET_WIDTH * b:
+        # a defect of exactly 0 at b pins the secant point to b: probe below it
+        c = b * (1.0 - _BRACKET_WIDTH) if fb == 0.0 else (a * fb - b * fa) / (fb - fa)
+        if not a < c < b:
+            c = 0.5 * (a + b)
+        fc = _shoot(c, p, T)[0]
+        if fc > 0.0:
+            a, fa = c, fc
+            if kept > 0:
+                fb *= 0.5
+            kept = 1
+        else:
+            b, fb = c, fc
+            if kept < 0:
+                fa *= 0.5
+            kept = -1
+    return a, b
+
+
 def first_eigenpair(p: float, T: int, tol: float = EIGEN_TOL) -> EigenPair:
-    """First eigenpair by symmetric shooting and bisection on lambda.
+    """First eigenpair by symmetric shooting and a bracketed search on lambda.
 
     _shoot runs the eigen recurrence over half the grid; by discrete Sturm
-    theory its symmetry defect changes sign once, at lambda_1, so plain
-    bisection on [0, 2] (the one-peak quotient is 2, so lambda_1 < 2) runs
-    until the bracket ends are adjacent floats.  Of the two ends the one
-    whose mirrored, normalised profile has the smaller defect wins: phi is
-    positive and exactly symmetric by construction.  lambda_ is the
-    Rayleigh quotient of that phi, hence >= lambda_1 up to rounding: the
-    safe side for existence.alpha_threshold.
+    theory its symmetry defect changes sign once, at lambda_1, so bisection
+    on [0, 2] (the one-peak quotient is 2, so lambda_1 < 2) runs until the
+    bracket ends are adjacent floats.  _illinois_bracket first narrows the
+    sign change to (a, b); the bisection then shoots only its midpoints
+    strictly inside (a, b), and sends one at or below a to the lower end
+    and one at or above b to the upper end, where the single sign change
+    puts them.  So the ends, and the pair, are those of the bisection
+    alone, from about 40% of its shots (the replay also keeps whatever the
+    bisection does with rounding noise inside the narrow bracket).  Of the
+    two ends the one whose mirrored, normalised profile has the smaller
+    defect wins: phi is positive and exactly symmetric by construction.
+    lambda_ is the Rayleigh quotient of that phi, hence >= lambda_1 up to
+    rounding: the safe side for existence.alpha_threshold.
 
     The stop is relative: the defect must reach tol times
     min(1, lambda max phi^(p-1)), the size of the terms it balances, so
@@ -120,9 +162,10 @@ def first_eigenpair(p: float, T: int, tol: float = EIGEN_TOL) -> EigenPair:
     _check_T(T)
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
+    a, b = _illinois_bracket(p, T)
     lo, hi = 0.0, 2.0
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if _shoot(mid, p, T)[0] > 0.0:
+        if mid <= a or (mid < b and _shoot(mid, p, T)[0] > 0.0):
             lo = mid
         else:
             hi = mid

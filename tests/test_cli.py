@@ -686,6 +686,17 @@ def test_sweep_row_errors_warn_and_exit_2(tmp_path, capsys, monkeypatch):
     assert open(out).read().splitlines()[1] == "1,0,,,,"
 
 
+def test_sweep_zero_starts_exits_1_and_writes_no_csv(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    rc = main(["sweep", esempio0_cfg(tmp_path, alpha=[0.5, 1.0]), "--starts", "0",
+               "--out", str(out)])
+    assert rc == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "error: n_starts must be a positive integer" in err
+    assert "warning" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- selftest
 
 def test_selftest_passes(capsys):

@@ -357,6 +357,29 @@ def test_vector_helpers_match_scalar_evaluations():
         assert isinstance(nl.f, np.vectorize) == (case == "scalar-only exp"), case
 
 
+def test_vec_methods_pass_one_shared_read_only_node_array():
+    seen = []
+
+    def f(k, t):
+        seen.append(k)
+        return np.asarray(t, dtype=float) * 1.0
+
+    def writes_k(k, t):
+        if np.ndim(k):
+            k[...] = k
+        return np.asarray(t, dtype=float) * 1.0
+
+    nl = Nonlinearity(f=f, potential=lambda k, xi: 0.5 * xi * xi)
+    seen.clear()
+    nl.f_vec(np.ones(5))
+    nl.f_vec(np.zeros(5))
+    assert seen[0] is seen[1]
+    np.testing.assert_array_equal(seen[0], np.arange(1, 6))
+    assert not seen[0].flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        Nonlinearity(f=writes_k, potential=nl.potential).f_vec(np.ones(5))
+
+
 def test_table_f_is_np_interp_row_by_row():
     rows = np.outer([1.0, -2.0, 0.5], TABLE_F) + 0.1
     nl = from_table(TABLE_T, rows)

@@ -1,13 +1,15 @@
 """Solve routines, positivity, sublevel minimization, multistart, sweep."""
 
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dplap.solver
-from dplap.core import GridFunction, Nonlinearity, ProblemSpec, kappa, sup_norm
-from dplap.energy import (_gradient, _jacobian, energy, gradient, strong_residual,
+from dplap.core import GridFunction, Nonlinearity, ProblemSpec, _edges, kappa, sup_norm
+from dplap.energy import (_energy, _gradient, _jacobian, energy, gradient, strong_residual,
                           weak_residual)
 from dplap.nonlinearities import (bounded_rational, constant, from_table, linear,
                                   scaled_per_node, zero)
@@ -92,6 +94,89 @@ def test_a_non_finite_jacobian_takes_no_newton_step():
         descent.residual, descent.energy, descent.iterations, descent.stop_reason)
     assert newton.iterations == 183
     assert not newton.converged
+
+
+def _recorded_outcomes(monkeypatch):
+    """Every SolveOutcome that _finish builds from here on, kept or not."""
+    seen = []
+    finish = dplap.solver._finish
+
+    def recording(*args, **kwargs):
+        out = finish(*args, **kwargs)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(dplap.solver, "_finish", recording)
+    return seen
+
+
+def test_every_outcome_energy_is_the_energy_at_its_u(monkeypatch):
+    # _finish takes _descend's last energy, or a fresh one when the polish
+    # moved u: either way it is J_alpha at the reported u, to the bit
+    seen = _recorded_outcomes(monkeypatch)
+    runs = [
+        (esempio0(T=15, p=1.5), 1.0, lambda prob, a: multistart_solve(prob, a, n_starts=1)),
+        (esempio0(T=5, p=3.0), 1.0, lambda prob, a: solve_descent(prob, a, eigen_start(prob))),
+        (esempio0(T=5, p=3.0), 1.0, lambda prob, a: solve_newton(prob, a, eigen_start(prob))),
+        (esempio0(T=5), 1.0, lambda prob, a: minimize_on_sublevel(prob, a, sigma=100.0)),
+        (esempio0(T=5), 1.0, lambda prob, a: minimize_on_sublevel(prob, a, sigma=1.0)),
+    ]
+    checked = []
+    for prob, alpha, run in runs:
+        seen.clear()
+        run(prob, alpha)
+        assert seen
+        for out in seen:
+            assert out.energy == energy(out.u, prob, alpha)
+        checked += seen
+    # the polish moved u in some (it turned an energy floor into convergence),
+    # and _descend's own energy was reported in others
+    assert any(o.stop_reason == ENERGY_FLOOR and o.converged for o in checked)
+    assert any(o.stop_reason == CONVERGED and o.iterations > 0 for o in checked)
+    assert any(o.boundary_hit for o in checked)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_supplied_edges_change_no_bit(p):
+    prob = ProblemSpec(T=7, p=p, nonlinearity=scaled_per_node(bounded_rational(),
+                                                             np.linspace(0.5, 1.5, 7)))
+    u = np.random.default_rng(4).uniform(-2.0, 2.0, 7)
+    u[3] = u[2]  # a zero edge
+    du = _edges(u)
+    assert _energy(prob, 0.7, u, du) == _energy(prob, 0.7, u)
+    assert _gradient(prob, 0.7, u, du).tobytes() == _gradient(prob, 0.7, u).tobytes()
+    for share in (0.0, 1e-2):
+        with_du = _jacobian(prob, 0.7, u, share, du)
+        without = _jacobian(prob, 0.7, u, share)
+        assert [a.tobytes() for a in with_du] == [a.tobytes() for a in without]
+
+
+def test_every_kernel_evaluation_goes_through_the_vec_methods(monkeypatch):
+    # the benchmark counts f_vec/F_vec/df_vec calls as the solver's kernel
+    # work, so a solve that called nl.f, nl.potential or nl.df around them
+    # would read as less work than it did
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    base = bounded_rational()
+    nl = Nonlinearity(f=counted("f", base.f), potential=counted("potential", base.potential),
+                      df=counted("df", base.df))
+    for attr in ("f_vec", "F_vec", "df_vec"):
+        monkeypatch.setattr(Nonlinearity, attr, counted(attr, getattr(Nonlinearity, attr)))
+    for p, T in ((2.0, 50), (1.5, 15), (3.0, 10)):
+        prob = ProblemSpec(T=T, p=p, nonlinearity=nl)
+        calls.clear()
+        rng = np.random.default_rng(T)
+        for u0 in (eigen_start(prob), GridFunction.from_interior(rng.uniform(-2.0, 2.0, T))):
+            solve_newton(prob, 1.0, u0)
+        assert calls["f_vec"] > 0 and calls["F_vec"] > 0 and calls["df_vec"] > 0
+        assert (calls["f"], calls["potential"], calls["df"]) == (
+            calls["f_vec"], calls["F_vec"], calls["df_vec"]), (p, T)
 
 
 # ------------------------------------------------------------ properties
@@ -673,8 +758,8 @@ def test_multistart_validates_n_starts():
 def test_multistart_and_sweep_name_a_non_integer_n_starts(n_starts):
     with pytest.raises(ValueError, match="n_starts"):
         multistart_solve(esempio0(), 1.0, n_starts=n_starts)
-    rows = sweep_alpha(esempio0(), [0.5, 1.0], n_starts=n_starts)
-    assert all("n_starts" in r.error for r in rows)
+    with pytest.raises(ValueError, match="n_starts"):
+        sweep_alpha(esempio0(), [0.5, 1.0], n_starts=n_starts)
 
 
 def test_multistart_takes_a_whole_float_n_starts():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from dplap.core import GridFunction, kappa, p_norm
+import dplap.spectrum
+from dplap.core import GridFunction, _dirichlet, _p_laplacian, kappa, p_norm, phi_p
 from dplap.spectrum import (EigenConvergenceError, EigenPair, eigenvalues_p2,
                             first_eigenpair, lambda1_closed_form_p2, matrix_A,
                             rayleigh_quotient)
@@ -238,3 +239,70 @@ def test_first_eigenpair_large_T_converges_positive_and_symmetric(p, T):
 def test_first_eigenpair_p2_large_T_matches_closed_form(T):
     pair = first_eigenpair(2.0, T)
     assert pair.lambda_ == pytest.approx(lambda1_closed_form_p2(T), rel=1e-13, abs=0)
+
+
+def _bisection_pair(p, T, tol=1e-9):
+    """The search first_eigenpair ran before its Illinois bracket, inlined:
+    plain bisection on [0, 2] to adjacent floats, then the pair of the end
+    with the smaller defect.  Returns (pair, error message or None)."""
+    shoot = dplap.spectrum._shoot
+    lo, hi = 0.0, 2.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if shoot(mid, p, T)[0] > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    pairs = []
+    for lam in (lo, hi):
+        half = shoot(lam, p, T)[1]
+        if half is not None:
+            v = np.array(half + half[::-1][T % 2:])
+            phi = v / float(np.sum(v ** p)) ** (1.0 / p)
+            lam_phi = _dirichlet(phi, p)
+            defect = _p_laplacian(phi, p) - lam_phi * phi_p(phi, p)
+            pairs.append(EigenPair(lambda_=lam_phi, phi=GridFunction.from_interior(phi),
+                                   residual=float(np.max(np.abs(defect)))))
+    pair = min(pairs, key=lambda pr: pr.residual)
+    limit = tol * min(1.0, pair.lambda_ * float(np.max(pair.phi.interior)) ** (p - 1.0))
+    if pair.residual > limit:
+        return pair, (f"first eigenpair (p={p}, T={T}) did not reach residual {limit:g} "
+                      f"(best {pair.residual:.3e})")
+    return pair, None
+
+
+_EIGEN_GRID = [(p, T) for p in (1.1, 1.5, 2.0, 3.0, 10.0) for T in (2, 3, 4, 9, 20, 200)]
+_EIGEN_GRID += [(1.5, 2000), (2.5, 5000), (3.0, 5000)]  # raise at float resolution
+
+
+def test_first_eigenpair_matches_bisection_bit_for_bit_in_half_the_shots(monkeypatch):
+    # the Illinois bracket only decides midpoints outside it, where the one
+    # sign change decides them too: every pair, message and .best is the
+    # bisection's, and no cell takes more shots than bisection did
+    shots = []
+    shoot = dplap.spectrum._shoot
+
+    def counted(lam, p, T):
+        shots.append(lam)
+        return shoot(lam, p, T)
+
+    monkeypatch.setattr(dplap.spectrum, "_shoot", counted)
+    total_ref = total = raised = 0
+    for p, T in _EIGEN_GRID:
+        shots.clear()
+        ref, ref_msg = _bisection_pair(p, T)
+        n_ref = len(shots)
+        shots.clear()
+        try:
+            got, msg = first_eigenpair(p, T), None
+        except EigenConvergenceError as exc:
+            got, msg = exc.best, str(exc)
+            raised += 1
+        assert msg == ref_msg, (p, T)
+        assert got.lambda_ == ref.lambda_, (p, T)
+        assert got.residual == ref.residual, (p, T)
+        assert got.phi.values.tobytes() == ref.phi.values.tobytes(), (p, T)
+        assert len(shots) <= n_ref, (p, T)
+        total_ref += n_ref
+        total += len(shots)
+    assert raised >= 5  # the grid holds cells that raise
+    assert 2 * total <= total_ref
