@@ -158,8 +158,7 @@ def build_problem(cfg: dict):
     A table's gamma must not exceed its exact value."""
     from .nonlinearities import _check_gamma
     T = _require_number(cfg, "T")
-    _as_field("T", core._check_T, T)
-    T = int(T)
+    T = _as_field("T", core._check_T, T)
     p = float(_require_number(cfg, "p"))
     _as_field("p", core._check_p, p)
     if "nonlinearity" not in cfg:
@@ -176,7 +175,6 @@ def build_problem(cfg: dict):
 
 def expand_alphas(alpha_field) -> list[float]:
     """Turn the config alpha field (sweep object or explicit list) into a list."""
-    from .solver import _check_alphas
     if not isinstance(alpha_field, (dict, list)):
         raise ConfigError("alpha", "sweep requires alpha as {lo, hi, n} or a list")
     alphas = alpha_field
@@ -195,11 +193,10 @@ def expand_alphas(alpha_field) -> list[float]:
         alphas = np.geomspace(lo, hi, n)
     elif not all(_is_number(a) for a in alpha_field):
         raise ConfigError("alpha", "list must be numbers")
-    return [float(a) for a in _as_field("alpha", _check_alphas, alphas)]
+    return [float(a) for a in _as_field("alpha", core._sequence, "alphas", alphas, True)]
 
 
 def scalar_alpha(alpha_field, flag_value):
-    from .energy import _check_alpha
     if flag_value is not None:
         return float(flag_value)
     if alpha_field is None:
@@ -209,8 +206,7 @@ def scalar_alpha(alpha_field, flag_value):
                           "config declares a sweep; pass --alpha or use the sweep command")
     if not _is_number(alpha_field):
         raise ConfigError("alpha", "must be a finite number")
-    _as_field("alpha", _check_alpha, alpha_field)
-    return float(alpha_field)
+    return _as_field("alpha", core._positive, "alpha", alpha_field)
 
 
 def write_result(path: str, prob: ProblemSpec, alpha: float, seed: int,

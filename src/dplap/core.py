@@ -126,7 +126,8 @@ def _broadcasts(fn) -> bool:
     values to rtol 1e-12."""
     try:
         with np.errstate(all="ignore"):
-            out = np.asarray(fn(_PROBE_K, _PROBE_T), dtype=float)
+            # copies: a callable that writes into its arguments must not alter the probe
+            out = np.asarray(fn(_PROBE_K.copy(), _PROBE_T.copy()), dtype=float)
             ref = np.array([fn(int(k), float(t)) for k, t in zip(_PROBE_K, _PROBE_T)],
                            dtype=float)
     except Exception:  # a scalar-only callable may raise anything on arrays
@@ -290,8 +291,7 @@ class ProblemSpec:
     nonlinearity: Nonlinearity
 
     def __post_init__(self):
-        _check_T(self.T)
-        object.__setattr__(self, "T", int(self.T))
+        object.__setattr__(self, "T", _check_T(self.T))
         _check_p(self.p)
         object.__setattr__(self, "p", float(self.p))
         self.nonlinearity.check_consistency(self.T)
@@ -310,14 +310,43 @@ def _check_p(p: float) -> None:
         raise ValueError("p must exceed 1 and be finite")
 
 
-def _check_T(T: int) -> None:
-    if not _whole(T) or T < 2:
-        raise ValueError("T must be an integer >= 2")
+def _check_T(T: int) -> int:
+    return _count("T", T, least=2)
 
 
 def _whole(x) -> bool:
     """Whether x is a whole number; inf and NaN are not."""
     return x == x and x not in (math.inf, -math.inf) and int(x) == x
+
+
+# the input rules of every module: each names the argument it rejects
+def _positive(name: str, x) -> float:
+    """float(x), unless x is not positive and finite (NaN is not)."""
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
+    return float(x)
+
+
+def _count(name: str, x, least: int = 1) -> int:
+    """int(x), unless x is not a whole number >= least."""
+    if not _whole(x) or x < least:
+        rule = {0: "a non-negative integer", 1: "a positive integer"}.get(
+            least, f"an integer >= {least}")
+        raise ValueError(f"{name} must be {rule}")
+    return int(x)
+
+
+def _sequence(name: str, values, increasing: bool, least: int = 1) -> np.ndarray:
+    """The iterable values as a float array, unless it has fewer than least
+    entries, is not strictly increasing (or decreasing), or holds an entry
+    that is not positive and finite."""
+    arr = np.asarray(list(values), dtype=float)
+    steps = np.diff(arr) if increasing else -np.diff(arr)
+    if arr.size < least or not (np.all((0.0 < arr) & (arr < np.inf)) and np.all(steps > 0.0)):
+        way = "increasing" if increasing else "decreasing"
+        raise ValueError(f"{name} must be a nonempty sequence (length >= {least}), "
+                         f"strictly {way}, positive and finite")
+    return arr
 
 
 def _gamma_tuple(gamma, T: int) -> tuple[float, ...]:

@@ -10,15 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridFunction, ProblemSpec, _dirichlet, _edges, _p_laplacian, phi_p
+from .core import GridFunction, ProblemSpec, _dirichlet, _edges, _p_laplacian, _positive, phi_p
 
 _EPS = np.finfo(float).eps  # floors of the p < 2 secant weights (_newton_weights)
 _TINY = np.finfo(float).tiny
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < np.inf:
-        raise ValueError("alpha must be positive and finite")
 
 
 # J_alpha and its derivatives on interior arrays: every caller goes through
@@ -66,7 +61,7 @@ def energy(u: GridFunction, prob: ProblemSpec, alpha: float = 1.0) -> float:
 
     alpha = 1 recovers the unparametrised functional.
     """
-    _check_alpha(alpha)
+    _positive("alpha", alpha)
     return _energy(prob, alpha, u.interior)
 
 
@@ -76,7 +71,7 @@ def gradient(u: GridFunction, prob: ProblemSpec, alpha: float = 1.0) -> np.ndarr
     Component k equals -[phi_p(u(k+1)-u(k)) - phi_p(u(k)-u(k-1))]
     - alpha f(k, u(k)), the defect of the strong difference equation.
     """
-    _check_alpha(alpha)
+    _positive("alpha", alpha)
     return _gradient(prob, alpha, u.interior)
 
 
@@ -92,7 +87,7 @@ def weak_residual(u: GridFunction, v: GridFunction, prob: ProblemSpec,
     Vanishing for every v is equivalent to a zero strong residual
     (summation by parts with the zero boundary).
     """
-    _check_alpha(alpha)
+    _positive("alpha", alpha)
     if v.T != u.T:
         raise ValueError(f"test function has T={v.T}, expected {u.T}")
     du = np.diff(u.values)
@@ -108,7 +103,7 @@ def hessian_p2(u: GridFunction, prob: ProblemSpec, alpha: float = 1.0) -> np.nda
     Only defined for p = 2 (the energy is not C^2 for p < 2); the solvers'
     Newton steps at any p > 1 use the tridiagonal _jacobian, densified here.
     """
-    _check_alpha(alpha)
+    _positive("alpha", alpha)
     if prob.p != 2.0:
         raise ValueError("hessian_p2 requires p = 2")
     diag, off = _jacobian(prob, alpha, u.interior, 0.0)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_EPS_GRID, DEFAULT_EPS_RANGE, ProblemSpec, _whole, c_const, kappa
+from .core import (DEFAULT_EPS_GRID, DEFAULT_EPS_RANGE, ProblemSpec, _count, _positive,
+                   _sequence, _whole, c_const, kappa)
 from .nonlinearities import _check_gamma, _value_at_root
 from .spectrum import first_eigenpair, lambda1_closed_form_p2
 
@@ -114,8 +115,7 @@ def _max_potentials(prob: ProblemSpec, eps: float) -> np.ndarray:
 def _pth_power(name: str, x: float, p: float) -> float:
     """x ** p; a ValueError naming x unless x is positive and finite and
     x ** p is a finite normal float (a subnormal power has lost digits)."""
-    if not 0.0 < x < math.inf:
-        raise ValueError(f"{name} must be positive and finite")
+    _positive(name, x)
     try:
         xp = math.pow(x, p)
     except OverflowError:
@@ -172,10 +172,9 @@ def find_admissible_eps(prob: ProblemSpec,
         raise ValueError("eps_range must satisfy 0 < lo < hi < inf")
     _pth_power("eps_range lo", lo, prob.p)
     _pth_power("eps_range hi", hi, prob.p)
-    if not _whole(n_grid) or n_grid < 1:
-        raise ValueError("n_grid must be a positive integer")
+    n_grid = _count("n_grid", n_grid)
     best: ExistenceCertificate | None = None
-    for eps in np.geomspace(lo, hi, int(n_grid)):
+    for eps in np.geomspace(lo, hi, n_grid):
         cert = check_thm_esistenza(prob, float(eps))
         if cert.verdict and (best is None or cert.margin > best.margin):
             best = cert
@@ -192,9 +191,7 @@ def estimate_gamma(prob: ProblemSpec, k: int,
     """
     if not (_whole(k) and 1 <= k <= prob.T):
         raise ValueError(f"k must be a node in 1..{prob.T}, got {k!r}")
-    xs = np.asarray(xi_samples, dtype=float)
-    if xs.size == 0 or not np.all(np.isfinite(xs) & (xs > 0.0)) or np.any(np.diff(xs) >= 0.0):
-        raise ValueError("xi_samples must be strictly decreasing, positive and finite")
+    xs = _sequence("xi_samples", xi_samples, increasing=False)
     F = prob.nonlinearity.F_at(np.full(xs.size, k), xs)
     return float(np.min(F / xs ** prob.p))
 
@@ -235,12 +232,14 @@ def check_superlinearity_decay(prob: ProblemSpec, xi_probe=None,
 
     The verdict is a heuristic limit check: true iff h is non-increasing
     over the second half of the probe and the final value is below tol.
+    xi_probe needs at least two entries, strictly increasing, each positive
+    and finite, and tol must be positive and finite; a ValueError names
+    the one that is not.
     """
     if xi_probe is None:
         xi_probe = np.geomspace(1.0, 1e4, 9)
-    xs = np.asarray(xi_probe, dtype=float)
-    if xs.size < 2 or np.any(xs <= 0.0) or np.any(np.diff(xs) <= 0.0):
-        raise ValueError("xi_probe must be strictly increasing and positive")
+    xs = _sequence("xi_probe", xi_probe, increasing=True, least=2)
+    _positive("tol", tol)
     hv = np.array([h(float(x), prob) for x in xs])
     tail = hv[xs.size // 2:]
     slack = 1e-12 * np.maximum(1.0, np.abs(tail[:-1]))

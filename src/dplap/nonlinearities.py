@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Nonlinearity, _gamma_tuple
+from .core import Nonlinearity, _gamma_tuple, _positive
 
 
 def _finite(name: str, x) -> float:
@@ -60,9 +60,7 @@ def power(exponent: float, coeff: float = 1.0) -> Nonlinearity:
     blows up at 0 and the finite-difference fallback is no better; callers
     needing Newton should stick to exponent >= 1).
     """
-    q = float(exponent)
-    if not 0.0 < q < np.inf:
-        raise ValueError("exponent must be positive and finite")
+    q = _positive("exponent", float(exponent))
     c = _finite("coeff", coeff)
 
     def f(k, t):

@@ -43,9 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SOLVER_TOL, GridFunction, ProblemSpec, _dirichlet, _edges,
-                   _scipy_extension, _whole, kappa, p_laplacian, sup_norm)
-from .energy import _check_alpha, _energy, _gradient, _jacobian, energy
+from .core import (SOLVER_TOL, GridFunction, ProblemSpec, _count, _dirichlet, _edges,
+                   _positive, _scipy_extension, _sequence, kappa, p_laplacian, sup_norm)
+from .energy import _energy, _gradient, _jacobian, energy
 from .nonlinearities import truncate_nonnegative  # noqa: F401  (importable from here too)
 from .spectrum import EigenConvergenceError, EigenPair, first_eigenpair
 
@@ -76,7 +76,10 @@ class SolverOptions:
 
     seed drives the counter-based multistart RNG and is recorded in each
     outcome so runs replay bit-for-bit.  The Armijo test's constants are
-    fixed (_ARMIJO_C, _BACKTRACK).
+    fixed (_ARMIJO_C, _BACKTRACK).  tol and dedup_dist must be positive and
+    finite, max_iters a positive integer and seed a non-negative one (a
+    whole float is stored as an int); otherwise construction raises a
+    ValueError naming the field.
     """
 
     tol: float = SOLVER_TOL
@@ -85,15 +88,10 @@ class SolverOptions:
     dedup_dist: float = 1e-6
 
     def __post_init__(self):
-        if not 0.0 < self.tol < np.inf:
-            raise ValueError("tol must be positive and finite")
-        if not _whole(self.max_iters) or self.max_iters < 1:
-            raise ValueError("max_iters must be a positive integer")
-        if not _whole(self.seed) or self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
-        object.__setattr__(self, "seed", int(self.seed))
-        if not self.dedup_dist > 0.0:
-            raise ValueError("dedup_dist must be positive")
+        _positive("tol", self.tol)
+        _count("max_iters", self.max_iters)
+        object.__setattr__(self, "seed", _count("seed", self.seed, least=0))
+        _positive("dedup_dist", self.dedup_dist)
 
 
 @dataclass(frozen=True)
@@ -309,7 +307,7 @@ def _descend(prob: ProblemSpec, alpha: float, u: np.ndarray, opts: SolverOptions
 def _solve(prob: ProblemSpec, alpha: float, u0: GridFunction,
            opts: SolverOptions | None, newton: bool) -> SolveOutcome:
     opts = opts if opts is not None else SolverOptions()
-    _check_alpha(alpha)
+    _positive("alpha", alpha)
     u, res, J, iters, reason = _descend(prob, alpha, _check_start(prob, u0), opts, newton)
     if res > opts.tol:
         polished, res = _polish(prob, alpha, u, opts.tol)
@@ -368,10 +366,9 @@ def minimize_on_sublevel(prob: ProblemSpec, alpha: float, sigma: float,
     sup_norm(u) < (sigma/kappa^p)^(1/p) is asserted a posteriori (against
     certificate.eps too when one is given).
     """
-    if not 0.0 < sigma < np.inf:
-        raise ValueError("sigma must be positive and finite")
+    _positive("sigma", sigma)
     opts = opts if opts is not None else SolverOptions()
-    _check_alpha(alpha)
+    _positive("alpha", alpha)
     p, T = prob.p, prob.T
 
     def project(vec: np.ndarray) -> np.ndarray:
@@ -440,13 +437,10 @@ def nontriviality_certificate(prob: ProblemSpec, alpha: float, eigen: EigenPair,
     given decreasing grid, or None when no entry does.  A hit certifies that
     the zero function is not the minimizer of J_alpha.
     """
-    _check_alpha(alpha)
+    _positive("alpha", alpha)
     if zeta_grid is None:
         zeta_grid = np.geomspace(1.0, 1e-8, 60)
-    zs = np.asarray(zeta_grid, dtype=float)
-    if zs.size == 0 or not np.all(np.isfinite(zs) & (zs > 0.0)) or np.any(np.diff(zs) >= 0.0):
-        raise ValueError("zeta_grid must be strictly decreasing, positive and finite")
-    for zeta in zs:
+    for zeta in _sequence("zeta_grid", zeta_grid, increasing=False):
         scaled = GridFunction(eigen.phi.values * float(zeta))
         e = energy(scaled, prob, alpha)
         if e < 0.0:
@@ -491,8 +485,8 @@ def _multistart(prob: ProblemSpec, alpha: float, n_starts: int,
                 opts: SolverOptions | None, extra_starts, eig: EigenPair) -> list[SolveOutcome]:
     """multistart_solve with the first eigenpair given (sweep_alpha reuses one)."""
     opts = opts if opts is not None else SolverOptions()
-    _check_alpha(alpha)
-    _check_n_starts(n_starts)
+    _positive("alpha", alpha)
+    n_starts = _count("n_starts", n_starts)
     T = prob.T
     profile = eig.phi.interior / np.max(np.abs(eig.phi.interior))
     starts = [np.zeros(T), profile.copy(), -profile]
@@ -500,7 +494,7 @@ def _multistart(prob: ProblemSpec, alpha: float, n_starts: int,
         vec = extra.interior if isinstance(extra, GridFunction) else extra
         starts.append(np.array(vec, dtype=float))
     rng = np.random.Generator(np.random.Philox(opts.seed))
-    for _ in range(int(n_starts)):
+    for _ in range(n_starts):
         starts.append(rng.uniform(-2.0, 2.0, T))
 
     outcomes = [solve_newton(prob, alpha, GridFunction.from_interior(vec), opts)
@@ -530,35 +524,20 @@ class SweepRow:
     error: str = ""
 
 
-def _check_n_starts(n_starts) -> None:
-    if not _whole(n_starts) or n_starts < 1:
-        raise ValueError("n_starts must be a positive integer")
-
-
-def _check_alphas(alphas) -> np.ndarray:
-    """sweep_alpha's alphas as an array: nonempty, positive, strictly increasing."""
-    arr = np.asarray(list(alphas), dtype=float)
-    if arr.size == 0:
-        raise ValueError("alphas must be nonempty")
-    if np.any(arr <= 0.0):
-        raise ValueError("alpha must be positive")
-    if np.any(np.diff(arr) <= 0.0):
-        raise ValueError("alphas must be strictly increasing")
-    return arr
-
-
 def sweep_alpha(prob: ProblemSpec, alphas, opts: SolverOptions | None = None,
                 n_starts: int = 8) -> list[SweepRow]:
     """Multistart solve per alpha, warm-started from the previous best.
 
     Rows come back in input order; a row that raises records the message in
-    its error field and the sweep continues.  The alphas and n_starts are
-    checked before the first row, so a bad one raises instead.  When the
+    its error field and the sweep continues.  Before the first row, alphas
+    (any iterable) must be nonempty and strictly increasing with every
+    entry positive and finite, and n_starts a positive integer; a
+    ValueError names the one that is not.  When the
     lowest energy is tied (odd nonlinearities pair u with -u), the positive
     representative is reported.
     """
-    arr = _check_alphas(alphas)
-    _check_n_starts(n_starts)
+    arr = _sequence("alphas", alphas, increasing=True)
+    _count("n_starts", n_starts)
     opts = opts if opts is not None else SolverOptions()
     eig = _eigen_best_effort(prob.p, prob.T)
     rows: list[SweepRow] = []

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EIGEN_TOL, GridFunction, _check_p, _check_T, _dirichlet, _p_laplacian, phi_p
+from .core import (EIGEN_TOL, GridFunction, _check_p, _check_T, _dirichlet, _p_laplacian,
+                   _positive, phi_p)
 
 _BRACKET_WIDTH = 1e-9  # relative width at which _illinois_bracket hands over to bisection
 
@@ -160,8 +161,7 @@ def first_eigenpair(p: float, T: int, tol: float = EIGEN_TOL) -> EigenPair:
     """
     _check_p(p)
     _check_T(T)
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
+    _positive("tol", tol)
     a, b = _illinois_bracket(p, T)
     lo, hi = 0.0, 2.0
     while lo < (mid := 0.5 * (lo + hi)) < hi:

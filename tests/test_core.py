@@ -380,6 +380,27 @@ def test_vec_methods_pass_one_shared_read_only_node_array():
         Nonlinearity(f=writes_k, potential=nl.potential).f_vec(np.ones(5))
 
 
+def test_a_callable_writing_into_k_leaves_the_probe_unchanged():
+    # every Nonlinearity is probed with the same two nodes: each probe call
+    # gets its own copy, and the write still raises at f_vec
+    def doubles_k(k, t):
+        k *= 2
+        return np.asarray(t, dtype=float) * 1.0
+
+    seen = []
+
+    def records_k(k, t):
+        seen.append(np.array(k))
+        return np.asarray(t, dtype=float) * 1.0
+
+    potential = lambda k, xi: 0.5 * xi * xi  # noqa: E731
+    nl = Nonlinearity(f=doubles_k, potential=potential)
+    with pytest.raises(ValueError, match="read-only"):
+        nl.f_vec(np.ones(5))
+    Nonlinearity(f=records_k, potential=potential)
+    np.testing.assert_array_equal(seen[0], [1, 2])
+
+
 def test_table_f_is_np_interp_row_by_row():
     rows = np.outer([1.0, -2.0, 0.5], TABLE_F) + 0.1
     nl = from_table(TABLE_T, rows)

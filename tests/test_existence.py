@@ -510,6 +510,19 @@ def test_decay_validates_probe():
         check_superlinearity_decay(_prob(), xi_probe=(2.0, 1.0))
 
 
+@pytest.mark.parametrize("probe", [(1.0, np.nan), (1.0, np.inf)])
+def test_decay_names_a_non_finite_probe(probe):
+    with pytest.raises(ValueError, match="xi_probe must be"):
+        check_superlinearity_decay(_prob(), xi_probe=probe)
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
+def test_decay_checks_its_tol(tol):
+    # a NaN or negative tol used to give verdict=False without a word
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        check_superlinearity_decay(_prob(), tol=tol)
+
+
 # -------------------------------------------------- three-solutions window
 
 def test_window_rejects_bad_radii():

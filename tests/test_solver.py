@@ -303,6 +303,12 @@ def test_solver_options_validation():
         SolverOptions(dedup_dist=0.0)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_solver_options_reject_a_non_finite_dedup_dist(bad):
+    with pytest.raises(ValueError, match="dedup_dist must be positive and finite"):
+        SolverOptions(dedup_dist=bad)
+
+
 def test_solver_options_seed_is_a_non_negative_int():
     # a bad seed fails at construction, not inside numpy's seeding
     for bad in (-1, 1.5):
@@ -942,6 +948,14 @@ def test_sweep_validates_alphas():
         sweep_alpha(prob, [-1.0, 1.0])
     with pytest.raises(ValueError, match="increasing"):
         sweep_alpha(prob, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("alphas", [[1.0, np.inf], [np.nan]])
+def test_sweep_names_a_non_finite_alpha_before_the_first_row(alphas, monkeypatch):
+    # these used to come back as a row whose error was the per-alpha message
+    monkeypatch.setattr(dplap.solver, "_multistart", None)  # no row may start
+    with pytest.raises(ValueError, match="alphas must be"):
+        sweep_alpha(esempio0(), alphas)
 
 
 def test_sweep_captures_row_errors():
