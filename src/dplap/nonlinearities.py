@@ -257,10 +257,12 @@ def from_table(t_samples, f_samples) -> Nonlinearity:
 
 
 def scaled_per_node(nl: Nonlinearity, scale) -> Nonlinearity:
-    """Multiply f (and its potential) by a per-node factor scale[k-1]."""
+    """Multiply f (and its potential) by the finite per-node factor scale[k-1]."""
     sc = np.asarray(scale, dtype=float)
     if sc.ndim != 1 or sc.size < 1:
         raise ValueError("scale must be a non-empty 1-D sequence")
+    if not np.isfinite(sc).all():
+        raise ValueError("scale entries must be finite")
 
     def pick(k):
         return sc[_node_index(k, sc.size, "scale entries")]

@@ -23,10 +23,12 @@ steps from (prob, alpha); the sublevel route adds its projection.  The loop
 stops when the residual reaches tol, when an accepted step no longer
 lowers the energy in floating point (the energy floor), when the
 residual stalls for _STALL_WINDOW iterations, when the line search fails,
-or at max_iters; outcomes name the reason in stop_reason.  Below the
-energy floor the polish finishes the job with plain, unshifted Newton
-steps: near a saddle H is indefinite by nature, and the unshifted step is
-the one that converges to saddles as well as to minima.
+or at max_iters; outcomes name the reason in stop_reason.  Every descent
+ends in _finish, where short of tol the polish finishes the job with plain,
+unshifted Newton steps: near a saddle H is indefinite by nature, and the
+unshifted step is the one that converges to saddles as well as to minima.
+The sublevel route hands _finish its ball test: a run ending on the
+boundary is not polished, and a polish leaving the ball is dropped.
 
 The three LAPACK routines (dgtsv, dpttrf, dstebz) come from scipy's f2py
 extension, which _lapack loads on first use through core._scipy_extension,
@@ -109,24 +111,27 @@ class SolveOutcome:
     stop_reason: str = ""  # why the Armijo loop ended: one of the names above
 
 
-def _check_start(prob: ProblemSpec, u0: GridFunction) -> np.ndarray:
-    if u0.T != prob.T:
-        raise ValueError(f"start has T={u0.T}, problem has T={prob.T}")
-    return np.array(u0.interior, dtype=float)
-
-
 def _check_descent(Ju: float, Jc: float) -> None:
     """An accepted step never raises the energy (beyond float noise)."""
     if not Jc <= Ju + 1e-12 * (1.0 + abs(Ju)):
         raise RuntimeError(f"accepted step raised the energy from {Ju!r} to {Jc!r}")
 
 
-def _finish(prob: ProblemSpec, alpha: float, vec: np.ndarray, res: float, J: float,
-            iters: int, opts: SolverOptions, stop_reason: str,
-            boundary_hit: bool = False) -> SolveOutcome:
-    """The outcome at vec, whose residual res and energy J the caller holds
-    already: _descend's last values, or the polish's residual and a fresh
-    _energy when the polish moved vec."""
+def _finish(prob: ProblemSpec, alpha: float, opts: SolverOptions, vec: np.ndarray,
+            res: float, J: float, iters: int, stop_reason: str,
+            inside=None) -> SolveOutcome:
+    """The outcome of a descent, from _descend's return tuple as is.
+
+    Above opts.tol, _polish takes over; when it moved vec, the outcome
+    reports the polished point, its residual and a fresh _energy.  inside,
+    when given, is the sublevel route's ball test: a descent ending outside
+    it is boundary_hit and not polished, and a polish leaving it is dropped.
+    """
+    boundary_hit = inside is not None and not inside(vec)
+    if not boundary_hit and res > opts.tol:
+        polished, pres = _polish(prob, alpha, vec, opts.tol)
+        if polished is not vec and (inside is None or inside(polished)):
+            vec, res, J = polished, pres, _energy(prob, alpha, polished)
     gf = GridFunction.from_interior(vec)
     converged = res <= opts.tol
     pos = check_positivity(gf, prob, alpha, opts.tol) if converged else INDEFINITE
@@ -262,7 +267,7 @@ def _descend(prob: ProblemSpec, alpha: float, u: np.ndarray, opts: SolverOptions
     non-increasing across accepted iterates.  An accepted step that leaves
     J unchanged in floating point means Armijo can no longer see progress:
     the loop stops there (ENERGY_FLOOR) instead of idling until the stall
-    window, and the caller's residual polish takes over.  Each iterate's
+    window, and _finish's residual polish takes over.  Each iterate's
     edge differences are computed once, by its trial, and its energy is
     returned for _finish.
     """
@@ -308,12 +313,10 @@ def _solve(prob: ProblemSpec, alpha: float, u0: GridFunction,
            opts: SolverOptions | None, newton: bool) -> SolveOutcome:
     opts = opts if opts is not None else SolverOptions()
     _positive("alpha", alpha)
-    u, res, J, iters, reason = _descend(prob, alpha, _check_start(prob, u0), opts, newton)
-    if res > opts.tol:
-        polished, res = _polish(prob, alpha, u, opts.tol)
-        if polished is not u:
-            u, J = polished, _energy(prob, alpha, polished)
-    return _finish(prob, alpha, u, res, J, iters, opts, reason)
+    if u0.T != prob.T:
+        raise ValueError(f"start has T={u0.T}, problem has T={prob.T}")
+    start = np.array(u0.interior, dtype=float)
+    return _finish(prob, alpha, opts, *_descend(prob, alpha, start, opts, newton))
 
 
 def solve_newton(prob: ProblemSpec, alpha: float, u0: GridFunction,
@@ -375,16 +378,13 @@ def minimize_on_sublevel(prob: ProblemSpec, alpha: float, sigma: float,
         n = _dirichlet(vec, p)
         return vec * (sigma / n) ** (1.0 / p) if n > sigma else vec
 
+    def inside(vec: np.ndarray) -> bool:
+        return _dirichlet(vec, p) < sigma * (1.0 - _BOUNDARY_SLACK)
+
     def run(start: np.ndarray) -> SolveOutcome:
-        u, res, J, iters, reason = _descend(prob, alpha, project(start), opts,
-                                            newton=False, project=project)
-        hit = _dirichlet(u, p) >= sigma * (1.0 - _BOUNDARY_SLACK)
-        if not hit and res > opts.tol:
-            # interior stall: unconstrained polish, kept only if it moved and stays inside
-            cand, cres = _polish(prob, alpha, u, opts.tol)
-            if cand is not u and _dirichlet(cand, p) < sigma * (1.0 - _BOUNDARY_SLACK):
-                u, res, J = cand, cres, _energy(prob, alpha, cand)
-        return _finish(prob, alpha, u, res, J, iters, opts, reason, boundary_hit=hit)
+        return _finish(prob, alpha, opts, *_descend(prob, alpha, project(start), opts,
+                                                    newton=False, project=project),
+                       inside=inside)
 
     rng = np.random.Generator(np.random.Philox(opts.seed))
     starts = [np.zeros(T)]
@@ -415,10 +415,11 @@ def check_positivity(u: GridFunction, prob: ProblemSpec, alpha: float,
 
     The dichotomy (a solution with nonnegative p-Laplacian is either
     identically zero or strictly positive) only applies when the premise
-    -(phi_p(du)) difference >= 0 holds; we verify it up to -tol and report
-    indefinite whenever it fails or the classification is ambiguous.
-    alpha is part of the solve context but the premise needs only u.
+    -(phi_p(du)) difference >= 0 holds; we verify it up to -tol (tol positive
+    and finite) and report indefinite whenever it fails or the classification
+    is ambiguous.  alpha is part of the solve context but the premise needs only u.
     """
+    _positive("tol", tol)
     lap = p_laplacian(u, prob.p)
     if np.min(lap) < -tol:
         return INDEFINITE

@@ -620,6 +620,26 @@ def test_scaled_per_node_rejects_an_empty_or_nested_scale(scale):
         scaled_per_node(bounded_rational(), scale)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scaled_per_node_rejects_a_non_finite_scale_entry(bad):
+    # a NaN surfaced later as "F_1(0) = nan", an inf as a RuntimeWarning
+    with pytest.raises(ValueError, match="scale entries must be finite"):
+        scaled_per_node(bounded_rational(), [1.0, bad, 2.0])
+
+
+def test_check_consistency_compares_a_flagged_potential_on_both_signs():
+    # f = exp(-|t|) is nonnegative, and 1 - exp(-xi) is its potential for
+    # xi >= 0 only: F(-2) = -6.39 where the integral is -0.865
+    half = Nonlinearity(f=lambda k, t: np.exp(-np.abs(t)),
+                        potential=lambda k, xi: 1.0 - np.exp(-xi), is_nonnegative=True)
+    with pytest.raises(ValueError, match="disagrees .* xi=-0.5"):
+        ProblemSpec(T=4, p=2.0, nonlinearity=half)
+    whole = Nonlinearity(f=lambda k, t: np.exp(-np.abs(t)),
+                         potential=lambda k, xi: np.sign(xi) * (1.0 - np.exp(-np.abs(xi))),
+                         is_nonnegative=True)
+    ProblemSpec(T=4, p=2.0, nonlinearity=whole)
+
+
 def test_check_consistency_rejects_wrong_potential():
     bad = Nonlinearity(f=lambda k, t: t,
                        potential=lambda k, xi: xi)  # should be xi^2/2

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dplap.solver
-from dplap.core import GridFunction, Nonlinearity, ProblemSpec, _edges, kappa, sup_norm
+from dplap.core import (GridFunction, Nonlinearity, ProblemSpec, _dirichlet, _edges, kappa,
+                        sup_norm)
 from dplap.energy import (_energy, _gradient, _jacobian, energy, gradient, strong_residual,
                           weak_residual)
 from dplap.nonlinearities import (bounded_rational, constant, from_table, linear,
@@ -609,6 +610,13 @@ def test_positivity_ambiguous_scale_is_indefinite():
     assert check_positivity(tent, esempio0(3), 1.0, 1e-10) == INDEFINITE
 
 
+@pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
+def test_positivity_rejects_a_bad_tol(tol):
+    # a NaN or negative tol classified u = 0 as indefinite
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        check_positivity(GridFunction.zero(5), esempio0(), 1.0, tol)
+
+
 # ---------------------------------------------- nontriviality certificate
 
 def test_nontriviality_found_at_alpha_1():
@@ -706,6 +714,61 @@ def test_sublevel_validates_sigma():
 def test_sublevel_rejects_an_infinite_sigma():
     with pytest.raises(ValueError, match="sigma"):
         minimize_on_sublevel(esempio0(), 1.0, sigma=np.inf)
+
+
+def _far_polish(calls):
+    """A stand-in for solver._polish that records each point it is handed
+    and returns a point far outside any test ball, with residual 0."""
+    def polish(prob, alpha, u, tol):
+        calls.append(u.copy())
+        return u + 10.0, 0.0
+    return polish
+
+
+def test_finish_drops_a_polish_that_leaves_the_ball(monkeypatch):
+    calls, runs = [], []
+    monkeypatch.setattr(dplap.solver, "_polish", _far_polish(calls))
+    ties = dplap.solver._first_of_ties
+
+    def every_run(outcomes, prefer):
+        runs.extend(outcomes)
+        return ties(outcomes, prefer)
+
+    monkeypatch.setattr(dplap.solver, "_first_of_ties", every_run)
+    prob, sigma = esempio0(), 1.0
+    minimize_on_sublevel(prob, 1.0, sigma, SolverOptions(max_iters=1))
+    assert calls  # one-iteration descents end above tol and are polished
+    assert len(runs) == 9
+    for u in (o.u.interior for o in runs):
+        assert not any(np.array_equal(u, c + 10.0) for c in calls)
+        assert _dirichlet(u, prob.p) < sigma
+
+
+def test_finish_keeps_a_free_polish_with_a_fresh_energy(monkeypatch):
+    calls = []
+    monkeypatch.setattr(dplap.solver, "_polish", _far_polish(calls))
+    prob = esempio0()
+    out = solve_newton(prob, 1.0, eigen_start(prob), SolverOptions(max_iters=1))
+    assert len(calls) == 1
+    assert np.array_equal(out.u.interior, calls[0] + 10.0)
+    assert out.converged and out.residual == 0.0
+    assert out.energy == energy(out.u, prob, 1.0)
+
+
+def test_finish_never_polishes_a_descent_ending_on_the_boundary(monkeypatch):
+    calls = []
+    polish = dplap.solver._polish
+
+    def counted(prob, alpha, u, tol):
+        calls.append(u.copy())
+        return polish(prob, alpha, u, tol)
+
+    monkeypatch.setattr(dplap.solver, "_polish", counted)
+    # linear f at alpha > lambda_1: the ball minimum sits on its boundary
+    prob, sigma = ProblemSpec(T=3, p=2.0, nonlinearity=linear()), 1.0
+    out = minimize_on_sublevel(prob, 3.0, sigma)
+    assert out.boundary_hit and not out.converged
+    assert all(_dirichlet(u, prob.p) < sigma * (1.0 - 1e-8) for u in calls)
 
 
 # ------------------------------------------------------ multistart_solve
