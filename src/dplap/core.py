@@ -115,9 +115,9 @@ class GridFunction:
         return self.values[1:-1]
 
     def __call__(self, k: int) -> float:
-        if not 0 <= k <= self.T + 1:
+        if not (_whole(k) and 0 <= k <= self.T + 1):
             raise ValueError(f"k must lie in 0..{self.T + 1}, got {k!r}")
-        return float(self.values[k])
+        return float(self.values[int(k)])
 
 
 def _broadcasts(fn) -> bool:
@@ -165,9 +165,11 @@ class Nonlinearity:
 
     ``is_nonnegative`` declares that f(k, t) >= 0 for t >= 0 and that each
     F_k attains its maximum over [-eps, eps] at xi = eps.  That holds when
-    f >= 0 on all of R, when the potential is even, and always after
-    ``truncate_nonnegative``.  The flag enables the fast path in the
-    smallness checks and admits the positive-solution threshold.
+    f >= 0 on all of R, when the potential is even, and after
+    ``truncate_nonnegative`` of an f >= 0 for t >= 0; the transform keeps
+    its base's flag, so ``truncate_nonnegative(linear(-1.0))`` has none.
+    The flag enables the fast path in the smallness checks and admits the
+    positive-solution threshold.
     ``from_table`` computes it from both halves (f >= 0 at the breakpoints
     t >= 0, and F_k(-x) <= F_k(x) for every x >= 0, which together give
     the maximum at eps); for other callables the flag is the caller's
@@ -261,14 +263,17 @@ class Nonlinearity:
         f is the less accurate side (2.5e-7 relative at xi = 1.7 on a
         4801-point table).
 
-        Evaluating the potential over all T nodes also makes per-node data
-        shorter than T (table rows, scale factors) fail here, by name.
+        The potential and f are evaluated at every node k = 1..T (only a
+        raised error from f counts), so per-node data shorter than T (table
+        rows, scale factors) fails here, by name, with a potential or without.
         """
         F0 = self.F_at(_nodes(T), np.zeros(T))
         bad = np.flatnonzero(~(np.abs(F0) <= 1e-12))
         if bad.size:
             k = int(bad[0]) + 1
             raise ValueError(f"potential must vanish at 0: F_{k}(0) = {float(F0[k - 1])!r}")
+        with np.errstate(all="ignore"):
+            self.f(_nodes(T), np.zeros(T))
         if self.potential is None or self.breakpoints is not None:
             return
         for k in (1, T):
@@ -324,6 +329,14 @@ def _positive(name: str, x) -> float:
     if not 0.0 < x < math.inf:
         raise ValueError(f"{name} must be positive and finite")
     return float(x)
+
+
+def _finite(name: str, x):
+    """float(x), or a float array for an array x, unless an entry is not finite."""
+    arr = np.asarray(x, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return float(arr) if arr.ndim == 0 else arr
 
 
 def _count(name: str, x, least: int = 1) -> int:

@@ -187,12 +187,15 @@ def estimate_gamma(prob: ProblemSpec, k: int,
 
     Returns the minimum of F_k(xi)/xi^p over the given samples.  A finite
     sample cannot certify a liminf; alpha_threshold only consumes this
-    through an explicit opt-in flag.
+    through an explicit opt-in flag.  k is a whole node in 1..T, and each
+    sample passes chi's and h's radius rule (_pth_power), or a ValueError.
     """
     if not (_whole(k) and 1 <= k <= prob.T):
         raise ValueError(f"k must be a node in 1..{prob.T}, got {k!r}")
     xs = _sequence("xi_samples", xi_samples, increasing=False)
-    F = prob.nonlinearity.F_at(np.full(xs.size, k), xs)
+    for x in xs:
+        _pth_power("xi_samples", x, prob.p)
+    F = prob.nonlinearity.F_at(np.full(xs.size, int(k)), xs)
     return float(np.min(F / xs ** prob.p))
 
 

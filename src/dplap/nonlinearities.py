@@ -15,15 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Nonlinearity, _gamma_tuple, _positive
-
-
-def _finite(name: str, x) -> float:
-    """float(x); a ValueError naming it unless it is finite."""
-    v = float(x)
-    if not np.isfinite(v):
-        raise ValueError(f"{name} must be finite")
-    return v
+from .core import Nonlinearity, _finite, _gamma_tuple, _positive
 
 
 def zero() -> Nonlinearity:
@@ -204,9 +196,8 @@ def from_table(t_samples, f_samples) -> Nonlinearity:
     fs = np.array(f_samples, dtype=float)
     if ts.ndim != 1 or ts.size < 2 or np.any(np.diff(ts) <= 0.0):
         raise ValueError("t_samples must be a strictly increasing 1-D sequence")
-    for name, arr in (("t_samples", ts), ("f_samples", fs)):
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{name} must be finite")
+    _finite("t_samples", ts)
+    _finite("f_samples", fs)
     if fs.ndim == 1:
         if fs.shape != ts.shape:
             raise ValueError("f_samples length must match t_samples")
@@ -261,8 +252,7 @@ def scaled_per_node(nl: Nonlinearity, scale) -> Nonlinearity:
     sc = np.asarray(scale, dtype=float)
     if sc.ndim != 1 or sc.size < 1:
         raise ValueError("scale must be a non-empty 1-D sequence")
-    if not np.isfinite(sc).all():
-        raise ValueError("scale entries must be finite")
+    _finite("scale entries", sc)
 
     def pick(k):
         return sc[_node_index(k, sc.size, "scale entries")]

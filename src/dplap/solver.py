@@ -20,10 +20,11 @@ Routes:
 All three share one Armijo loop (_descend) and one residual-driven Newton
 polish (_polish), both evaluating J_alpha, its gradient and its Newton
 steps from (prob, alpha); the sublevel route adds its projection.  The loop
-stops when the residual reaches tol, when an accepted step no longer
-lowers the energy in floating point (the energy floor), when the
-residual stalls for _STALL_WINDOW iterations, when the line search fails,
-or at max_iters; outcomes name the reason in stop_reason.  Every descent
+evaluates each iterate's gradient once, then stops, in this order, when the
+residual reaches tol, when the step just taken left the energy unchanged in
+floating point (the energy floor), when the residual stalled for
+_STALL_WINDOW iterations, or at max_iters; also when a line search fails.
+Outcomes name the reason in stop_reason.  Every descent
 ends in _finish, where short of tol the polish finishes the job with plain,
 unshifted Newton steps: near a saddle H is indefinite by nature, and the
 unshifted step is the one that converges to saddles as well as to minima.
@@ -109,12 +110,6 @@ class SolveOutcome:
     positivity: str = INDEFINITE
     seed: int | None = None
     stop_reason: str = ""  # why the Armijo loop ended: one of the names above
-
-
-def _check_descent(Ju: float, Jc: float) -> None:
-    """An accepted step never raises the energy (beyond float noise)."""
-    if not Jc <= Ju + 1e-12 * (1.0 + abs(Ju)):
-        raise RuntimeError(f"accepted step raised the energy from {Ju!r} to {Jc!r}")
 
 
 def _finish(prob: ProblemSpec, alpha: float, opts: SolverOptions, vec: np.ndarray,
@@ -264,25 +259,31 @@ def _descend(prob: ProblemSpec, alpha: float, u: np.ndarray, opts: SolverOptions
     size doubles after every accepted one, so flat stretches do not trap
     the iteration at a tiny step.  project, when given, maps every trial
     point (the sublevel route's radial pull-back onto its ball).  J is
-    non-increasing across accepted iterates.  An accepted step that leaves
-    J unchanged in floating point means Armijo can no longer see progress:
-    the loop stops there (ENERGY_FLOOR) instead of idling until the stall
-    window, and _finish's residual polish takes over.  Each iterate's
-    edge differences are computed once, by its trial, and its energy is
-    returned for _finish.
+    non-increasing across accepted iterates (a rise beyond float noise is a
+    RuntimeError).  An accepted step that leaves J unchanged in floating
+    point means Armijo can no longer see progress: the loop stops there
+    (ENERGY_FLOOR) instead of idling until the stall window, and _finish's
+    residual polish takes over.  Each iterate's edge differences
+    are computed once, by its trial, and its gradient once, at the top of
+    the loop, where one block decides the stops in order: CONVERGED,
+    ENERGY_FLOOR, STALL_WINDOW, MAX_ITERS (LINE_SEARCH comes from the step
+    search).  The last iterate's energy is returned for _finish.
     """
     du = _edges(u)
     Ju = _energy(prob, alpha, u, du)
-    g = _gradient(prob, alpha, u, du)
-    res = float(np.abs(g).max())
-    step = 1.0
-    iters = 0
-    best_res, best_at = res, 0
+    step, iters, at_floor = 1.0, 0, False
+    best_res, best_at = np.inf, 0
     while True:
-        if res <= opts.tol:
-            return u, res, Ju, iters, CONVERGED
-        if iters >= opts.max_iters:
-            return u, res, Ju, iters, MAX_ITERS
+        g = _gradient(prob, alpha, u, du)
+        res = float(np.abs(g).max())
+        if res < 0.99 * best_res:
+            best_res, best_at = res, iters
+        stop = (CONVERGED if res <= opts.tol else
+                ENERGY_FLOOR if at_floor else
+                STALL_WINDOW if iters - best_at >= _STALL_WINDOW else  # e.g. circling a saddle
+                MAX_ITERS if iters >= opts.max_iters else None)
+        if stop is not None:
+            return u, res, Ju, iters, stop
         s = _shifted_newton_step(prob, alpha, u, g, du) if newton else None
         trial = None if s is None else _armijo(prob, alpha, u, Ju, s, float(g @ s), 1.0,
                                                project)
@@ -293,20 +294,11 @@ def _descend(prob: ProblemSpec, alpha: float, u: np.ndarray, opts: SolverOptions
                 return u, res, Ju, iters, LINE_SEARCH
             step = trial[0]  # remember the accepted gradient step size
         _, cand, du, Jc = trial
-        _check_descent(Ju, Jc)
+        if not Jc <= Ju + 1e-12 * (1.0 + abs(Ju)):  # beyond float noise
+            raise RuntimeError(f"accepted step raised the energy from {Ju!r} to {Jc!r}")
         at_floor = Jc >= Ju
         u, Ju = cand, Jc
-        g = _gradient(prob, alpha, u, du)
-        res = float(np.abs(g).max())
         iters += 1
-        if res <= opts.tol:
-            continue
-        if at_floor:
-            return u, res, Ju, iters, ENERGY_FLOOR
-        if res < 0.99 * best_res:
-            best_res, best_at = res, iters
-        elif iters - best_at >= _STALL_WINDOW:
-            return u, res, Ju, iters, STALL_WINDOW  # residual crawl (e.g. circling a saddle)
 
 
 def _solve(prob: ProblemSpec, alpha: float, u0: GridFunction,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+import dplap.core
 import dplap.existence
 from dplap.core import (QUAD_ABS_TOL, GridFunction, Nonlinearity, ProblemSpec, c_const,
                         forward_difference, kappa, p_laplacian, p_norm, phi_p, quad,
@@ -89,6 +90,15 @@ def test_grid_function_rejects_nodes_off_the_grid(k):
     # u(-1) would otherwise read u(T+1) through negative indexing
     with pytest.raises(ValueError, match=r"k must lie in 0\.\.4"):
         GridFunction.from_interior([1.0, 2.0, 3.0])(k)
+
+
+def test_grid_function_reads_a_whole_float_node_and_names_a_fractional_one():
+    u = GridFunction.from_interior([1.0, 2.0, 3.0])
+    assert u(1.0) == u(1) == 1.0
+    assert u(np.float64(4.0)) == 0.0
+    for k in (1.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"k must lie in 0\.\.4"):
+            u(k)
 
 
 @pytest.mark.parametrize("make", [
@@ -627,6 +637,15 @@ def test_scaled_per_node_rejects_a_non_finite_scale_entry(bad):
         scaled_per_node(bounded_rational(), [1.0, bad, 2.0])
 
 
+def test_core_finite_rule_takes_a_scalar_or_an_array():
+    finite = dplap.core._finite
+    assert finite("value", 2) == 2.0 and isinstance(finite("value", 2), float)
+    assert np.array_equal(finite("scale entries", [1, 2]), [1.0, 2.0])
+    for bad in (math.nan, -math.inf, [1.0, math.nan], [[0.0], [math.inf]]):
+        with pytest.raises(ValueError, match="^x must be finite$"):
+            finite("x", bad)
+
+
 def test_check_consistency_compares_a_flagged_potential_on_both_signs():
     # f = exp(-|t|) is nonnegative, and 1 - exp(-xi) is its potential for
     # xi >= 0 only: F(-2) = -6.39 where the integral is -0.865
@@ -700,6 +719,15 @@ def test_problem_spec_rejects_scale_shorter_than_T():
         ProblemSpec(T=5, p=2.0, nonlinearity=nl)
     with pytest.raises(ValueError, match="node indices start at 1"):
         nl.eval_f(0, 1.0)
+
+
+def test_problem_spec_rejects_short_scale_for_a_nonlinearity_without_potential():
+    # F_k(0) = 0 is read without calling f: only evaluating f at every node
+    # finds the missing scale entries
+    nl = scaled_per_node(Nonlinearity(f=lambda k, t: t * 1.0), [1.0, 2.0])
+    ProblemSpec(T=2, p=2.0, nonlinearity=nl)
+    with pytest.raises(ValueError, match=r"scale entries \(2\) fewer than T=4"):
+        ProblemSpec(T=4, p=2.0, nonlinearity=nl)
 
 
 def test_problem_spec_runs_consistency_check():

@@ -1,5 +1,7 @@
 """Existence, positivity-threshold, and multiplicity certificates."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -483,6 +485,20 @@ def test_estimate_gamma_rejects_non_finite_samples():
     for samples in ((np.inf, 1.0), (np.nan,), (1.0, np.nan)):
         with pytest.raises(ValueError, match="decreasing"):
             estimate_gamma(_prob(), 1, xi_samples=samples)
+
+
+def test_estimate_gamma_takes_a_whole_float_node():
+    prob = _prob(T=3, nl=scaled_per_node(bounded_rational(), [1.0, 2.0, 3.0]))
+    assert estimate_gamma(prob, 2.0) == estimate_gamma(prob, 2)
+
+
+@pytest.mark.parametrize("x, how", [(1e-200, "underflows to 0"), (1e300, "overflows")])
+def test_estimate_gamma_names_a_sample_whose_power_leaves_float_range(x, how):
+    # 1e-200 ** 2 is 0 and 1e300 ** 2 is inf: F / xi^p would be 0/0 or inf/inf
+    prob = _prob(T=3, nl=scaled_per_node(bounded_rational(), [1.0, 2.0, 3.0]))
+    message = f"xi_samples ** p {how} at xi_samples = {x!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        estimate_gamma(prob, 2, xi_samples=[x])
 
 
 # -------------------------------------------------------- decay heuristic

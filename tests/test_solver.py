@@ -77,6 +77,56 @@ def test_a_residual_crawl_ends_in_the_stall_window(monkeypatch):
     assert not out.converged
 
 
+def _failing_armijo(after):
+    """_armijo that fails every line search after its first `after` calls."""
+    armijo, calls = dplap.solver._armijo, []
+
+    def scripted(*args):
+        calls.append(1)
+        return armijo(*args) if len(calls) <= after else None
+    return scripted
+
+
+@pytest.mark.parametrize("reason", [CONVERGED, ENERGY_FLOOR, STALL_WINDOW, MAX_ITERS,
+                                    LINE_SEARCH])
+def test_descend_evaluates_each_iterate_once(monkeypatch, reason):
+    # one _gradient call per iterate, the start included, whatever the stop
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _gradient(*args)
+
+    monkeypatch.setattr(dplap.solver, "_gradient", counted)
+    opts, newton, prob = SolverOptions(), True, esempio0()
+    vec = np.linspace(0.5, 1.5, 5)
+    if reason == ENERGY_FLOOR:
+        opts = SolverOptions(tol=1e-300)
+    elif reason == STALL_WINDOW:
+        monkeypatch.setattr(dplap.solver, "_STALL_WINDOW", 1)
+        prob, newton = esempio0(T=4, p=1.5), False
+        vec = np.random.default_rng(0).uniform(-2.0, 2.0, 4)
+    elif reason == MAX_ITERS:
+        opts = SolverOptions(max_iters=1)
+    elif reason == LINE_SEARCH:
+        monkeypatch.setattr(dplap.solver, "_armijo", _failing_armijo(2))
+        newton = False
+    *_, iters, stop = dplap.solver._descend(prob, 1.0, vec, opts, newton)
+    assert stop == reason
+    assert iters >= 1 and len(calls) == iters + 1
+
+
+def test_descend_raises_when_an_accepted_step_raises_the_energy(monkeypatch):
+    def uphill(prob, alpha, u, Ju, direction, slope, t, project):
+        cand = u + 1.0
+        return 1.0, cand, _edges(cand), Ju + 1.0
+
+    monkeypatch.setattr(dplap.solver, "_armijo", uphill)
+    with pytest.raises(RuntimeError, match="accepted step raised the energy from"):
+        dplap.solver._descend(esempio0(), 1.0, np.linspace(0.5, 1.5, 5), SolverOptions(),
+                              newton=False)
+
+
 def test_a_non_finite_jacobian_takes_no_newton_step():
     # df = inf: neither Newton step exists, so solve_newton is gradient
     # descent step for step, and the polish declines as well
