@@ -103,7 +103,7 @@ class GridFunction:
 
     @classmethod
     def zero(cls, T: int) -> "GridFunction":
-        return cls(np.zeros(T + 2))
+        return cls(np.zeros(_check_T(T) + 2))
 
     @property
     def T(self) -> int:
@@ -359,6 +359,12 @@ def _sequence(name: str, values, increasing: bool, least: int = 1) -> np.ndarray
         raise ValueError(f"{name} must be a nonempty sequence (length >= {least}), "
                          f"strictly {way}, positive and finite")
     return arr
+
+
+def _same_T(name: str, u: GridFunction, T: int) -> None:
+    """Nothing, unless the grid function u is not on the problem's grid 0..T+1."""
+    if u.T != T:
+        raise ValueError(f"{name} has T={u.T}, problem has T={T}")
 
 
 def _gamma_tuple(gamma, T: int) -> tuple[float, ...]:

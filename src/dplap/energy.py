@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridFunction, ProblemSpec, _dirichlet, _edges, _p_laplacian, _positive, phi_p
+from .core import (GridFunction, ProblemSpec, _dirichlet, _edges, _p_laplacian, _positive,
+                   _same_T, phi_p)
 
 _EPS = np.finfo(float).eps  # floors of the p < 2 secant weights (_newton_weights)
 _TINY = np.finfo(float).tiny
@@ -62,6 +63,7 @@ def energy(u: GridFunction, prob: ProblemSpec, alpha: float = 1.0) -> float:
     alpha = 1 recovers the unparametrised functional.
     """
     _positive("alpha", alpha)
+    _same_T("u", u, prob.T)
     return _energy(prob, alpha, u.interior)
 
 
@@ -72,6 +74,7 @@ def gradient(u: GridFunction, prob: ProblemSpec, alpha: float = 1.0) -> np.ndarr
     - alpha f(k, u(k)), the defect of the strong difference equation.
     """
     _positive("alpha", alpha)
+    _same_T("u", u, prob.T)
     return _gradient(prob, alpha, u.interior)
 
 
@@ -88,8 +91,8 @@ def weak_residual(u: GridFunction, v: GridFunction, prob: ProblemSpec,
     (summation by parts with the zero boundary).
     """
     _positive("alpha", alpha)
-    if v.T != u.T:
-        raise ValueError(f"test function has T={v.T}, expected {u.T}")
+    _same_T("u", u, prob.T)
+    _same_T("test function", v, prob.T)
     du = np.diff(u.values)
     dv = np.diff(v.values)
     bilinear = float(phi_p(du, prob.p) @ dv)
@@ -104,6 +107,7 @@ def hessian_p2(u: GridFunction, prob: ProblemSpec, alpha: float = 1.0) -> np.nda
     Newton steps at any p > 1 use the tridiagonal _jacobian, densified here.
     """
     _positive("alpha", alpha)
+    _same_T("u", u, prob.T)
     if prob.p != 2.0:
         raise ValueError("hessian_p2 requires p = 2")
     diag, off = _jacobian(prob, alpha, u.interior, 0.0)

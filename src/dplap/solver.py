@@ -47,7 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (SOLVER_TOL, GridFunction, ProblemSpec, _count, _dirichlet, _edges,
-                   _positive, _scipy_extension, _sequence, kappa, p_laplacian, sup_norm)
+                   _positive, _same_T, _scipy_extension, _sequence, kappa, p_laplacian,
+                   sup_norm)
 from .energy import _energy, _gradient, _jacobian, energy
 from .nonlinearities import truncate_nonnegative  # noqa: F401  (importable from here too)
 from .spectrum import EigenConvergenceError, EigenPair, first_eigenpair
@@ -305,8 +306,7 @@ def _solve(prob: ProblemSpec, alpha: float, u0: GridFunction,
            opts: SolverOptions | None, newton: bool) -> SolveOutcome:
     opts = opts if opts is not None else SolverOptions()
     _positive("alpha", alpha)
-    if u0.T != prob.T:
-        raise ValueError(f"start has T={u0.T}, problem has T={prob.T}")
+    _same_T("start", u0, prob.T)
     start = np.array(u0.interior, dtype=float)
     return _finish(prob, alpha, opts, *_descend(prob, alpha, start, opts, newton))
 
@@ -412,6 +412,7 @@ def check_positivity(u: GridFunction, prob: ProblemSpec, alpha: float,
     is ambiguous.  alpha is part of the solve context but the premise needs only u.
     """
     _positive("tol", tol)
+    _same_T("u", u, prob.T)
     lap = p_laplacian(u, prob.p)
     if np.min(lap) < -tol:
         return INDEFINITE
@@ -431,6 +432,7 @@ def nontriviality_certificate(prob: ProblemSpec, alpha: float, eigen: EigenPair,
     the zero function is not the minimizer of J_alpha.
     """
     _positive("alpha", alpha)
+    _same_T("eigen.phi", eigen.phi, prob.T)
     if zeta_grid is None:
         zeta_grid = np.geomspace(1.0, 1e-8, 60)
     for zeta in _sequence("zeta_grid", zeta_grid, increasing=False):
@@ -521,11 +523,13 @@ def sweep_alpha(prob: ProblemSpec, alphas, opts: SolverOptions | None = None,
                 n_starts: int = 8) -> list[SweepRow]:
     """Multistart solve per alpha, warm-started from the previous best.
 
-    Rows come back in input order; a row that raises records the message in
-    its error field and the sweep continues.  Before the first row, alphas
-    (any iterable) must be nonempty and strictly increasing with every
-    entry positive and finite, and n_starts a positive integer; a
-    ValueError names the one that is not.  When the
+    Rows come back in input order; a row that raises a ValueError or an
+    ArithmeticError records the message in its error field and the sweep
+    continues, while any other exception (a broken internal invariant, such
+    as an accepted step that raised the energy) leaves the sweep.  Before
+    the first row, alphas (any iterable) must be nonempty and strictly
+    increasing with every entry positive and finite, and n_starts a
+    positive integer; a ValueError names the one that is not.  When the
     lowest energy is tied (odd nonlinearities pair u with -u), the positive
     representative is reported.
     """
@@ -552,6 +556,6 @@ def sweep_alpha(prob: ProblemSpec, alphas, opts: SolverOptions | None = None,
                 warm = np.array(best.u.interior)
             else:
                 rows.append(SweepRow(alpha=a, nontriviality_zeta=zeta))
-        except Exception as exc:
+        except (ValueError, ArithmeticError) as exc:
             rows.append(SweepRow(alpha=a, error=str(exc)))
     return rows

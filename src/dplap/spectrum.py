@@ -8,9 +8,8 @@ In one dimension the eigen equation is the three-term recurrence
     phi_p(d(k)) = phi_p(d(k-1)) - lambda phi_p(u(k)),   d(k) = u(k+1) - u(k),
 so first_eigenpair shoots it from u(0) = 0, u(1) = 1 over half the grid and
 finds lambda on the sign of the symmetry defect: Illinois regula falsi
-narrows a bracket to 1e-9 relative, then bisection on [0, 2] runs to
-adjacent floats, shooting only the midpoints inside that bracket.  O(T) per
-shot, no linear algebra and no solver code.
+narrows a bracket on [0, 2] to adjacent floats.  O(T) per shot, no linear
+algebra and no solver code.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 from .core import (EIGEN_TOL, GridFunction, _check_p, _check_T, _dirichlet, _p_laplacian,
                    _positive, phi_p)
 
-_BRACKET_WIDTH = 1e-9  # relative width at which _illinois_bracket hands over to bisection
+_ZERO_PROBE = 1e-9  # relative step below a bracket end whose shot defect is exactly 0
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,7 @@ class EigenConvergenceError(RuntimeError):
 
 def matrix_A(T: int) -> np.ndarray:
     """The T x T tridiagonal matrix with 2 on the diagonal, -1 off it."""
-    _check_T(T)
+    T = _check_T(T)
     return 2.0 * np.eye(T) - np.eye(T, k=1) - np.eye(T, k=-1)
 
 
@@ -96,53 +95,54 @@ def _shoot(lam: float, p: float, T: int) -> tuple[float, list[float] | None]:
     return (1 + T % 2) * flux - lam * x ** e, half
 
 
-def _illinois_bracket(p: float, T: int) -> tuple[float, float]:
-    """(a, b) in [0, 2] with a shot defect > 0 at a and <= 0 at b, and b - a
-    at most _BRACKET_WIDTH relative to b.
+def _illinois_bracket(p: float, T: int) -> tuple[tuple[float, list[float] | None], ...]:
+    """((a, half_a), (b, half_b)): adjacent floats a < b in [0, 2] with a
+    shot defect > 0 at a and <= 0 at b, each with the half profile its own
+    shot returned.
 
     Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971): the secant
     point of the bracket ends, with the value kept at one end halved each
     time that end survives twice in a row, so the bracket shrinks
     superlinearly where bisection gains one bit per shot.  A secant point
-    that rounds onto an end falls back to the midpoint.
+    that rounds onto an end falls back to the midpoint, and the search
+    stops when no float lies strictly between the ends.
     """
-    a, fa = 0.0, _shoot(0.0, p, T)[0]
-    b, fb = 2.0, _shoot(2.0, p, T)[0]
+    a, (fa, half_a) = 0.0, _shoot(0.0, p, T)
+    b, (fb, half_b) = 2.0, _shoot(2.0, p, T)
     kept = 0  # +1: a moved last, -1: b moved last
-    while b - a > _BRACKET_WIDTH * b:
+    while a < (mid := 0.5 * (a + b)) < b:
         # a defect of exactly 0 at b pins the secant point to b: probe below it
-        c = b * (1.0 - _BRACKET_WIDTH) if fb == 0.0 else (a * fb - b * fa) / (fb - fa)
+        c = b * (1.0 - _ZERO_PROBE) if fb == 0.0 else (a * fb - b * fa) / (fb - fa)
         if not a < c < b:
-            c = 0.5 * (a + b)
-        fc = _shoot(c, p, T)[0]
+            c = mid
+        fc, half = _shoot(c, p, T)
         if fc > 0.0:
-            a, fa = c, fc
+            a, fa, half_a = c, fc, half
             if kept > 0:
                 fb *= 0.5
             kept = 1
         else:
-            b, fb = c, fc
+            b, fb, half_b = c, fc, half
             if kept < 0:
                 fa *= 0.5
             kept = -1
-    return a, b
+    return (a, half_a), (b, half_b)
 
 
 def first_eigenpair(p: float, T: int, tol: float = EIGEN_TOL) -> EigenPair:
     """First eigenpair by symmetric shooting and a bracketed search on lambda.
 
     _shoot runs the eigen recurrence over half the grid; by discrete Sturm
-    theory its symmetry defect changes sign once, at lambda_1, so bisection
-    on [0, 2] (the one-peak quotient is 2, so lambda_1 < 2) runs until the
-    bracket ends are adjacent floats.  _illinois_bracket first narrows the
-    sign change to (a, b); the bisection then shoots only its midpoints
-    strictly inside (a, b), and sends one at or below a to the lower end
-    and one at or above b to the upper end, where the single sign change
-    puts them.  So the ends, and the pair, are those of the bisection
-    alone, from about 40% of its shots (the replay also keeps whatever the
-    bisection does with rounding noise inside the narrow bracket).  Of the
-    two ends the one whose mirrored, normalised profile has the smaller
-    defect wins: phi is positive and exactly symmetric by construction.
+    theory its symmetry defect changes sign once, at lambda_1, so
+    _illinois_bracket narrows [0, 2] (the one-peak quotient is 2, so
+    lambda_1 < 2) until its ends are adjacent floats, shooting no lambda
+    twice.  Where the sign change is clean these are the ends any search
+    to adjacent floats finds, plain bisection's included; where rounding
+    noise flips the sign of the defect over a few floats next to lambda_1,
+    they are one of the adjacent pairs that straddle a flip.  Of the two
+    ends, the one whose mirrored, normalised half profile (kept from that
+    end's own shot) has the smaller defect wins: phi is positive and
+    exactly symmetric by construction.
     lambda_ is the Rayleigh quotient of that phi, hence >= lambda_1 up to
     rounding: the safe side for existence.alpha_threshold.
 
@@ -160,19 +160,10 @@ def first_eigenpair(p: float, T: int, tol: float = EIGEN_TOL) -> EigenPair:
     pair is still the eigenpair to the precision the arithmetic admits.
     """
     _check_p(p)
-    _check_T(T)
+    T = _check_T(T)
     _positive("tol", tol)
-    a, b = _illinois_bracket(p, T)
-    lo, hi = 0.0, 2.0
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if mid <= a or (mid < b and _shoot(mid, p, T)[0] > 0.0):
-            lo = mid
-        else:
-            hi = mid
-
     pairs = []
-    for lam in (lo, hi):
-        half = _shoot(lam, p, T)[1]
+    for _, half in _illinois_bracket(p, T):
         if half is not None:
             v = np.array(half + half[::-1][T % 2:])
             phi = v / float(np.sum(v ** p)) ** (1.0 / p)

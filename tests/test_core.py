@@ -85,6 +85,16 @@ def test_from_interior_and_zero():
     assert np.all(z.values == 0.0)
 
 
+def test_zero_takes_a_whole_float_T():
+    assert GridFunction.zero(4.0).values.tobytes() == GridFunction.zero(4).values.tobytes()
+
+
+@pytest.mark.parametrize("T", [1, 2.5, np.nan])
+def test_zero_names_a_bad_T(T):
+    with pytest.raises(ValueError, match="T must be an integer >= 2"):
+        GridFunction.zero(T)
+
+
 @pytest.mark.parametrize("k", [-1, -5, 5, 100])
 def test_grid_function_rejects_nodes_off_the_grid(k):
     # u(-1) would otherwise read u(T+1) through negative indexing

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import dplap.solver
 from dplap.core import (GridFunction, Nonlinearity, ProblemSpec, _dirichlet, _edges, kappa,
                         sup_norm)
-from dplap.energy import (_energy, _gradient, _jacobian, energy, gradient, strong_residual,
-                          weak_residual)
+from dplap.energy import (_energy, _gradient, _jacobian, energy, gradient, hessian_p2,
+                          strong_residual, weak_residual)
 from dplap.nonlinearities import (bounded_rational, constant, from_table, linear,
                                   scaled_per_node, zero)
 from dplap.solver import (CONVERGED, ENERGY_FLOOR, INDEFINITE, LINE_SEARCH,
@@ -1071,6 +1071,17 @@ def test_sweep_names_a_non_finite_alpha_before_the_first_row(alphas, monkeypatch
         sweep_alpha(esempio0(), alphas)
 
 
+def test_sweep_lets_an_internal_error_out(monkeypatch):
+    # only the errors a row can raise (ValueError, ArithmeticError) become
+    # its error field; a broken invariant leaves the sweep
+    def broken(prob, alpha, n_starts, opts, extra_starts, eig):
+        raise RuntimeError("accepted step raised the energy")
+
+    monkeypatch.setattr(dplap.solver, "_multistart", broken)
+    with pytest.raises(RuntimeError, match="accepted step raised the energy"):
+        sweep_alpha(esempio0(), [0.5, 1.0], n_starts=2)
+
+
 def test_sweep_captures_row_errors():
     # a nonlinearity whose f blows up far out: remote alphas record errors
     def f(k, t):
@@ -1096,7 +1107,7 @@ def test_sweep_failure_rows_keep_the_last_good_warm_start(monkeypatch):
         if alpha == 0.7:
             return []
         if alpha == 0.8:
-            raise RuntimeError("scripted failure")
+            raise ValueError("scripted failure")
         sols = real(prob, alpha, n_starts, opts, extra_starts, eig)
         best[alpha] = np.array(sols[0].u.interior)
         return sols
@@ -1125,3 +1136,22 @@ def test_multistart_repeats_bit_identically():
     for a, b in zip(first, second):
         assert np.array_equal(a.u.values, b.u.values)
         assert a.energy == b.energy and a.residual == b.residual
+
+
+_ON_5, _ON_7 = GridFunction.from_interior([0.1] * 5), GridFunction.from_interior([0.1] * 7)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("u", lambda prob: energy(_ON_7, prob)),
+    ("u", lambda prob: gradient(_ON_7, prob)),
+    ("u", lambda prob: weak_residual(_ON_7, _ON_5, prob)),
+    ("test function", lambda prob: weak_residual(_ON_5, _ON_7, prob)),
+    ("u", lambda prob: hessian_p2(_ON_7, prob)),
+    ("u", lambda prob: check_positivity(_ON_7, prob, 1.0, 1e-9)),
+    ("eigen.phi", lambda prob: nontriviality_certificate(prob, 1.0, first_eigenpair(2.0, 7))),
+    ("start", lambda prob: solve_newton(prob, 1.0, _ON_7)),
+], ids=["energy", "gradient", "weak_residual-u", "weak_residual-v", "hessian_p2",
+        "check_positivity", "nontriviality_certificate", "solve"])
+def test_a_grid_function_off_the_problem_grid_is_named(name, call):
+    with pytest.raises(ValueError, match=f"^{name} has T=7, problem has T=5$"):
+        call(esempio0(T=5))

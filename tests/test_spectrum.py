@@ -306,3 +306,41 @@ def test_first_eigenpair_matches_bisection_bit_for_bit_in_half_the_shots(monkeyp
         total += len(shots)
     assert raised >= 5  # the grid holds cells that raise
     assert 2 * total <= total_ref
+
+
+def test_first_eigenpair_shoots_no_lambda_twice(monkeypatch):
+    # each bracket end keeps the half profile of its own shot
+    shots = []
+    shoot = dplap.spectrum._shoot
+
+    def counted(lam, p, T):
+        shots.append(lam)
+        return shoot(lam, p, T)
+
+    monkeypatch.setattr(dplap.spectrum, "_shoot", counted)
+    for p, T in _EIGEN_GRID:
+        shots.clear()
+        try:
+            first_eigenpair(p, T)
+        except EigenConvergenceError:
+            pass
+        assert len(set(shots)) == len(shots), (p, T)
+
+
+def test_illinois_bracket_ends_are_adjacent_floats():
+    shoot = dplap.spectrum._shoot
+    for p, T in _EIGEN_GRID:
+        (a, half_a), (b, half_b) = dplap.spectrum._illinois_bracket(p, T)
+        (fa, ha), (fb, hb) = shoot(a, p, T), shoot(b, p, T)
+        assert np.nextafter(a, 2.0) == b, (p, T)
+        assert fa > 0.0 >= fb, (p, T)
+        assert (ha, hb) == (half_a, half_b), (p, T)
+
+
+@pytest.mark.parametrize("p, T", [(2.0, 5), (3.0, 4), (1.5, 9)])
+def test_a_whole_float_T_gives_the_int_T_result(p, T):
+    ref, got = first_eigenpair(p, T), first_eigenpair(p, float(T))
+    assert (got.lambda_, got.residual) == (ref.lambda_, ref.residual)
+    assert got.phi.values.tobytes() == ref.phi.values.tobytes()
+    assert matrix_A(float(T)).tobytes() == matrix_A(T).tobytes()
+    assert matrix_A(float(T)).shape == (T, T)
