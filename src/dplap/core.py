@@ -434,14 +434,18 @@ def _edges(vec: np.ndarray) -> np.ndarray:
 # the solvers' kernels on interior arrays: p is checked by the callers, and
 # du, when given, must be _edges(vec) (the descent loop computes it once)
 def _dirichlet(vec: np.ndarray, p: float, du: np.ndarray | None = None) -> float:
-    """sum over k=1..T+1 of |u(k)-u(k-1)|^p."""
+    """sum over k=1..T+1 of |u(k)-u(k-1)|^p.  At p = 2 the sum of du * du:
+    |du| ** 2 is numpy's square of |du|, the same products bit for bit."""
     du = _edges(vec) if du is None else du
-    return float((np.abs(du) ** p).sum())
+    return float((du * du if p == 2.0 else np.abs(du) ** p).sum())
 
 
 def _p_laplacian(vec: np.ndarray, p: float, du: np.ndarray | None = None) -> np.ndarray:
+    """-(phi_p(du) differenced).  At p = 2 phi_p(du) is du + 0.0: it equals
+    sign(du) |du| bit for bit, the + 0.0 turning -0.0 into +0.0 as the
+    sign product does."""
     du = _edges(vec) if du is None else du
-    phi = np.sign(du) * np.abs(du) ** (p - 1.0)
+    phi = du + 0.0 if p == 2.0 else np.sign(du) * np.abs(du) ** (p - 1.0)
     return -(phi[1:] - phi[:-1])
 
 

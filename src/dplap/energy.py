@@ -52,7 +52,11 @@ def _newton_weights(p: float, du: np.ndarray, share: float) -> np.ndarray:
 def _jacobian(prob: ProblemSpec, alpha: float, vec: np.ndarray, share: float,
               du: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(diagonal, off-diagonal) of the tridiagonal Newton matrix of J_alpha:
-    edge weights from _newton_weights, minus alpha f' on the diagonal."""
+    edge weights from _newton_weights, minus alpha f' on the diagonal.  At
+    p = 2 every weight is 1.0 * |du| ** 0.0 = 1.0 exactly, so the Dirichlet
+    part is tridiag(-1, 2, -1), written down without the edges."""
+    if prob.p == 2.0:
+        return 2.0 - alpha * prob.nonlinearity.df_vec(vec), np.full(vec.size - 1, -1.0)
     w = _newton_weights(prob.p, _edges(vec) if du is None else du, share)
     return w[:-1] + w[1:] - alpha * prob.nonlinearity.df_vec(vec), -w[1:-1]
 

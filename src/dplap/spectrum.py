@@ -22,8 +22,6 @@ import numpy as np
 from .core import (EIGEN_TOL, GridFunction, _check_p, _check_T, _dirichlet, _p_laplacian,
                    _positive, phi_p)
 
-_ZERO_PROBE = 1e-9  # relative step below a bracket end whose shot defect is exactly 0
-
 
 @dataclass(frozen=True)
 class EigenPair:
@@ -111,8 +109,9 @@ def _illinois_bracket(p: float, T: int) -> tuple[tuple[float, list[float] | None
     b, (fb, half_b) = 2.0, _shoot(2.0, p, T)
     kept = 0  # +1: a moved last, -1: b moved last
     while a < (mid := 0.5 * (a + b)) < b:
-        # a defect of exactly 0 at b pins the secant point to b: probe below it
-        c = b * (1.0 - _ZERO_PROBE) if fb == 0.0 else (a * fb - b * fa) / (fb - fa)
+        # a defect of exactly 0 at b pins the secant point to b: probe the
+        # float below it, which ends the search where the sign change is clean
+        c = math.nextafter(b, 0.0) if fb == 0.0 else (a * fb - b * fa) / (fb - fa)
         if not a < c < b:
             c = mid
         fc, half = _shoot(c, p, T)

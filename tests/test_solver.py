@@ -1,12 +1,14 @@
 """Solve routines, positivity, sublevel minimization, multistart, sweep."""
 
 import collections
+import importlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dplap.core
 import dplap.solver
 from dplap.core import (GridFunction, Nonlinearity, ProblemSpec, _dirichlet, _edges, kappa,
                         sup_norm)
@@ -24,6 +26,8 @@ from dplap.solver import (CONVERGED, ENERGY_FLOOR, INDEFINITE, LINE_SEARCH,
 from dplap.spectrum import EigenConvergenceError, first_eigenpair
 
 from test_existence import clipped_cubic
+
+energy_module = importlib.import_module("dplap.energy")  # dplap.energy is the function
 
 
 def esempio0(T=5, p=2.0):
@@ -339,6 +343,68 @@ def test_shifted_newton_step_factors_first_and_shifts_only_indefinite_jacobians(
     tau = -1.1 * lams[0]
     assert s.tobytes() == lapack.dgtsv(off, diag + tau, off, -g)[3].tobytes()
     assert float(g @ s) < 0.0
+
+
+def _general_kernels(monkeypatch):
+    """Run the p = 2 solver on the kernels of every other p: |du| ** p,
+    sign(du) |du| ** (p - 1) and _newton_weights' edge weights."""
+    def dirichlet(vec, p, du=None):
+        du = _edges(vec) if du is None else du
+        return float((np.abs(du) ** p).sum())
+
+    def p_laplacian(vec, p, du=None):
+        du = _edges(vec) if du is None else du
+        phi = np.sign(du) * np.abs(du) ** (p - 1.0)
+        return -(phi[1:] - phi[:-1])
+
+    def jacobian(prob, alpha, vec, share, du=None):
+        w = energy_module._newton_weights(prob.p, _edges(vec) if du is None else du, share)
+        return w[:-1] + w[1:] - alpha * prob.nonlinearity.df_vec(vec), -w[1:-1]
+
+    monkeypatch.setattr(energy_module, "_dirichlet", dirichlet)
+    monkeypatch.setattr(energy_module, "_p_laplacian", p_laplacian)
+    monkeypatch.setattr(dplap.core, "_p_laplacian", p_laplacian)
+    monkeypatch.setattr(energy_module, "_jacobian", jacobian)
+    monkeypatch.setattr(dplap.solver, "_jacobian", jacobian)
+
+
+@pytest.mark.parametrize("alpha", (1.0, 2.0))  # 2.0 ends energy_floor and polishes
+def test_p2_solve_needs_no_edge_weights_and_keeps_the_general_bits(monkeypatch, alpha):
+    # at p = 2 the Dirichlet part of the Newton matrix is tridiag(-1, 2, -1),
+    # written down: with _newton_weights raising, solve_newton and hessian_p2
+    # return the bytes the general kernels give
+    prob = esempio0(T=50)
+    u0 = GridFunction.from_interior(np.random.default_rng(1).uniform(-2.0, 2.0, 50))
+    with monkeypatch.context() as m:
+        _general_kernels(m)
+        ref, ref_h = solve_newton(prob, alpha, u0), hessian_p2(u0, prob, alpha)
+
+    def unused(*args):
+        raise AssertionError("the p = 2 kernel computed edge weights")
+
+    monkeypatch.setattr(energy_module, "_newton_weights", unused)
+    got, got_h = solve_newton(prob, alpha, u0), hessian_p2(u0, prob, alpha)
+    assert got.u.values.tobytes() == ref.u.values.tobytes()
+    assert (got.residual, got.energy, got.iterations, got.stop_reason, got.positivity) == (
+        ref.residual, ref.energy, ref.iterations, ref.stop_reason, ref.positivity)
+    assert got_h.tobytes() == ref_h.tobytes()
+
+
+def test_a_descent_loads_lapack_once(monkeypatch):
+    # _descend hands the LAPACK module to every Newton step it takes
+    calls = []
+    lapack = dplap.solver._lapack
+
+    def counted():
+        calls.append(1)
+        return lapack()
+
+    monkeypatch.setattr(dplap.solver, "_lapack", counted)
+    prob = esempio0(T=50)
+    u0 = GridFunction.from_interior(np.random.default_rng(1).uniform(-2.0, 2.0, 50))
+    out = solve_newton(prob, 1.0, u0)
+    assert out.stop_reason == CONVERGED and out.iterations >= 10
+    assert len(calls) == 1
 
 
 # --------------------------------------------------------------- options

@@ -275,9 +275,11 @@ _EIGEN_GRID += [(1.5, 2000), (2.5, 5000), (3.0, 5000)]  # raise at float resolut
 
 
 def test_first_eigenpair_matches_bisection_bit_for_bit_in_half_the_shots(monkeypatch):
-    # the Illinois bracket only decides midpoints outside it, where the one
-    # sign change decides them too: every pair, message and .best is the
-    # bisection's, and no cell takes more shots than bisection did
+    # one Illinois search to adjacent floats: on these cells the defect
+    # changes sign cleanly, so its secant and midpoint steps end at the two
+    # floats bisection ends at, and the pair built from those ends' own
+    # shots is the bisection's, message and .best included; no cell takes
+    # more shots than bisection, and the grid takes at most half as many
     shots = []
     shoot = dplap.spectrum._shoot
 
@@ -306,6 +308,25 @@ def test_first_eigenpair_matches_bisection_bit_for_bit_in_half_the_shots(monkeyp
         total += len(shots)
     assert raised >= 5  # the grid holds cells that raise
     assert 2 * total <= total_ref
+
+
+def test_a_zero_defect_end_is_probed_at_the_adjacent_float(monkeypatch):
+    # at T = 2 the defect is 1 - lambda, exactly 0 at the secant point
+    # lambda_1 = 1: the float below it ends the search, not some 30 bisections
+    shots = []
+    shoot = dplap.spectrum._shoot
+
+    def counted(lam, p, T):
+        shots.append(lam)
+        return shoot(lam, p, T)
+
+    monkeypatch.setattr(dplap.spectrum, "_shoot", counted)
+    got = first_eigenpair(2.0, 2)
+    assert len(shots) <= 5
+    ref, ref_msg = _bisection_pair(2.0, 2)
+    assert ref_msg is None
+    assert (got.lambda_, got.residual) == (ref.lambda_, ref.residual)
+    assert got.phi.values.tobytes() == ref.phi.values.tobytes()
 
 
 def test_first_eigenpair_shoots_no_lambda_twice(monkeypatch):
