@@ -79,7 +79,7 @@ def bounded_rational() -> Nonlinearity:
     """
     return Nonlinearity(f=lambda k, t: t / (1.0 + t * t),
                         potential=lambda k, xi: 0.5 * np.log1p(xi * xi),
-                        df=lambda k, t: (1.0 - (tt := t * t)) / (1.0 + tt) ** 2,
+                        df=lambda k, t: (1.0 - t * t) / (1.0 + t * t) ** 2,
                         is_nonnegative=True,
                         gamma=0.5,
                         name="bounded_rational")

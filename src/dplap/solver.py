@@ -34,9 +34,8 @@ boundary is not polished, and a polish leaving the ball is dropped.
 The three LAPACK routines (dgtsv, dpttrf, dstebz) come from scipy's f2py
 extension, which _lapack loads on first use through core._scipy_extension,
 the loader core.quad uses for QUADPACK's, without importing the
-scipy.linalg package; _descend looks it up once and hands it to every
-Newton step.  At p = 2 the matrices they factor have the constant
-Dirichlet part tridiag(-1, 2, -1) (energy._jacobian).
+scipy.linalg package.  At p = 2 the matrices they factor have the
+constant Dirichlet part tridiag(-1, 2, -1) (energy._jacobian).
 
 Positivity classification and the nontriviality certificate live here too.
 truncate_nonnegative lives in nonlinearities and stays importable from here.
@@ -171,13 +170,11 @@ def _newton_step(prob: ProblemSpec, alpha: float, u: np.ndarray,
 
 
 def _shifted_newton_step(prob: ProblemSpec, alpha: float, u: np.ndarray,
-                         g: np.ndarray, du: np.ndarray | None = None,
-                         lapack=None) -> np.ndarray | None:
+                         g: np.ndarray, du: np.ndarray | None = None) -> np.ndarray | None:
     """The descent loop's Newton direction: s solving (H + tau I) s = -g.
 
     H is energy._jacobian at u (secant share _SECANT_SHARE), from u's edges
-    du when the caller has them; lapack is the _lapack() module, when the
-    caller has loaded it.  The LDL^T factorisation dpttrf decides
+    du when the caller has them.  The LDL^T factorisation dpttrf decides
     definiteness: when it succeeds H is positive definite and tau = 0.
     Only when it fails does dstebz compute the smallest eigenvalue lam, and
     tau = max(0, -(1 + _SHIFT_MARGIN) lam),
@@ -187,7 +184,7 @@ def _shifted_newton_step(prob: ProblemSpec, alpha: float, u: np.ndarray,
     None when H is not finite, the eigenvalue or the solve fails, or s is
     not finite or not downhill.
     """
-    lapack = _lapack() if lapack is None else lapack
+    lapack = _lapack()
     diag, off = _jacobian(prob, alpha, u, _SECANT_SHARE, du)
     if not np.isfinite(diag).all():
         return None
@@ -242,7 +239,7 @@ def _armijo(prob: ProblemSpec, alpha: float, u: np.ndarray, Ju: float,
     the test against Ju and slope, or None.  Each trial computes its edges
     once; _descend reuses them for the gradient and the next Jacobian."""
     while t >= _MIN_STEP:
-        cand = u + direction if t == 1.0 else u + t * direction  # 1.0 * x is x
+        cand = u + t * direction
         if project is not None:
             cand = project(cand)
         du = _edges(cand)
@@ -276,7 +273,6 @@ def _descend(prob: ProblemSpec, alpha: float, u: np.ndarray, opts: SolverOptions
     """
     du = _edges(u)
     Ju = _energy(prob, alpha, u, du)
-    lapack = _lapack() if newton else None
     step, iters, at_floor = 1.0, 0, False
     best_res, best_at = np.inf, 0
     while True:
@@ -290,7 +286,7 @@ def _descend(prob: ProblemSpec, alpha: float, u: np.ndarray, opts: SolverOptions
                 MAX_ITERS if iters >= opts.max_iters else None)
         if stop is not None:
             return u, res, Ju, iters, stop
-        s = _shifted_newton_step(prob, alpha, u, g, du, lapack) if newton else None
+        s = _shifted_newton_step(prob, alpha, u, g, du) if newton else None
         trial = None if s is None else _armijo(prob, alpha, u, Ju, s, float(g @ s), 1.0,
                                                project)
         if trial is None:

@@ -390,23 +390,6 @@ def test_p2_solve_needs_no_edge_weights_and_keeps_the_general_bits(monkeypatch, 
     assert got_h.tobytes() == ref_h.tobytes()
 
 
-def test_a_descent_loads_lapack_once(monkeypatch):
-    # _descend hands the LAPACK module to every Newton step it takes
-    calls = []
-    lapack = dplap.solver._lapack
-
-    def counted():
-        calls.append(1)
-        return lapack()
-
-    monkeypatch.setattr(dplap.solver, "_lapack", counted)
-    prob = esempio0(T=50)
-    u0 = GridFunction.from_interior(np.random.default_rng(1).uniform(-2.0, 2.0, 50))
-    out = solve_newton(prob, 1.0, u0)
-    assert out.stop_reason == CONVERGED and out.iterations >= 10
-    assert len(calls) == 1
-
-
 # --------------------------------------------------------------- options
 
 def test_solver_options_validation():
