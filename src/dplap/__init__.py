@@ -26,13 +26,12 @@ _HOMES = {
     "core": ("GridFunction", "Nonlinearity", "ProblemSpec",
              "phi_p", "forward_difference", "p_laplacian", "p_norm", "sup_norm",
              "kappa", "c_const", "theta"),
-    "energy": ("energy", "gradient", "strong_residual", "weak_residual", "hessian_p2",
-               "EnergyReport", "energy_report"),
+    "energy": ("energy", "gradient", "strong_residual", "weak_residual"),
     "spectrum": ("EigenPair", "EigenConvergenceError", "matrix_A", "eigenvalues_p2",
                  "lambda1_closed_form_p2", "rayleigh_quotient", "first_eigenpair"),
     "existence": ("ExistenceCertificate", "MultiplicityWindow", "DecayReport",
                   "chi", "h", "check_thm_esistenza", "find_admissible_eps",
-                  "alpha_threshold", "estimate_gamma", "check_superlinearity_decay",
+                  "alpha_threshold", "check_superlinearity_decay",
                   "check_three_solutions_window"),
     "solver": ("SolverOptions", "SolveOutcome", "SweepRow",
                "POSITIVE", "ZERO", "INDEFINITE",

@@ -199,16 +199,9 @@ class Nonlinearity:
         self.potential = _array_callable(self.potential)
         self.df = _array_callable(self.df)
 
-    def eval_f(self, k: int, t: float) -> float:
-        return float(self.f(k, t))
-
     def eval_F(self, k: int, xi: float) -> float:
         """Potential F_k(xi); exact 0 at xi = 0 on every path."""
         return float(self.F_at(k, xi))
-
-    def eval_df(self, k: int, t: float) -> float:
-        """df/dt, analytic when supplied, else a central difference."""
-        return float(self.df_at(k, t))
 
     def _quad_F(self, k: int, xi: float) -> float:
         xi = float(xi)
@@ -228,13 +221,6 @@ class Nonlinearity:
         vals = [self._quad_F(int(kk), x) for kk, x in zip(k.ravel(), xi.ravel())]
         return np.array(vals, dtype=float).reshape(xi.shape)
 
-    def df_at(self, k, t) -> np.ndarray:
-        """df/dt elementwise, analytic when supplied, else a central difference."""
-        if self.df is not None:
-            return np.asarray(self.df(k, t), dtype=float)
-        h = 1e-7 * (1.0 + np.abs(t))
-        return (self.f(k, t + h) - self.f(k, t - h)) / (2.0 * h)
-
     # one kernel call over the interior nodes k = 1..T: the solvers evaluate
     # each energy, gradient and Jacobian through exactly one of these
     def f_vec(self, u_interior: np.ndarray) -> np.ndarray:
@@ -246,12 +232,14 @@ class Nonlinearity:
         return self.F_at(_nodes(u.size), u)
 
     def df_vec(self, u_interior: np.ndarray) -> np.ndarray:
+        """df/dt over the interior nodes, analytic when supplied, else a
+        central difference."""
         u = np.asarray(u_interior, dtype=float)
-        return self.df_at(_nodes(u.size), u)
-
-    def gamma_tuple(self, T: int) -> tuple[float, ...] | None:
-        """Declared gamma as a length-T tuple (scalars broadcast)."""
-        return None if self.gamma is None else _gamma_tuple(self.gamma, T)
+        k = _nodes(u.size)
+        if self.df is not None:
+            return np.asarray(self.df(k, u), dtype=float)
+        h = 1e-7 * (1.0 + np.abs(u))
+        return (self.f(k, u + h) - self.f(k, u - h)) / (2.0 * h)
 
     def check_consistency(self, T: int) -> None:
         """Verify F_k(0) = 0 at every node k = 1..T and, for closed-form

@@ -6,8 +6,6 @@ difference equation, so a converged solver iterate is a solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (GridFunction, ProblemSpec, _dirichlet, _edges, _p_laplacian, _positive,
@@ -103,32 +101,3 @@ def weak_residual(u: GridFunction, v: GridFunction, prob: ProblemSpec,
     load = float(prob.nonlinearity.f_vec(u.interior) @ v.interior)
     return bilinear - alpha * load
 
-
-def hessian_p2(u: GridFunction, prob: ProblemSpec, alpha: float = 1.0) -> np.ndarray:
-    """Jacobian of the p = 2 gradient: tridiag(-1, 2, -1) - alpha diag(df/dt).
-
-    Only defined for p = 2 (the energy is not C^2 for p < 2); the solvers'
-    Newton steps at any p > 1 use the tridiagonal _jacobian, densified here.
-    """
-    _positive("alpha", alpha)
-    _same_T("u", u, prob.T)
-    if prob.p != 2.0:
-        raise ValueError("hessian_p2 requires p = 2")
-    diag, off = _jacobian(prob, alpha, u.interior, 0.0)
-    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """Snapshot of the functional at one grid function."""
-
-    value: float
-    grad_norm: float
-    strong_residual: float
-    alpha: float
-
-
-def energy_report(u: GridFunction, prob: ProblemSpec, alpha: float = 1.0) -> EnergyReport:
-    res = strong_residual(u, prob, alpha)
-    return EnergyReport(value=energy(u, prob, alpha), grad_norm=res,
-                        strong_residual=res, alpha=float(alpha))

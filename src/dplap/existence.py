@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_EPS_GRID, DEFAULT_EPS_RANGE, ProblemSpec, _count, _positive,
-                   _sequence, _whole, c_const, kappa)
+                   _sequence, c_const, kappa)
 from .nonlinearities import _check_gamma, _value_at_root
 from .spectrum import first_eigenpair, lambda1_closed_form_p2
 
@@ -24,7 +24,6 @@ CHI_SAMPLES = 1025
 # rounds after chi's dense sample, each halving the spacing around the best
 # point: 32 take it from eps/512 to eps * 4.5e-13 for 64 F values per node
 CHI_ZOOM_ROUNDS = 32
-DEFAULT_GAMMA_SAMPLES = (1.0, 0.1, 0.01)
 
 
 @dataclass(frozen=True)
@@ -181,33 +180,14 @@ def find_admissible_eps(prob: ProblemSpec,
     return best
 
 
-def estimate_gamma(prob: ProblemSpec, k: int,
-                   xi_samples=DEFAULT_GAMMA_SAMPLES) -> float:
-    """HEURISTIC lower estimate of liminf_{xi -> 0+} F_k(xi)/xi^p.
-
-    Returns the minimum of F_k(xi)/xi^p over the given samples.  A finite
-    sample cannot certify a liminf; alpha_threshold only consumes this
-    through an explicit opt-in flag.  k is a whole node in 1..T, and each
-    sample passes chi's and h's radius rule (_pth_power), or a ValueError.
-    """
-    if not (_whole(k) and 1 <= k <= prob.T):
-        raise ValueError(f"k must be a node in 1..{prob.T}, got {k!r}")
-    xs = _sequence("xi_samples", xi_samples, increasing=False)
-    for x in xs:
-        _pth_power("xi_samples", x, prob.p)
-    F = prob.nonlinearity.F_at(np.full(xs.size, int(k)), xs)
-    return float(np.min(F / xs ** prob.p))
-
-
-def alpha_threshold(prob: ProblemSpec, gamma=None,
-                    allow_estimated: bool = False) -> float:
+def alpha_threshold(prob: ProblemSpec, gamma=None) -> float:
     """lambda_{1,p} / (p * min_k gamma_k), the lower edge of the alpha range
     that guarantees a positive solution for nonnegative f.
 
     gamma may be a scalar or a length-T sequence of the declared growth
     constants gamma_k = liminf_{xi->0+} F_k(xi)/xi^p.  When omitted, the
-    nonlinearity's own declared gamma is used; if that is also missing, the
-    heuristic estimate_gamma is substituted only when allow_estimated=True.
+    nonlinearity's own declared gamma is used; with neither, a ValueError
+    names gamma (a liminf cannot be read off finitely many samples).
     A table's gamma is known exactly, and one above it raises a ValueError
     naming the node.  At p = 2, lambda_1 is the closed form
     4 sin^2(pi/(2(T+1))).
@@ -218,11 +198,7 @@ def alpha_threshold(prob: ProblemSpec, gamma=None,
     if gamma is None:
         gamma = nl.gamma
     if gamma is None:
-        if not allow_estimated:
-            raise ValueError(
-                "no gamma declared; pass gamma= or set allow_estimated=True "
-                "to accept the heuristic sampled estimate")
-        gamma = [estimate_gamma(prob, k) for k in range(1, prob.T + 1)]
+        raise ValueError("no gamma declared; pass gamma= or declare it on the nonlinearity")
     gam = _check_gamma(nl, gamma, prob.T, prob.p)
     p, T = prob.p, prob.T
     lam1 = lambda1_closed_form_p2(T) if p == 2.0 else first_eigenpair(p, T).lambda_

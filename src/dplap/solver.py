@@ -309,7 +309,11 @@ def _solve(prob: ProblemSpec, alpha: float, u0: GridFunction,
     _positive("alpha", alpha)
     _same_T("start", u0, prob.T)
     start = np.array(u0.interior, dtype=float)
-    return _finish(prob, alpha, opts, *_descend(prob, alpha, start, opts, newton))
+    # an energy unbounded below drives iterates to overflow: _armijo rejects a
+    # trial whose energy is not finite, _shifted_newton_step and _polish a step
+    # that is not, so the warnings say nothing the outcome does not
+    with np.errstate(over="ignore"):
+        return _finish(prob, alpha, opts, *_descend(prob, alpha, start, opts, newton))
 
 
 def solve_newton(prob: ProblemSpec, alpha: float, u0: GridFunction,
@@ -375,9 +379,10 @@ def minimize_on_sublevel(prob: ProblemSpec, alpha: float, sigma: float,
         return _dirichlet(vec, p) < sigma * (1.0 - _BOUNDARY_SLACK)
 
     def run(start: np.ndarray) -> SolveOutcome:
-        return _finish(prob, alpha, opts, *_descend(prob, alpha, project(start), opts,
-                                                    newton=False, project=project),
-                       inside=inside)
+        with np.errstate(over="ignore"):  # as in _solve
+            return _finish(prob, alpha, opts, *_descend(prob, alpha, project(start), opts,
+                                                        newton=False, project=project),
+                           inside=inside)
 
     rng = np.random.Generator(np.random.Philox(opts.seed))
     starts = [np.zeros(T)]

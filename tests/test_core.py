@@ -12,8 +12,8 @@ from dplap.core import (QUAD_ABS_TOL, GridFunction, Nonlinearity, ProblemSpec, c
                         forward_difference, kappa, p_laplacian, p_norm, phi_p, quad,
                         sup_norm, theta)
 from dplap.existence import check_thm_esistenza, chi, h
-from dplap.nonlinearities import (bounded_rational, constant, from_table, linear,
-                                  power, scaled_per_node, zero)
+from dplap.nonlinearities import (_check_gamma, bounded_rational, constant, from_table,
+                                  linear, power, scaled_per_node, zero)
 from dplap.solver import truncate_nonnegative
 
 
@@ -329,8 +329,8 @@ def test_quad_rejects_a_limit_below_one():
 def test_eval_df_fd_fallback_matches_analytic():
     nl = bounded_rational()
     bare = Nonlinearity(f=nl.f)  # no df: central-difference fallback
-    for t in (-2.0, -0.5, 0.0, 1.0, 3.0):
-        assert bare.eval_df(1, t) == pytest.approx(nl.eval_df(1, t), abs=1e-6)
+    t = np.array([-2.0, -0.5, 0.0, 1.0, 3.0])
+    np.testing.assert_allclose(bare.df_vec(t), nl.df_vec(t), rtol=0.0, atol=1e-6)
 
 
 TABLE_T = np.array([-3.0, -1.0, 0.0, 0.5, 2.0, 4.0])
@@ -359,6 +359,15 @@ VECTOR_CASES = {
 }
 
 
+def _scalar_df(nl, k, t):
+    """df/dt at one node and argument: nl.df, else df_vec's central difference."""
+    t = float(t)
+    if nl.df is not None:
+        return float(nl.df(k, t))
+    h = 1e-7 * (1.0 + abs(t))
+    return float((nl.f(k, t + h) - nl.f(k, t - h)) / (2.0 * h))
+
+
 def test_vector_helpers_match_scalar_evaluations():
     # both signs, 0, breakpoints and arguments outside the table range
     u = np.array([0.5, -1.5, 2.0, 0.0, -7.0, 9.0, -1.0])
@@ -368,11 +377,11 @@ def test_vector_helpers_match_scalar_evaluations():
         # equal arithmetic is bit-identical; numpy's array pow may differ from
         # the scalar one in the last ulp
         rtol = 4 * np.finfo(float).eps if case.startswith("power") else 0.0
-        np.testing.assert_allclose(nl.f_vec(u), [nl.eval_f(k, float(u[k - 1])) for k in nodes],
+        np.testing.assert_allclose(nl.f_vec(u), [float(nl.f(k, u[k - 1])) for k in nodes],
                                    rtol=rtol, atol=0.0, err_msg=case)
         np.testing.assert_allclose(nl.F_vec(u), [nl.eval_F(k, float(u[k - 1])) for k in nodes],
                                    rtol=rtol, atol=0.0, err_msg=case)
-        np.testing.assert_allclose(nl.df_vec(u), [nl.eval_df(k, float(u[k - 1])) for k in nodes],
+        np.testing.assert_allclose(nl.df_vec(u), [_scalar_df(nl, k, u[k - 1]) for k in nodes],
                                    rtol=1e-12, atol=0.0, err_msg=case)
         assert isinstance(nl.f, np.vectorize) == (case == "scalar-only exp"), case
 
@@ -510,7 +519,7 @@ def test_table_breakpoints_are_the_callers_samples_copied():
     nl = from_table(ts, fs)
     ts[1], fs[2] = 0.5, -9.0
     assert np.array_equal(nl.breakpoints, [-1.0, 0.0, 2.0])
-    assert nl.eval_f(1, 2.0) == 4.0
+    assert nl.f(1, 2.0) == 4.0
     assert ts.flags.writeable
     with pytest.raises(ValueError):
         nl.breakpoints[0] = 5.0
@@ -542,12 +551,11 @@ def test_dense_table_problem_skips_the_quadrature_comparison():
 
 def test_gamma_tuple_broadcasts_scalars():
     nl = bounded_rational()
-    assert nl.gamma_tuple(4) == (0.5, 0.5, 0.5, 0.5)
-    assert linear().gamma_tuple(3) is None
+    assert _check_gamma(nl, nl.gamma, 4, 2.0) == (0.5, 0.5, 0.5, 0.5)
     per_node = Nonlinearity(f=lambda k, t: 0.0, gamma=(1.0, 2.0))
-    assert per_node.gamma_tuple(2) == (1.0, 2.0)
+    assert _check_gamma(per_node, per_node.gamma, 2, 2.0) == (1.0, 2.0)
     with pytest.raises(ValueError, match="length"):
-        per_node.gamma_tuple(3)
+        _check_gamma(per_node, per_node.gamma, 3, 2.0)
 
 
 def test_from_table_checks_the_nonnegative_flag():
@@ -728,7 +736,7 @@ def test_problem_spec_rejects_scale_shorter_than_T():
     with pytest.raises(ValueError, match=r"scale entries \(3\) fewer than T=5"):
         ProblemSpec(T=5, p=2.0, nonlinearity=nl)
     with pytest.raises(ValueError, match="node indices start at 1"):
-        nl.eval_f(0, 1.0)
+        nl.f(0, 1.0)
 
 
 def test_problem_spec_rejects_short_scale_for_a_nonlinearity_without_potential():

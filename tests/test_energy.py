@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dplap.core import GridFunction, ProblemSpec, _dirichlet, _p_laplacian, phi_p
-from dplap.energy import (EnergyReport, _jacobian, _newton_weights, energy,
-                          energy_report, gradient, hessian_p2, strong_residual,
+from dplap.energy import (_jacobian, _newton_weights, energy, gradient, strong_residual,
                           weak_residual)
 from dplap.nonlinearities import bounded_rational, constant, linear, zero
 
@@ -130,7 +129,8 @@ def test_hessian_p2_structure_and_fd():
     rng = np.random.Generator(np.random.Philox(RNG_SEED + 2))
     prob = ProblemSpec(T=5, p=2.0, nonlinearity=bounded_rational())
     u = _rand_u(rng, 5)
-    H = hessian_p2(u, prob, alpha=1.2)
+    diag, off = _jacobian(prob, 1.2, u.interior, 0.0)
+    H = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     assert np.allclose(H, H.T, rtol=0, atol=0)
     step = 1e-6
     for i in range(5):
@@ -141,23 +141,6 @@ def test_hessian_p2_structure_and_fd():
         col = (gradient(GridFunction.from_interior(up), prob, 1.2)
                - gradient(GridFunction.from_interior(dn), prob, 1.2)) / (2 * step)
         assert np.max(np.abs(H[:, i] - col)) < 1e-6
-
-
-def test_hessian_p2_rejects_other_p():
-    prob = ProblemSpec(T=3, p=3.0, nonlinearity=zero())
-    with pytest.raises(ValueError, match="requires p = 2"):
-        hessian_p2(GridFunction.zero(3), prob)
-
-
-def test_energy_report_fields():
-    prob = ProblemSpec(T=3, p=2.0, nonlinearity=bounded_rational())
-    u = GridFunction.from_interior([1.0, 0.5, -0.5])
-    rep = energy_report(u, prob, alpha=2.0)
-    assert isinstance(rep, EnergyReport)
-    assert rep.value == pytest.approx(energy(u, prob, 2.0), rel=1e-15)
-    assert rep.strong_residual == pytest.approx(strong_residual(u, prob, 2.0), rel=1e-15)
-    assert rep.grad_norm == rep.strong_residual
-    assert rep.alpha == 2.0
 
 
 def test_energy_decomposes_into_dirichlet_and_potential():

@@ -1,7 +1,5 @@
 """Existence, positivity-threshold, and multiplicity certificates."""
 
-import re
-
 import numpy as np
 import pytest
 
@@ -9,11 +7,10 @@ from dplap.core import Nonlinearity, ProblemSpec, c_const, kappa
 from dplap.existence import (CHI_SAMPLES, CHI_ZOOM_ROUNDS, DecayReport,
                              ExistenceCertificate, MultiplicityWindow, alpha_threshold,
                              check_superlinearity_decay, check_thm_esistenza,
-                             check_three_solutions_window, chi,
-                             estimate_gamma, find_admissible_eps, h,
+                             check_three_solutions_window, chi, find_admissible_eps, h,
                              _max_potentials)
 from dplap.nonlinearities import (_table_gamma, bounded_rational, constant, from_table,
-                                  linear, power, scaled_per_node, truncate_nonnegative, zero)
+                                  linear, scaled_per_node, truncate_nonnegative, zero)
 from dplap.spectrum import lambda1_closed_form_p2
 
 
@@ -361,19 +358,13 @@ def test_alpha_threshold_requires_nonnegative_flag():
 
 
 def test_alpha_threshold_refuses_silent_estimation():
+    # no gamma declared or passed: a liminf cannot be read off samples
     nl = Nonlinearity(f=bounded_rational().f, potential=bounded_rational().potential,
                       is_nonnegative=True, gamma=None)
     prob = ProblemSpec(T=3, p=2.0, nonlinearity=nl)
-    with pytest.raises(ValueError, match="allow_estimated"):
+    with pytest.raises(ValueError, match="^no gamma declared; pass gamma="):
         alpha_threshold(prob)
-    # opting in uses the sampled estimate; its minimum over the default
-    # probe (1, 0.1, 0.01) sits at xi = 1 where F/xi^2 = log(2)/2
-    thr = alpha_threshold(prob, allow_estimated=True)
-    ref = alpha_threshold(prob, gamma=0.5 * np.log(2.0))
-    assert thr == pytest.approx(ref, rel=1e-12)
-    # the estimate underestimates the true gamma = 1/2, so the resulting
-    # threshold is safe (larger than the exact one)
-    assert thr > alpha_threshold(prob, gamma=0.5)
+    assert alpha_threshold(prob, gamma=0.5) == lambda1_closed_form_p2(3) / (2.0 * 0.5)
 
 
 def test_alpha_threshold_rejects_bad_gamma():
@@ -441,64 +432,6 @@ def test_alpha_threshold_rejects_a_gamma_above_a_tables_exact_one():
     # p < 2: the exact gamma is 0, so no positive gamma holds
     with pytest.raises(ValueError, match="gamma"):
         alpha_threshold(ProblemSpec(T=3, p=1.5, nonlinearity=_rational_table()), gamma=0.1)
-
-
-# -------------------------------------------------------- gamma estimate
-
-def test_estimate_gamma_linear():
-    prob = ProblemSpec(T=3, p=2.0, nonlinearity=linear())
-    assert estimate_gamma(prob, 1) == pytest.approx(0.5, rel=1e-9)
-
-
-@pytest.mark.parametrize("k", [0, -1, 5, 1.5, np.inf, np.nan])
-def test_estimate_gamma_rejects_a_node_off_the_grid(k):
-    # node-independent f used to answer 0.3466 for k = 0, -1 and 5
-    with pytest.raises(ValueError, match=r"k must be a node in 1\.\.4"):
-        estimate_gamma(_prob(T=4), k)
-    assert estimate_gamma(_prob(T=4), 4) == pytest.approx(0.5 * np.log(2.0), rel=1e-12)
-
-
-def test_estimate_gamma_bounded_rational():
-    prob = _prob(T=3)
-    est = estimate_gamma(prob, 2)
-    # F(xi)/xi^2 = log1p(xi^2)/(2 xi^2) increases to 1/2 as xi -> 0, so the
-    # sampled minimum sits at the largest sample xi = 1
-    assert est == pytest.approx(0.5 * np.log(2.0), rel=1e-12)
-    assert est < 0.5
-
-
-def test_estimate_gamma_superlinear_power_vanishes():
-    prob = ProblemSpec(T=2, p=2.0, nonlinearity=power(3.0))
-    est = estimate_gamma(prob, 1, xi_samples=(1e-1, 1e-2, 1e-3))
-    assert est == pytest.approx(1e-6 / 4.0, rel=1e-9)
-
-
-def test_estimate_gamma_validates_samples():
-    prob = _prob()
-    with pytest.raises(ValueError, match="decreasing"):
-        estimate_gamma(prob, 1, xi_samples=(0.1, 1.0))
-    with pytest.raises(ValueError, match="decreasing"):
-        estimate_gamma(prob, 1, xi_samples=(1.0, -0.5))
-
-
-def test_estimate_gamma_rejects_non_finite_samples():
-    for samples in ((np.inf, 1.0), (np.nan,), (1.0, np.nan)):
-        with pytest.raises(ValueError, match="decreasing"):
-            estimate_gamma(_prob(), 1, xi_samples=samples)
-
-
-def test_estimate_gamma_takes_a_whole_float_node():
-    prob = _prob(T=3, nl=scaled_per_node(bounded_rational(), [1.0, 2.0, 3.0]))
-    assert estimate_gamma(prob, 2.0) == estimate_gamma(prob, 2)
-
-
-@pytest.mark.parametrize("x, how", [(1e-200, "underflows to 0"), (1e300, "overflows")])
-def test_estimate_gamma_names_a_sample_whose_power_leaves_float_range(x, how):
-    # 1e-200 ** 2 is 0 and 1e300 ** 2 is inf: F / xi^p would be 0/0 or inf/inf
-    prob = _prob(T=3, nl=scaled_per_node(bounded_rational(), [1.0, 2.0, 3.0]))
-    message = f"xi_samples ** p {how} at xi_samples = {x!r}"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        estimate_gamma(prob, 2, xi_samples=[x])
 
 
 # -------------------------------------------------------- decay heuristic

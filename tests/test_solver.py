@@ -2,6 +2,7 @@
 
 import collections
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ import dplap.core
 import dplap.solver
 from dplap.core import (GridFunction, Nonlinearity, ProblemSpec, _dirichlet, _edges, kappa,
                         sup_norm)
-from dplap.energy import (_energy, _gradient, _jacobian, energy, gradient, hessian_p2,
-                          strong_residual, weak_residual)
-from dplap.nonlinearities import (bounded_rational, constant, from_table, linear,
+from dplap.energy import (_energy, _gradient, _jacobian, energy, gradient, strong_residual,
+                          weak_residual)
+from dplap.nonlinearities import (bounded_rational, constant, from_table, linear, power,
                                   scaled_per_node, zero)
 from dplap.solver import (CONVERGED, ENERGY_FLOOR, INDEFINITE, LINE_SEARCH,
                           MAX_ITERS, POSITIVE, STALL_WINDOW, ZERO,
@@ -257,13 +258,9 @@ def solve_cases(draw):
     return ProblemSpec(T=T, p=p, nonlinearity=nl), alpha, GridFunction.from_interior(start)
 
 
-@settings(max_examples=25, derandomize=True, deadline=None, database=None)
-@given(solve_cases())
-def test_solve_outcomes_report_what_they_return(case):
+def _check_outcomes_report_what_they_return(prob, alpha, u0, opts):
     # the Armijo loop plus polish never raises, names why it stopped, and
     # its residual, energy and positivity describe the u it returns
-    prob, alpha, u0 = case
-    opts = SolverOptions(max_iters=500)
     for solve in (solve_newton, solve_descent):
         out = solve(prob, alpha, u0, opts)
         assert out.stop_reason in (CONVERGED, ENERGY_FLOOR, STALL_WINDOW, LINE_SEARCH,
@@ -273,6 +270,52 @@ def test_solve_outcomes_report_what_they_return(case):
         assert out.energy == energy(out.u, prob, alpha)
         if out.positivity == POSITIVE:
             assert np.min(out.u.interior) > 0.0
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(solve_cases())
+def test_solve_outcomes_report_what_they_return(case):
+    prob, alpha, u0 = case
+    _check_outcomes_report_what_they_return(prob, alpha, u0, SolverOptions(max_iters=500))
+
+
+@st.composite
+def growth_cases(draw):
+    """(prob, alpha, start) over p in {1.5, 2, 2.5, 3, 4}, T in [2, 12],
+    alpha in [0.1, 5], f bounded_rational, linear(1) or constant(1), and a
+    uniform(-2, 2) start.  linear(1) makes the energy unbounded below at
+    p < 2, and at p = 2 once alpha > lambda_1: the iterates overflow."""
+    p = draw(st.sampled_from([1.5, 2.0, 2.5, 3.0, 4.0]))
+    T = draw(st.integers(2, 12))
+    alpha = draw(st.floats(0.1, 5.0))
+    nl = draw(st.sampled_from([bounded_rational, lambda: linear(1.0), lambda: constant(1.0)]))()
+    start = draw(st.lists(st.floats(-2.0, 2.0), min_size=T, max_size=T))
+    return ProblemSpec(T=T, p=p, nonlinearity=nl), alpha, GridFunction.from_interior(start)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(growth_cases())
+def test_solve_outcomes_report_what_they_return_without_warnings(case):
+    # also where the energy is unbounded below: the overflow on the way is
+    # rejected inside the loop, and no RuntimeWarning reaches the caller
+    prob, alpha, u0 = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _check_outcomes_report_what_they_return(prob, alpha, u0, SolverOptions(max_iters=3000))
+
+
+def test_overflow_on_an_unbounded_energy_warns_nobody():
+    # J is unbounded below for linear(1) at alpha = 1 > lambda_1 (T = 5), and
+    # for the truncated cubic at T = 2: iterates overflow, each such trial is
+    # rejected, and the outcome says so without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sols = multistart_solve(ProblemSpec(T=5, p=2.0, nonlinearity=linear(1.0)), 1.0, 8)
+        cubic = ProblemSpec(T=2, p=2.0, nonlinearity=truncate_nonnegative(power(3.0)))
+        out = solve_newton(cubic, 0.5, GridFunction.from_interior([5.0, 5.0]))
+    assert [(o.energy, o.residual) for o in sols] == [(0.0, 0.0)]
+    assert (out.stop_reason, out.converged) == (LINE_SEARCH, False)
+    assert out.energy < -1e200 and np.isfinite(out.energy)
 
 
 @st.composite
@@ -371,23 +414,24 @@ def _general_kernels(monkeypatch):
 @pytest.mark.parametrize("alpha", (1.0, 2.0))  # 2.0 ends energy_floor and polishes
 def test_p2_solve_needs_no_edge_weights_and_keeps_the_general_bits(monkeypatch, alpha):
     # at p = 2 the Dirichlet part of the Newton matrix is tridiag(-1, 2, -1),
-    # written down: with _newton_weights raising, solve_newton and hessian_p2
+    # written down: with _newton_weights raising, solve_newton and _jacobian
     # return the bytes the general kernels give
     prob = esempio0(T=50)
     u0 = GridFunction.from_interior(np.random.default_rng(1).uniform(-2.0, 2.0, 50))
     with monkeypatch.context() as m:
         _general_kernels(m)
-        ref, ref_h = solve_newton(prob, alpha, u0), hessian_p2(u0, prob, alpha)
+        ref = solve_newton(prob, alpha, u0)
+        ref_h = energy_module._jacobian(prob, alpha, u0.interior, 0.0)
 
     def unused(*args):
         raise AssertionError("the p = 2 kernel computed edge weights")
 
     monkeypatch.setattr(energy_module, "_newton_weights", unused)
-    got, got_h = solve_newton(prob, alpha, u0), hessian_p2(u0, prob, alpha)
+    got, got_h = solve_newton(prob, alpha, u0), _jacobian(prob, alpha, u0.interior, 0.0)
     assert got.u.values.tobytes() == ref.u.values.tobytes()
     assert (got.residual, got.energy, got.iterations, got.stop_reason, got.positivity) == (
         ref.residual, ref.energy, ref.iterations, ref.stop_reason, ref.positivity)
-    assert got_h.tobytes() == ref_h.tobytes()
+    assert [a.tobytes() for a in got_h] == [a.tobytes() for a in ref_h]
 
 
 # --------------------------------------------------------------- options
@@ -452,18 +496,18 @@ def test_solve_outcome_is_frozen():
 
 def test_truncate_bounded_rational():
     nl = truncate_nonnegative(bounded_rational())
-    assert nl.eval_f(1, 2.0) == 2.0 / 5.0
-    assert nl.eval_f(1, -3.0) == 0.0  # f(0) = 0 extends by zero
+    assert nl.f(1, 2.0) == 2.0 / 5.0
+    assert nl.f(1, -3.0) == 0.0  # f(0) = 0 extends by zero
     assert nl.eval_F(1, -5.0) == 0.0
     assert nl.eval_F(1, 2.0) == pytest.approx(0.5 * np.log(5.0), rel=1e-15)
-    assert nl.eval_df(1, -1.0) == 0.0
+    assert nl.df(1, -1.0) == 0.0
     assert nl.is_nonnegative
     assert nl.name.endswith("~trunc")
 
 
 def test_truncate_constant():
     nl = truncate_nonnegative(constant(2.0))
-    assert nl.eval_f(1, -7.0) == 2.0  # extends by f(0) = 2
+    assert nl.f(1, -7.0) == 2.0  # extends by f(0) = 2
     assert nl.eval_F(1, -3.0) == -6.0  # f(0) * xi
     assert nl.eval_F(1, 3.0) == 6.0
 
@@ -1195,11 +1239,10 @@ _ON_5, _ON_7 = GridFunction.from_interior([0.1] * 5), GridFunction.from_interior
     ("u", lambda prob: gradient(_ON_7, prob)),
     ("u", lambda prob: weak_residual(_ON_7, _ON_5, prob)),
     ("test function", lambda prob: weak_residual(_ON_5, _ON_7, prob)),
-    ("u", lambda prob: hessian_p2(_ON_7, prob)),
     ("u", lambda prob: check_positivity(_ON_7, prob, 1.0, 1e-9)),
     ("eigen.phi", lambda prob: nontriviality_certificate(prob, 1.0, first_eigenpair(2.0, 7))),
     ("start", lambda prob: solve_newton(prob, 1.0, _ON_7)),
-], ids=["energy", "gradient", "weak_residual-u", "weak_residual-v", "hessian_p2",
+], ids=["energy", "gradient", "weak_residual-u", "weak_residual-v",
         "check_positivity", "nontriviality_certificate", "solve"])
 def test_a_grid_function_off_the_problem_grid_is_named(name, call):
     with pytest.raises(ValueError, match=f"^{name} has T=7, problem has T=5$"):
