@@ -29,10 +29,9 @@ _HOMES = {
     "energy": ("energy", "gradient", "strong_residual", "weak_residual"),
     "spectrum": ("EigenPair", "EigenConvergenceError", "matrix_A", "eigenvalues_p2",
                  "lambda1_closed_form_p2", "rayleigh_quotient", "first_eigenpair"),
-    "existence": ("ExistenceCertificate", "MultiplicityWindow", "DecayReport",
+    "existence": ("ExistenceCertificate", "MultiplicityWindow",
                   "chi", "h", "check_thm_esistenza", "find_admissible_eps",
-                  "alpha_threshold", "check_superlinearity_decay",
-                  "check_three_solutions_window"),
+                  "alpha_threshold", "check_three_solutions_window"),
     "solver": ("SolverOptions", "SolveOutcome", "SweepRow",
                "POSITIVE", "ZERO", "INDEFINITE",
                "solve_descent", "solve_newton", "solve_newton_p2",

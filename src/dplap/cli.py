@@ -193,7 +193,7 @@ def expand_alphas(alpha_field) -> list[float]:
         alphas = np.geomspace(lo, hi, n)
     elif not all(_is_number(a) for a in alpha_field):
         raise ConfigError("alpha", "list must be numbers")
-    return [float(a) for a in _as_field("alpha", core._sequence, "alphas", alphas, True)]
+    return [float(a) for a in _as_field("alpha", core._sequence, "alphas", alphas)]
 
 
 def scalar_alpha(alpha_field, flag_value):

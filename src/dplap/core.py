@@ -336,16 +336,13 @@ def _count(name: str, x, least: int = 1) -> int:
     return int(x)
 
 
-def _sequence(name: str, values, increasing: bool, least: int = 1) -> np.ndarray:
-    """The iterable values as a float array, unless it has fewer than least
-    entries, is not strictly increasing (or decreasing), or holds an entry
-    that is not positive and finite."""
+def _sequence(name: str, values) -> np.ndarray:
+    """The iterable values as a float array, unless it is empty, is not
+    strictly increasing, or holds an entry that is not positive and finite."""
     arr = np.asarray(list(values), dtype=float)
-    steps = np.diff(arr) if increasing else -np.diff(arr)
-    if arr.size < least or not (np.all((0.0 < arr) & (arr < np.inf)) and np.all(steps > 0.0)):
-        way = "increasing" if increasing else "decreasing"
-        raise ValueError(f"{name} must be a nonempty sequence (length >= {least}), "
-                         f"strictly {way}, positive and finite")
+    if not (arr.size and np.all((0.0 < arr) & (arr < np.inf)) and np.all(np.diff(arr) > 0.0)):
+        raise ValueError(f"{name} must be a nonempty sequence (length >= 1), "
+                         "strictly increasing, positive and finite")
     return arr
 
 

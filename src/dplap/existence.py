@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_EPS_GRID, DEFAULT_EPS_RANGE, ProblemSpec, _count, _positive,
-                   _sequence, c_const, kappa)
+                   c_const, kappa)
 from .nonlinearities import _check_gamma, _value_at_root
 from .spectrum import first_eigenpair, lambda1_closed_form_p2
 
@@ -51,21 +51,6 @@ class MultiplicityWindow:
     d: float
     alpha_lo: float
     alpha_hi: float
-    verdict: bool
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    """Sampled values of h along an increasing probe, with a heuristic verdict.
-
-    verdict is true iff the second half of the probe is non-increasing and
-    the final value sits below tol.  A finite sample cannot prove a limit;
-    treat this as advisory.
-    """
-
-    xi: np.ndarray
-    h_values: np.ndarray
-    tol: float
     verdict: bool
 
 
@@ -203,28 +188,6 @@ def alpha_threshold(prob: ProblemSpec, gamma=None) -> float:
     p, T = prob.p, prob.T
     lam1 = lambda1_closed_form_p2(T) if p == 2.0 else first_eigenpair(p, T).lambda_
     return lam1 / (p * min(gam))
-
-
-def check_superlinearity_decay(prob: ProblemSpec, xi_probe=None,
-                               tol: float = 1e-2) -> DecayReport:
-    """Sample h along an increasing probe and judge whether it decays.
-
-    The verdict is a heuristic limit check: true iff h is non-increasing
-    over the second half of the probe and the final value is below tol.
-    xi_probe needs at least two entries, strictly increasing, each positive
-    and finite, and tol must be positive and finite; a ValueError names
-    the one that is not.
-    """
-    if xi_probe is None:
-        xi_probe = np.geomspace(1.0, 1e4, 9)
-    xs = _sequence("xi_probe", xi_probe, increasing=True, least=2)
-    _positive("tol", tol)
-    hv = np.array([h(float(x), prob) for x in xs])
-    tail = hv[xs.size // 2:]
-    slack = 1e-12 * np.maximum(1.0, np.abs(tail[:-1]))
-    monotone = bool(np.all(np.diff(tail) <= slack))
-    verdict = monotone and bool(tail[-1] < tol)
-    return DecayReport(xi=xs, h_values=hv, tol=tol, verdict=verdict)
 
 
 def check_three_solutions_window(prob: ProblemSpec, c: float, d: float) -> MultiplicityWindow:

@@ -48,8 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (SOLVER_TOL, GridFunction, ProblemSpec, _count, _dirichlet, _edges,
-                   _positive, _same_T, _scipy_extension, _sequence, kappa, p_laplacian,
-                   sup_norm)
+                   _finite, _positive, _same_T, _scipy_extension, _sequence, kappa,
+                   p_laplacian, sup_norm)
 from .energy import _energy, _gradient, _jacobian, energy
 from .nonlinearities import truncate_nonnegative  # noqa: F401  (importable from here too)
 from .spectrum import EigenConvergenceError, EigenPair, first_eigenpair
@@ -73,6 +73,7 @@ _BOUNDARY_SLACK = 1e-8
 _STALL_WINDOW = 2000  # iterations without residual progress before giving up
 _SHIFT_MARGIN = 0.1  # descent shift: H + tau I has smallest eigenvalue _SHIFT_MARGIN |lam|
 _SECANT_SHARE = 1e-2  # p < 2: secant weights on |du| below this share of max|du|
+_ZETA_GRID = np.geomspace(1.0, 1e-8, 60)  # nontriviality_certificate's decreasing scan
 
 
 @dataclass(frozen=True)
@@ -308,7 +309,7 @@ def _solve(prob: ProblemSpec, alpha: float, u0: GridFunction,
     opts = opts if opts is not None else SolverOptions()
     _positive("alpha", alpha)
     _same_T("start", u0, prob.T)
-    start = np.array(u0.interior, dtype=float)
+    start = np.array(_finite("start", u0.interior))
     # an energy unbounded below drives iterates to overflow: _armijo rejects a
     # trial whose energy is not finite, _shifted_newton_step and _polish a step
     # that is not, so the warnings say nothing the outcome does not
@@ -429,19 +430,16 @@ def check_positivity(u: GridFunction, prob: ProblemSpec, alpha: float,
     return INDEFINITE
 
 
-def nontriviality_certificate(prob: ProblemSpec, alpha: float, eigen: EigenPair,
-                              zeta_grid=None):
+def nontriviality_certificate(prob: ProblemSpec, alpha: float, eigen: EigenPair):
     """Search for zeta with J_alpha(zeta * phi_1) < 0.
 
-    Returns (zeta, energy) for the first grid entry that works, scanning the
-    given decreasing grid, or None when no entry does.  A hit certifies that
-    the zero function is not the minimizer of J_alpha.
+    Returns (zeta, energy) for the first entry of _ZETA_GRID (60 geometric
+    zeta from 1 down to 1e-8) that works, or None when no entry does.  A
+    hit certifies that the zero function is not the minimizer of J_alpha.
     """
     _positive("alpha", alpha)
     _same_T("eigen.phi", eigen.phi, prob.T)
-    if zeta_grid is None:
-        zeta_grid = np.geomspace(1.0, 1e-8, 60)
-    for zeta in _sequence("zeta_grid", zeta_grid, increasing=False):
+    for zeta in _ZETA_GRID:
         scaled = GridFunction(eigen.phi.values * float(zeta))
         e = energy(scaled, prob, alpha)
         if e < 0.0:
@@ -472,8 +470,9 @@ def multistart_solve(prob: ProblemSpec, alpha: float, n_starts: int,
     starts, and n_starts seeded uniform random starts; return the distinct
     converged solutions sorted by energy.
 
-    Every start runs through solve_newton.  Distinctness is sup-norm
-    distance >= opts.dedup_dist, keeping the lowest-energy representative.
+    Every start runs through solve_newton, so a non-finite one raises a
+    ValueError.  Distinctness is sup-norm distance >= opts.dedup_dist,
+    keeping the lowest-energy representative.
     The first solution is the one a report shows: among those tied with the
     lowest energy up to rounding, a positive one (odd nonlinearities pair u
     with -u at equal energy).
@@ -539,7 +538,7 @@ def sweep_alpha(prob: ProblemSpec, alphas, opts: SolverOptions | None = None,
     lowest energy is tied (odd nonlinearities pair u with -u), the positive
     representative is reported.
     """
-    arr = _sequence("alphas", alphas, increasing=True)
+    arr = _sequence("alphas", alphas)
     _count("n_starts", n_starts)
     opts = opts if opts is not None else SolverOptions()
     eig = _eigen_best_effort(prob.p, prob.T)

@@ -80,12 +80,18 @@ def _shoot(lam: float, p: float, T: int) -> tuple[float, list[float] | None]:
     up to m = ceil(T/2).  Returns (-1, None) as soon as a value is <= 0
     (lam lies above lambda_1); otherwise the defect of the symmetric
     eigen equation at m, positive while lam < lambda_1, and u(1..m).
+    A step that overflows is a value <= 0: the flux starts at 1 and only
+    decreases, so only a flux below -1 can overflow, a step down past any
+    float.  An overflowing u(k) ** (p - 1) raises OverflowError.
     """
     e, inv = p - 1.0, 1.0 / (p - 1.0)
     x, flux, half = 1.0, 1.0, [1.0]
     for _ in range((T - 1) // 2):
         flux -= lam * x ** e
-        x += math.copysign(abs(flux) ** inv, flux)
+        try:
+            x += math.copysign(abs(flux) ** inv, flux)
+        except OverflowError:
+            return -1.0, None
         if x <= 0.0:
             return -1.0, None
         half.append(x)
@@ -150,6 +156,8 @@ def first_eigenpair(p: float, T: int, tol: float = EIGEN_TOL) -> EigenPair:
     large p and T (where lambda_1 is tiny) are held to their own scale.
     EigenPair.residual is the absolute defect.
 
+    Raises a ValueError naming p and T where the shot from u(1) = 1
+    overflows: ceil(T/2)^(p-1) past the float range, as at p = 300, T = 50.
     Raises EigenConvergenceError (carrying the pair) if the residual has
     not reached the tolerance.  Near the p -> 1 limit (p <= 1.1 on all but
     the smallest grids, p = 1.15 at T = 50 and p = 1.2 at T = 200) the
@@ -161,8 +169,13 @@ def first_eigenpair(p: float, T: int, tol: float = EIGEN_TOL) -> EigenPair:
     _check_p(p)
     T = _check_T(T)
     _positive("tol", tol)
+    try:
+        ends = _illinois_bracket(p, T)
+    except OverflowError:
+        raise ValueError(f"first eigenpair (p={p}, T={T}): the shot's u(k) ** (p - 1) "
+                         "overflows a float") from None
     pairs = []
-    for _, half in _illinois_bracket(p, T):
+    for _, half in ends:
         if half is not None:
             v = np.array(half + half[::-1][T % 2:])
             phi = v / float(np.sum(v ** p)) ** (1.0 / p)

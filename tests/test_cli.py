@@ -584,6 +584,17 @@ def test_check_threshold_eigen_failure_is_a_comment(tmp_path, capsys):
     assert "alpha_threshold =" not in out
 
 
+def test_eigen_and_check_name_p_and_T_where_the_shot_overflows(tmp_path, capsys):
+    # the shot from u(1) = 1 overflows at p = 300, T = 50: eigen once printed
+    # only "(34, 'Numerical result out of range')", and check exited 1 on it
+    assert main(["eigen", "--p", "300", "--T", "50"]) == EXIT_ERROR
+    assert "first eigenpair (p=300.0, T=50)" in capsys.readouterr().err
+    rc = main(["check", esempio0_cfg(tmp_path, T=50, p=300.0), "--eps", "0.5"])
+    assert rc == EXIT_NO_RESULT
+    assert "# alpha_threshold unavailable: first eigenpair (p=300.0, T=50)" in (
+        capsys.readouterr().out)
+
+
 def test_check_rejects_a_gamma_above_a_tables_exact_one(tmp_path, capsys):
     # t/(1+t^2) has gamma 0.49875 at p = 2: a declared 5.0 once printed a
     # threshold 10x below lambda_1 with "guarantees a positive solution"
@@ -672,6 +683,15 @@ def test_sweep_alpha_bounds_must_be_numbers(tmp_path, capsys):
     with pytest.raises(ConfigError) as info:
         expand_alphas({"lo": 0.1, "hi": None, "n": 3})
     assert info.value.field == "alpha.hi"
+
+
+def test_sweep_alpha_list_not_increasing_exits_1(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    rc = main(["sweep", esempio0_cfg(tmp_path, alpha=[1.0, 0.5]), "--out", str(out)])
+    assert rc == EXIT_ERROR
+    assert ("config field 'alpha': alphas must be a nonempty sequence (length >= 1), "
+            "strictly increasing, positive and finite") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_row_errors_warn_and_exit_2(tmp_path, capsys, monkeypatch):

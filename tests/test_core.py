@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dplap.core
 import dplap.existence
@@ -662,6 +664,27 @@ def test_core_finite_rule_takes_a_scalar_or_an_array():
     for bad in (math.nan, -math.inf, [1.0, math.nan], [[0.0], [math.inf]]):
         with pytest.raises(ValueError, match="^x must be finite$"):
             finite("x", bad)
+
+
+_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 0.5, 1.0, 2.0, 5e-324]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.sampled_from(_SPECIAL_FLOATS) | st.floats(), max_size=6))
+def test_core_sequence_rule_accepts_exactly_increasing_positive_finite_lists(xs):
+    # the one shape of _sequence: nonempty, strictly increasing, every entry
+    # in (0, inf); repeated draws from the special floats give equal neighbours
+    ok = bool(xs) and all(0.0 < x < math.inf for x in xs) and all(
+        a < b for a, b in zip(xs, xs[1:]))
+    if ok:
+        got = dplap.core._sequence("alphas", xs)
+        want = np.asarray(xs, dtype=float)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    else:
+        with pytest.raises(ValueError) as info:
+            dplap.core._sequence("alphas", xs)
+        assert str(info.value) == ("alphas must be a nonempty sequence (length >= 1), "
+                                   "strictly increasing, positive and finite")
 
 
 def test_check_consistency_compares_a_flagged_potential_on_both_signs():

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from dplap.core import Nonlinearity, ProblemSpec, c_const, kappa
-from dplap.existence import (CHI_SAMPLES, CHI_ZOOM_ROUNDS, DecayReport,
-                             ExistenceCertificate, MultiplicityWindow, alpha_threshold,
-                             check_superlinearity_decay, check_thm_esistenza,
+from dplap.existence import (CHI_SAMPLES, CHI_ZOOM_ROUNDS, ExistenceCertificate,
+                             MultiplicityWindow, alpha_threshold, check_thm_esistenza,
                              check_three_solutions_window, chi, find_admissible_eps, h,
                              _max_potentials)
 from dplap.nonlinearities import (_table_gamma, bounded_rational, constant, from_table,
@@ -432,44 +431,6 @@ def test_alpha_threshold_rejects_a_gamma_above_a_tables_exact_one():
     # p < 2: the exact gamma is 0, so no positive gamma holds
     with pytest.raises(ValueError, match="gamma"):
         alpha_threshold(ProblemSpec(T=3, p=1.5, nonlinearity=_rational_table()), gamma=0.1)
-
-
-# -------------------------------------------------------- decay heuristic
-
-def test_decay_bounded_rational_true():
-    rep = check_superlinearity_decay(_prob(T=4))
-    assert isinstance(rep, DecayReport)
-    assert rep.verdict
-    assert rep.h_values[-1] < rep.tol
-
-
-def test_decay_linear_false():
-    # h is constant T/2 for the linear f: no decay
-    rep = check_superlinearity_decay(ProblemSpec(T=4, p=2.0, nonlinearity=linear()))
-    assert not rep.verdict
-
-
-def test_decay_zero_true():
-    rep = check_superlinearity_decay(_prob(T=3, nl=zero()))
-    assert rep.verdict
-
-
-def test_decay_validates_probe():
-    with pytest.raises(ValueError, match="increasing"):
-        check_superlinearity_decay(_prob(), xi_probe=(2.0, 1.0))
-
-
-@pytest.mark.parametrize("probe", [(1.0, np.nan), (1.0, np.inf)])
-def test_decay_names_a_non_finite_probe(probe):
-    with pytest.raises(ValueError, match="xi_probe must be"):
-        check_superlinearity_decay(_prob(), xi_probe=probe)
-
-
-@pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
-def test_decay_checks_its_tol(tol):
-    # a NaN or negative tol used to give verdict=False without a word
-    with pytest.raises(ValueError, match="tol must be positive and finite"):
-        check_superlinearity_decay(_prob(), tol=tol)
 
 
 # -------------------------------------------------- three-solutions window

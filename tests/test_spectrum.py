@@ -201,6 +201,26 @@ def test_first_eigenpair_near_p1_failure_carries_best():
     assert ok.lambda_ == pytest.approx(best.lambda_, rel=1e-9)
 
 
+@pytest.mark.parametrize("p, T", [(1.0002, 300), (1.00001, 100), (1.000001, 50),
+                                  (1.0001, 5000)])
+def test_first_eigenpair_near_p1_overflowing_step_is_a_shot_below_zero(p, T):
+    # abs(flux) ** (1/(p-1)) once left _shoot as a bare OverflowError; flux
+    # <= 1 throughout, so an overflowing step is a step down past 0
+    with pytest.raises(EigenConvergenceError, match=f"p={p}, T={T}") as info:
+        first_eigenpair(p, T)
+    best = info.value.best
+    assert np.isfinite(best.lambda_) and best.lambda_ > 0.0
+    assert np.all(np.isfinite(best.phi.values)) and np.min(best.phi.interior) > 0.0
+
+
+@pytest.mark.parametrize("p, T", [(200, 200), (300, 50), (500, 10)])
+def test_first_eigenpair_names_p_and_T_where_the_shot_overflows(p, T):
+    # ceil(T/2)^(p-1) is past the float range: u(k) ** (p - 1) overflows in the
+    # loop or in the final defect, which once raised a bare OverflowError
+    with pytest.raises(ValueError, match=f"p={p}, T={T}"):
+        first_eigenpair(p, T)
+
+
 def test_first_eigenpair_validates_arguments():
     # every spectrum entry point that takes p or T raises core's message
     bad_p, bad_T = "p must exceed 1", "T must be an integer >= 2"
