@@ -69,11 +69,22 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _is_number(val) -> bool:
-    """A finite JSON number; JSON booleans, NaN and Infinity are not."""
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        return False
-    return isinstance(val, int) or math.isfinite(val)
+def _numbers(field: str, vals, what: str) -> list:
+    """vals, unless it is not a list of JSON numbers in the float range (not
+    booleans, strings, NaN, Infinity or a 400-digit integer): the one gate for
+    config numbers; every value rule after it is the library's, via _as_field."""
+    if not isinstance(vals, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max for v in vals):
+        raise ConfigError(field, f"must be {what}")
+    return vals
+
+
+def _number(obj: dict, key: str, field: str):
+    """The required number obj[key], through the gate."""
+    if key not in obj:
+        raise ConfigError(field, "missing")
+    return _numbers(field, [obj[key]], "a number")[0]
 
 
 def _as_field(field: str, build, *args):
@@ -84,30 +95,14 @@ def _as_field(field: str, build, *args):
         raise ConfigError(field, str(exc)) from exc
 
 
-def _require_numbers(vals, field: str, what: str) -> None:
-    if not isinstance(vals, list) or not all(_is_number(v) for v in vals):
-        raise ConfigError(field, f"must be {what}")
-
-
-def _require_number(cfg: dict, field: str):
-    if field not in cfg:
-        raise ConfigError(field, "missing")
-    val = cfg[field]
-    if not _is_number(val):
-        raise ConfigError(field, "must be a number")
-    return val
-
-
 def _custom_table(nls, nl_cfg: dict) -> Nonlinearity:
     if "t" not in nl_cfg or "f" not in nl_cfg:
         raise ConfigError("nonlinearity", "custom_table needs 't' and 'f' sample arrays")
     t, f = nl_cfg["t"], nl_cfg["f"]
     flag = nl_cfg.get("is_nonnegative", False)
-    _require_numbers(t, "nonlinearity.t", "a list of finite numbers")
-    rows = f if isinstance(f, list) and f and isinstance(f[0], list) else [f]
-    for r in rows:
-        _require_numbers(r, "nonlinearity.f",
-                         "a list of finite numbers, or a list of such rows")
+    _numbers("nonlinearity.t", t, "a list of finite numbers")
+    for r in f if isinstance(f, list) and f and isinstance(f[0], list) else [f]:
+        _numbers("nonlinearity.f", r, "a list of finite numbers, or a list of such rows")
     if not isinstance(flag, bool):
         raise ConfigError("nonlinearity.is_nonnegative", "must be true or false")
     nl = _as_field("nonlinearity", nls.from_table, t, f)
@@ -117,11 +112,11 @@ def _custom_table(nls, nl_cfg: dict) -> Nonlinearity:
     return nl
 
 
-# each config kind and the most params it takes: custom_table is built from
-# the config's sample arrays, every other kind by the dplap.nonlinearities
+# each config kind and the (least, most) params it takes: custom_table is built
+# from the config's sample arrays, every other kind by the dplap.nonlinearities
 # factory of its name
-_KINDS = {"zero": 0, "constant": 1, "linear": 1, "power": 2, "bounded_rational": 0,
-          "custom_table": 0}
+_KINDS = {"zero": (0, 0), "constant": (0, 1), "linear": (0, 1), "power": (1, 2),
+          "bounded_rational": (0, 0), "custom_table": (0, 0)}
 
 
 def build_nonlinearity(nl_cfg, T: int) -> Nonlinearity:
@@ -129,26 +124,23 @@ def build_nonlinearity(nl_cfg, T: int) -> Nonlinearity:
     if not isinstance(nl_cfg, dict):
         raise ConfigError("nonlinearity", "must be an object with a 'kind'")
     kind = nl_cfg.get("kind")
-    params = nl_cfg.get("params", [])
-    _require_numbers(params, "nonlinearity.params", "a list of numbers")
+    params = _numbers("nonlinearity.params", nl_cfg.get("params", []), "a list of numbers")
     if not isinstance(kind, str) or kind not in _KINDS:  # a list kind is unhashable
         raise ConfigError("nonlinearity.kind",
                           f"unknown kind {kind!r}; expected one of {', '.join(_KINDS)}")
-    if len(params) > _KINDS[kind]:
+    least, most = _KINDS[kind]
+    if not least <= len(params) <= most:
         raise ConfigError("nonlinearity.params",
-                          f"kind {kind!r} takes at most {_KINDS[kind]} params, got {len(params)}")
+                          f"kind {kind!r} takes {least} to {most} params, got {len(params)}")
     if kind == "custom_table":
         nl = _custom_table(nonlinearities, nl_cfg)
-    elif kind == "power" and not params:
-        raise ConfigError("nonlinearity.params", "power needs [exponent] or [exponent, coeff]")
     else:
         nl = _as_field("nonlinearity.params", getattr(nonlinearities, kind), *params)
     scale = nl_cfg.get("per_k_scale")
     if scale is not None:
-        if (not isinstance(scale, list) or len(scale) != T
-                or not all(_is_number(v) for v in scale)):
-            raise ConfigError("nonlinearity.per_k_scale",
-                              f"must be a list of length T={T} of finite numbers")
+        _numbers("nonlinearity.per_k_scale",
+                 scale if isinstance(scale, list) and len(scale) == T else None,
+                 f"a list of length T={T} of finite numbers")
         nl = nonlinearities.scaled_per_node(nl, scale)
     return nl
 
@@ -157,9 +149,8 @@ def build_problem(cfg: dict):
     """Validate a config dict; return (ProblemSpec, alpha field, gamma field).
     A table's gamma must not exceed its exact value."""
     from .nonlinearities import _check_gamma
-    T = _require_number(cfg, "T")
-    T = _as_field("T", core._check_T, T)
-    p = float(_require_number(cfg, "p"))
+    T = _as_field("T", core._check_T, _number(cfg, "T", "T"))
+    p = float(_number(cfg, "p", "p"))
     _as_field("p", core._check_p, p)
     if "nonlinearity" not in cfg:
         raise ConfigError("nonlinearity", "missing")
@@ -167,8 +158,8 @@ def build_problem(cfg: dict):
     prob = _as_field("nonlinearity", ProblemSpec, T, p, nl)
     gamma = cfg.get("gamma")
     if gamma is not None:
-        _require_numbers(gamma if isinstance(gamma, list) else [gamma], "gamma",
-                         f"a number or a list of length T={T}")
+        _numbers("gamma", gamma if isinstance(gamma, list) else [gamma],
+                 f"a number or a list of length T={T}")
         gamma = _as_field("gamma", _check_gamma, nl, gamma, T, p)
     return prob, cfg.get("alpha"), gamma
 
@@ -177,22 +168,14 @@ def expand_alphas(alpha_field) -> list[float]:
     """Turn the config alpha field (sweep object or explicit list) into a list."""
     if not isinstance(alpha_field, (dict, list)):
         raise ConfigError("alpha", "sweep requires alpha as {lo, hi, n} or a list")
-    alphas = alpha_field
     if isinstance(alpha_field, dict):
-        for key in ("lo", "hi", "n"):
-            if key not in alpha_field:
-                raise ConfigError("alpha", f"sweep object needs '{key}'")
-        lo, hi, n = alpha_field["lo"], alpha_field["hi"], alpha_field["n"]
-        if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
-            raise ConfigError("alpha.n", "must be a positive integer")
-        for key in ("lo", "hi"):
-            if not _is_number(alpha_field[key]):
-                raise ConfigError(f"alpha.{key}", "must be a number")
+        lo, hi, n = (_number(alpha_field, key, f"alpha.{key}") for key in ("lo", "hi", "n"))
+        n = _as_field("alpha.n", core._count, "alpha.n", n)
         if not (0 < lo < hi):
             raise ConfigError("alpha", "sweep needs 0 < lo < hi")
         alphas = np.geomspace(lo, hi, n)
-    elif not all(_is_number(a) for a in alpha_field):
-        raise ConfigError("alpha", "list must be numbers")
+    else:
+        alphas = _numbers("alpha", alpha_field, "a list of numbers")
     return [float(a) for a in _as_field("alpha", core._sequence, "alphas", alphas)]
 
 
@@ -204,8 +187,7 @@ def scalar_alpha(alpha_field, flag_value):
     if isinstance(alpha_field, (dict, list)):
         raise ConfigError("alpha",
                           "config declares a sweep; pass --alpha or use the sweep command")
-    if not _is_number(alpha_field):
-        raise ConfigError("alpha", "must be a finite number")
+    _numbers("alpha", [alpha_field], "a finite number")
     return _as_field("alpha", core._positive, "alpha", alpha_field)
 
 
@@ -279,11 +261,19 @@ def cmd_check(args) -> int:
     cfg = load_config(args.config)
     prob, _, gamma = build_problem(cfg)
     verdicts: list[bool] = []
-    if args.eps is not None:
+    smallness = args.eps is not None or args.eps_scan
+    if smallness:
+        try:  # a bound c(p, T) below the normal floats certifies no eps
+            core.c_const(prob.p, prob.T)
+        except ValueError as exc:
+            print(f"# smallness test unavailable: {exc}")
+            smallness = False
+            verdicts.append(False)
+    if smallness and args.eps is not None:
         cert = check_thm_esistenza(prob, args.eps)
         _print_headers(cert, _CERTIFICATE_KEYS)
         verdicts.append(cert.verdict)
-    if args.eps_scan:
+    if smallness and args.eps_scan:
         cert = find_admissible_eps(prob, (args.eps_lo, args.eps_hi), args.eps_n)
         if cert is None:
             print(f"no admissible eps in [{_fmt(args.eps_lo)}, {_fmt(args.eps_hi)}]")
@@ -434,10 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="multistart solve at a single alpha")
     s.add_argument("config", help="JSON problem config")
     s.add_argument("--alpha", type=float, default=None, help="overrides the config alpha")
-    s.add_argument("--tol", type=float, default=core.SOLVER_TOL)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--starts", type=int, default=8, help="number of random starts")
-    s.add_argument("--out", default="result.txt")
     s.set_defaults(func=cmd_solve)
 
     e = sub.add_parser("eigen", help="first eigenpair; full p=2 spectrum")
@@ -459,11 +445,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     w = sub.add_parser("sweep", help="alpha sweep to CSV")
     w.add_argument("config", help="config whose alpha is {lo, hi, n} or a list")
-    w.add_argument("--tol", type=float, default=core.SOLVER_TOL)
-    w.add_argument("--seed", type=int, default=0)
-    w.add_argument("--starts", type=int, default=8)
-    w.add_argument("--out", default="sweep.csv")
     w.set_defaults(func=cmd_sweep)
+    for sp, out in ((s, "result.txt"), (w, "sweep.csv")):  # the multistart options
+        sp.add_argument("--tol", type=float, default=core.SOLVER_TOL)
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--starts", type=int, default=8, help="number of random starts")
+        sp.add_argument("--out", default=out)
 
     t = sub.add_parser("selftest", help="run the embedded numeric identity checks")
     t.set_defaults(func=cmd_selftest)

@@ -446,9 +446,12 @@ def kappa(p: float, T: int) -> float:
     Odd  T: 2/(T+1)^((p-1)/p).
     """
     _check_p(p)
-    _check_T(T)
+    T = _check_T(T)
     if T % 2 == 0:
-        return float(((2.0 / T) ** (p - 1.0) + (2.0 / (T + 2)) ** (p - 1.0)) ** (1.0 / p))
+        s = (2.0 / T) ** (p - 1.0) + (2.0 / (T + 2)) ** (p - 1.0)
+        if s < sys.float_info.min:  # the sum underflows (p = 300, T = 50); its root need not
+            return _decimal_constant(p, T, root=True)
+        return float(s ** (1.0 / p))
     return float(2.0 / (T + 1) ** ((p - 1.0) / p))
 
 
@@ -457,12 +460,39 @@ def c_const(p: float, T: int) -> float:
 
     Even T: (1/p)[(2/T)^(p-1) + (2/(T+2))^(p-1)].
     Odd  T: 2^p / (p (T+1)^(p-1)).
+    A ValueError names p and T where c(p, T) is not a normal float.
     """
     _check_p(p)
-    _check_T(T)
-    if T % 2 == 0:
-        return float(((2.0 / T) ** (p - 1.0) + (2.0 / (T + 2)) ** (p - 1.0)) / p)
-    return float(2.0 ** p / (p * (T + 1) ** (p - 1.0)))
+    T = _check_T(T)
+    try:
+        if T % 2 == 0:
+            c = float(((2.0 / T) ** (p - 1.0) + (2.0 / (T + 2)) ** (p - 1.0)) / p)
+        else:
+            c = float(2.0 ** p / (p * (T + 1) ** (p - 1.0)))
+    except OverflowError:  # (T+1)^(p-1) leaves the float range; c need not
+        c = 0.0
+    if c < sys.float_info.min:
+        c = _decimal_constant(p, T, root=False)
+        if c < sys.float_info.min:
+            raise ValueError(f"c(p, T) underflows below the normal floats at "
+                             f"p = {float(p)!r}, T = {T}")
+    return c
+
+
+def _decimal_constant(p: float, T: int, root: bool) -> float:
+    """kappa(p, T) (root) or c(p, T), evaluated in 40-digit decimal arithmetic
+    and rounded to a float once: the value where a double form of it leaves
+    the float range, 0 or subnormal only where the exact value is."""
+    from decimal import Decimal, localcontext
+    with localcontext() as ctx:
+        ctx.prec = 40
+        p_dec = Decimal(float(p))
+        q = p_dec - 1
+        if T % 2 == 0:
+            s = (Decimal(2) / T) ** q + (Decimal(2) / (T + 2)) ** q
+        else:
+            s = 2 * (Decimal(2) / (T + 1)) ** q
+        return float(s ** (1 / p_dec) if root else s / p_dec)
 
 
 def theta(s: float, p: float, T: int) -> float:

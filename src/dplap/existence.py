@@ -121,14 +121,16 @@ def chi(eps: float, prob: ProblemSpec) -> float:
         # F_k is nondecreasing on [0, eps] and dominates the negative side,
         # so the max sits at the right endpoint.
         return h(eps, prob)
-    return float(np.sum(_max_potentials(prob, eps))) / eps_p
+    with np.errstate(over="ignore"):  # an F_k past the float range: inf, a false verdict
+        return float(np.sum(_max_potentials(prob, eps))) / eps_p
 
 
 def h(xi: float, prob: ProblemSpec) -> float:
-    """sum_k F_k(xi) / xi^p for xi > 0."""
+    """sum_k F_k(xi) / xi^p for xi > 0; inf where an F_k or the sum overflows."""
     xi_p = _pth_power("xi", xi, prob.p)
-    F = prob.nonlinearity.F_at(np.arange(1, prob.T + 1), np.full(prob.T, float(xi)))
-    return float(np.sum(F)) / xi_p
+    with np.errstate(over="ignore"):
+        F = prob.nonlinearity.F_at(np.arange(1, prob.T + 1), np.full(prob.T, float(xi)))
+        return float(np.sum(F)) / xi_p
 
 
 def check_thm_esistenza(prob: ProblemSpec, eps: float) -> ExistenceCertificate:
@@ -200,7 +202,8 @@ def check_three_solutions_window(prob: ProblemSpec, c: float, d: float) -> Multi
         ( 2 / (p (h(d) - (c/d)^p chi(c))),  2^p / (p chi(c) (T+1)^{p-1}) )
     yields at least three solutions.  The upper endpoint is +inf when
     chi(c) = 0; the lower is +inf when the bracket is non-positive (the
-    interval is then empty and the verdict false).
+    interval is then empty and the verdict false).  A ValueError names d
+    where h(d) overflows.
     """
     if not 0.0 < c < d < math.inf:
         raise ValueError("require 0 < c < d < inf")
@@ -209,11 +212,18 @@ def check_three_solutions_window(prob: ProblemSpec, c: float, d: float) -> Multi
     _pth_power("d", d, p)
     chi_c = chi(c, prob)
     h_d = h(d, prob)
+    if not math.isfinite(h_d):
+        raise ValueError(f"h(d) = sum_k F_k(d) / d^p overflows at d = {float(d)!r}")
     bracket = h_d - (c / d) ** p * chi_c
-    rhs = 2.0 ** (p - 1.0) / (T + 1) ** (p - 1.0) * bracket
+    try:  # these forms, bit for bit, wherever (T+1)^(p-1) is a float
+        scale = 2.0 ** (p - 1.0) / (T + 1) ** (p - 1.0)
+        alpha_hi = 2.0 ** p / (p * chi_c * (T + 1) ** (p - 1.0)) if chi_c > 0.0 else math.inf
+    except OverflowError:  # 2^(p-1) / (T+1)^(p-1) is one power, representable or 0
+        scale, alpha_hi = (2.0 / (T + 1)) ** (p - 1.0), 0.0
+    if alpha_hi == 0.0:  # (T+1)^(p-1), or p chi(c) times it, overflowed
+        alpha_hi = 2.0 * scale / (p * chi_c) if chi_c > 0.0 else math.inf
+    rhs = scale * bracket
     verdict = bool(chi_c < rhs)
     alpha_lo = 2.0 / (p * bracket) if bracket > 0.0 else math.inf
-    alpha_hi = (2.0 ** p / (p * chi_c * (T + 1) ** (p - 1.0))
-                if chi_c > 0.0 else math.inf)
     return MultiplicityWindow(c=float(c), d=float(d), alpha_lo=alpha_lo,
                               alpha_hi=alpha_hi, verdict=verdict)

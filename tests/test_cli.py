@@ -189,6 +189,10 @@ TABLE = {"kind": "custom_table", "t": [-2.0, 0.0, 2.0], "f": [-1.0, 0.0, 1.0]}
     ("gamma", {"gamma": [0.5, True, 0.5]}),
     # two rows of f at T = 3: ProblemSpec rejects the nonlinearity
     ("nonlinearity", {"nonlinearity": {**TABLE, "f": [[-1.0, 0.0, 1.0]] * 2}}),
+    ("p", {"p": math.nan}),
+    ("p", {"p": True}),
+    ("p", {"p": 10 ** 400}),  # past the float range: float(p) once raised unnamed
+    ("nonlinearity.t", {"nonlinearity": {**TABLE, "t": [-2.0, math.inf, 2.0]}}),
 ])
 def test_bad_field_values_are_named(tmp_path, capsys, field, overrides):
     # booleans, strings and non-finite numbers are not silently coerced
@@ -308,6 +312,16 @@ def test_expand_alphas_names_a_bad_count(n):
     with pytest.raises(ConfigError) as exc:
         expand_alphas({"lo": 0.1, "hi": 1.0, "n": n})
     assert exc.value.field == "alpha.n"
+
+
+def test_expand_alphas_takes_a_whole_float_count():
+    # the count is core._count's rule, as for T: a whole float is a count
+    assert expand_alphas({"lo": 0.1, "hi": 1.0, "n": 3.0}) == expand_alphas(
+        {"lo": 0.1, "hi": 1.0, "n": 3})
+    with pytest.raises(ConfigError, match="'alpha.n': alpha.n must be a positive integer$"):
+        expand_alphas({"lo": 0.1, "hi": 1.0, "n": 0})
+    with pytest.raises(ConfigError, match="'alpha.n': must be a number$"):
+        expand_alphas({"lo": 0.1, "hi": 1.0, "n": True})
 
 
 # ---------------------------------------------------------------- result files
@@ -595,6 +609,55 @@ def test_eigen_and_check_name_p_and_T_where_the_shot_overflows(tmp_path, capsys)
         capsys.readouterr().out)
 
 
+@pytest.mark.parametrize("T", [50, 51])
+def test_check_names_p_and_T_where_the_smallness_bound_underflows(tmp_path, capsys, T):
+    # c(300, 50) = 3.5e-421 and c(300, 51) = 5.6e-426: at T = 50 check printed
+    # "bound = 0" and "sigma = 0", at T = 51 only "(34, 'Numerical result out of range')"
+    cfg = write_cfg(tmp_path, {"T": T, "p": 300.0, "nonlinearity": {"kind": "bounded_rational"}})
+    assert main(["check", cfg, "--eps", "1"]) == EXIT_NO_RESULT
+    out = capsys.readouterr().out
+    assert (f"# smallness test unavailable: c(p, T) underflows below the normal floats "
+            f"at p = 300.0, T = {T}") in out
+    assert "bound" not in out and "sigma" not in out
+
+
+def test_check_window_at_large_p_keeps_its_factor_in_range(tmp_path, capsys):
+    # (T+1)^(p-1) = 11^299 overflows, 2^(p-1)/(T+1)^(p-1) = 4e-222 does not:
+    # check --cd printed only "(34, 'Numerical result out of range')"
+    cfg = write_cfg(tmp_path, {"T": 10, "p": 300.0, "nonlinearity": {"kind": "bounded_rational"}})
+    assert main(["check", cfg, "--cd", "0.5", "5"]) == EXIT_NO_RESULT
+    headers = parse_headers(capsys.readouterr().out)
+    assert headers["verdict"] == "false"
+    assert 0.0 < float(headers["alpha_hi"]) < float(headers["alpha_lo"]) < math.inf
+
+
+POWER3 = {"T": 3, "p": 2.0, "nonlinearity": {"kind": "power", "params": [3.0]}}
+
+
+def test_check_eps_past_the_potentials_range_is_a_false_verdict(tmp_path, capsys):
+    # F(1e100) = 2.5e399 overflows: numpy's overflow warning once left the library
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["check", write_cfg(tmp_path, POWER3), "--eps", "1e100"])
+    assert rc == EXIT_NO_RESULT
+    headers = parse_headers(capsys.readouterr().out)
+    assert headers["chi_eps"] == "inf" and headers["verdict"] == "false"
+    assert caught == []
+
+
+def test_check_window_names_d_where_h_overflows(tmp_path, capsys):
+    # h(1e100) = 7.5e199, but each F(1e100) overflows: the window once printed
+    # alpha_lo = 0 and a true verdict, after numpy's overflow warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["check", write_cfg(tmp_path, POWER3), "--cd", "1", "1e100"])
+    assert rc == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert "h(d) = sum_k F_k(d) / d^p overflows at d = 1e+100" in captured.err
+    assert "verdict" not in captured.out
+    assert caught == []
+
+
 def test_check_rejects_a_gamma_above_a_tables_exact_one(tmp_path, capsys):
     # t/(1+t^2) has gamma 0.49875 at p = 2: a declared 5.0 once printed a
     # threshold 10x below lambda_1 with "guarantees a positive solution"
@@ -683,6 +746,8 @@ def test_sweep_alpha_bounds_must_be_numbers(tmp_path, capsys):
     with pytest.raises(ConfigError) as info:
         expand_alphas({"lo": 0.1, "hi": None, "n": 3})
     assert info.value.field == "alpha.hi"
+    with pytest.raises(ConfigError, match="'alpha.lo': must be a number$"):
+        expand_alphas({"lo": math.nan, "hi": 1.0, "n": 3})
 
 
 def test_sweep_alpha_list_not_increasing_exits_1(tmp_path, capsys):

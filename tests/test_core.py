@@ -204,6 +204,17 @@ def test_c_const_equals_kappa_power_over_p():
             assert c_const(p, T) == pytest.approx(kappa(p, T) ** p / p, rel=1e-14)
 
 
+def test_large_p_constants_are_rounded_values_or_name_p_and_T():
+    # at p = 300 the even-T sum (2/T)^(p-1) + (2/(T+2))^(p-1) underflows and
+    # (T+1)^(p-1) overflows for T >= 10: kappa(300, 50) was 0.0, c_const(300, 51)
+    # and c_const(300, 11) raised a bare OverflowError
+    assert kappa(300.0, 50) == 0.04043149526868833  # correctly rounded
+    assert c_const(300.0, 11) == 1.4344482210457166e-235  # 2 (2/12)^299 / 300, rounded
+    for T in (50, 51):  # c(300, 50) = 3.5e-421, c(300, 51) = 5.6e-426
+        with pytest.raises(ValueError, match=f"underflows .* at p = 300.0, T = {T}$"):
+            c_const(300, T)
+
+
 def test_kappa_validates_arguments():
     # every core entry point that takes p or T raises the one shared message
     u = GridFunction.zero(3)
