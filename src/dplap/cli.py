@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import core
-from .core import GridFunction, Nonlinearity, ProblemSpec, _scipy_extension
+from .core import GridFunction, Nonlinearity, ProblemSpec
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -346,8 +346,7 @@ def _p2_spectrum_deviation(T: int) -> tuple[np.ndarray, float]:
     them of matrix_A's, by LAPACK's dsterf on its diagonals in O(T) memory."""
     from .spectrum import eigenvalues_p2
     closed = eigenvalues_p2(T)
-    numeric, info = _scipy_extension("linalg", "_flapack").dsterf(
-        np.full(T, 2.0), np.full(T - 1, -1.0))
+    numeric, info = core._lapack().dsterf(np.full(T, 2.0), np.full(T - 1, -1.0))
     if info != 0:
         raise RuntimeError(f"dsterf did not converge at T={T} (info {info})")
     return closed, float(np.max(np.abs(numeric - closed) / closed))

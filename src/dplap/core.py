@@ -52,6 +52,15 @@ def _scipy_extension(subpackage: str, name: str):
     return mod
 
 
+def _lapack():
+    """LAPACK's f2py wrappers, the module scipy.linalg.lapack re-exports.
+
+    Loaded by _scipy_extension, without the scipy.linalg package (about
+    0.25 s and 18 MB, most of it outside LAPACK).
+    """
+    return _scipy_extension("linalg", "_flapack")
+
+
 def quad(func, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
     """scipy.integrate.quad, with QUADPACK's qagse called directly.
 

@@ -153,8 +153,12 @@ def find_admissible_eps(prob: ProblemSpec,
                         n_grid: int = DEFAULT_EPS_GRID) -> ExistenceCertificate | None:
     """Scan a geometric eps grid; return the passing certificate of largest
     margin, or None when no grid point passes."""
-    lo, hi = eps_range
-    if not 0.0 < lo < hi < math.inf:
+    try:
+        lo, hi = eps_range
+        ok = 0.0 < lo < hi < math.inf
+    except (TypeError, ValueError):  # not a pair of numbers
+        ok = False
+    if not ok:
         raise ValueError("eps_range must satisfy 0 < lo < hi < inf")
     _pth_power("eps_range lo", lo, prob.p)
     _pth_power("eps_range hi", hi, prob.p)
@@ -173,8 +177,9 @@ def alpha_threshold(prob: ProblemSpec, gamma=None) -> float:
 
     gamma may be a scalar or a length-T sequence of the declared growth
     constants gamma_k = liminf_{xi->0+} F_k(xi)/xi^p.  When omitted, the
-    nonlinearity's own declared gamma is used; with neither, a ValueError
-    names gamma (a liminf cannot be read off finitely many samples).
+    nonlinearity's own declared gamma is used, a sequence by its first T
+    entries as for other per-node data; with neither, a ValueError names
+    gamma (a liminf cannot be read off finitely many samples).
     A table's gamma is known exactly, and one above it raises a ValueError
     naming the node.  At p = 2, lambda_1 is the closed form
     4 sin^2(pi/(2(T+1))).
@@ -184,6 +189,8 @@ def alpha_threshold(prob: ProblemSpec, gamma=None) -> float:
         raise ValueError("alpha_threshold requires a nonlinearity flagged nonnegative")
     if gamma is None:
         gamma = nl.gamma
+        if np.ndim(gamma) == 1:  # nodes 1..T use a declared sequence's first T entries
+            gamma = tuple(gamma)[:prob.T]
     if gamma is None:
         raise ValueError("no gamma declared; pass gamma= or declare it on the nonlinearity")
     gam = _check_gamma(nl, gamma, prob.T, prob.p)

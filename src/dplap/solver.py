@@ -24,16 +24,15 @@ evaluates each iterate's gradient once, then stops, in this order, when the
 residual reaches tol, when the step just taken left the energy unchanged in
 floating point (the energy floor), when the residual stalled for
 _STALL_WINDOW iterations, or at max_iters; also when a line search fails.
-Outcomes name the reason in stop_reason.  Every descent
-ends in _finish, where short of tol the polish finishes the job with plain,
+Outcomes name the reason in stop_reason.  Every descent runs through one
+runner, _solve, where short of tol the polish finishes the job with plain,
 unshifted Newton steps: near a saddle H is indefinite by nature, and the
 unshifted step is the one that converges to saddles as well as to minima.
-The sublevel route hands _finish its ball test: a run ending on the
-boundary is not polished, and a polish leaving the ball is dropped.
+The sublevel route hands _solve its projection and ball test: a run ending
+on the boundary is not polished, and a polish leaving the ball is dropped.
 
 The three LAPACK routines (dgtsv, dpttrf, dstebz) come from scipy's f2py
-extension, which _lapack loads on first use through core._scipy_extension,
-the loader core.quad uses for QUADPACK's, without importing the
+extension, which core._lapack loads on first use without importing the
 scipy.linalg package.  At p = 2 the matrices they factor have the
 constant Dirichlet part tridiag(-1, 2, -1) (energy._jacobian).
 
@@ -48,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (SOLVER_TOL, GridFunction, ProblemSpec, _count, _dirichlet, _edges,
-                   _finite, _positive, _same_T, _scipy_extension, _sequence, kappa,
-                   p_laplacian, sup_norm)
+                   _finite, _lapack, _positive, _same_T, _sequence, kappa, p_laplacian,
+                   sup_norm)
 from .energy import _energy, _gradient, _jacobian, energy
 from .nonlinearities import truncate_nonnegative  # noqa: F401  (importable from here too)
 from .spectrum import EigenConvergenceError, EigenPair, first_eigenpair
@@ -113,39 +112,6 @@ class SolveOutcome:
     positivity: str = INDEFINITE
     seed: int | None = None
     stop_reason: str = ""  # why the Armijo loop ended: one of the names above
-
-
-def _finish(prob: ProblemSpec, alpha: float, opts: SolverOptions, vec: np.ndarray,
-            res: float, J: float, iters: int, stop_reason: str,
-            inside=None) -> SolveOutcome:
-    """The outcome of a descent, from _descend's return tuple as is.
-
-    Above opts.tol, _polish takes over; when it moved vec, the outcome
-    reports the polished point, its residual and a fresh _energy.  inside,
-    when given, is the sublevel route's ball test: a descent ending outside
-    it is boundary_hit and not polished, and a polish leaving it is dropped.
-    """
-    boundary_hit = inside is not None and not inside(vec)
-    if not boundary_hit and res > opts.tol:
-        polished, pres = _polish(prob, alpha, vec, opts.tol)
-        if polished is not vec and (inside is None or inside(polished)):
-            vec, res, J = polished, pres, _energy(prob, alpha, polished)
-    gf = GridFunction.from_interior(vec)
-    converged = res <= opts.tol
-    pos = check_positivity(gf, prob, alpha, opts.tol) if converged else INDEFINITE
-    return SolveOutcome(u=gf, residual=float(res), energy=float(J),
-                        iterations=int(iters), converged=bool(converged),
-                        boundary_hit=bool(boundary_hit), positivity=pos,
-                        seed=opts.seed, stop_reason=stop_reason)
-
-
-def _lapack():
-    """LAPACK's f2py wrappers, the module scipy.linalg.lapack re-exports.
-
-    Loaded by core._scipy_extension, without the scipy.linalg package
-    (about 0.25 s and 18 MB, most of it outside LAPACK).
-    """
-    return _scipy_extension("linalg", "_flapack")
 
 
 def _tridiagonal_solve(lapack, diag: np.ndarray, off: np.ndarray,
@@ -265,12 +231,12 @@ def _descend(prob: ProblemSpec, alpha: float, u: np.ndarray, opts: SolverOptions
     non-increasing across accepted iterates (a rise beyond float noise is a
     RuntimeError).  An accepted step that leaves J unchanged in floating
     point means Armijo can no longer see progress: the loop stops there
-    (ENERGY_FLOOR) instead of idling until the stall window, and _finish's
-    residual polish takes over.  Each iterate's edge differences
+    (ENERGY_FLOOR) instead of idling until the stall window, and the
+    residual polish in _solve takes over.  Each iterate's edge differences
     are computed once, by its trial, and its gradient once, at the top of
     the loop, where one block decides the stops in order: CONVERGED,
     ENERGY_FLOOR, STALL_WINDOW, MAX_ITERS (LINE_SEARCH comes from the step
-    search).  The last iterate's energy is returned for _finish.
+    search).  The last iterate's energy is returned for _solve.
     """
     du = _edges(u)
     Ju = _energy(prob, alpha, u, du)
@@ -304,8 +270,17 @@ def _descend(prob: ProblemSpec, alpha: float, u: np.ndarray, opts: SolverOptions
         iters += 1
 
 
-def _solve(prob: ProblemSpec, alpha: float, u0: GridFunction,
-           opts: SolverOptions | None, newton: bool) -> SolveOutcome:
+def _solve(prob: ProblemSpec, alpha: float, u0: GridFunction, opts: SolverOptions | None,
+           newton: bool, project=None, inside=None) -> SolveOutcome:
+    """The one runner behind every route: _descend from u0, then the outcome
+    of its last iterate.
+
+    Above opts.tol, _polish takes over; when it moved the point, the outcome
+    reports the polished point, its residual and a fresh _energy.  project
+    and inside, when given, are the sublevel route's radial pull-back and
+    ball test: a descent ending outside the ball is boundary_hit and not
+    polished, and a polish leaving it is dropped.
+    """
     opts = opts if opts is not None else SolverOptions()
     _positive("alpha", alpha)
     _same_T("start", u0, prob.T)
@@ -314,7 +289,19 @@ def _solve(prob: ProblemSpec, alpha: float, u0: GridFunction,
     # trial whose energy is not finite, _shifted_newton_step and _polish a step
     # that is not, so the warnings say nothing the outcome does not
     with np.errstate(over="ignore"):
-        return _finish(prob, alpha, opts, *_descend(prob, alpha, start, opts, newton))
+        vec, res, J, iters, stop_reason = _descend(prob, alpha, start, opts, newton, project)
+        boundary_hit = inside is not None and not inside(vec)
+        if not boundary_hit and res > opts.tol:
+            polished, pres = _polish(prob, alpha, vec, opts.tol)
+            if polished is not vec and (inside is None or inside(polished)):
+                vec, res, J = polished, pres, _energy(prob, alpha, polished)
+        gf = GridFunction.from_interior(vec)
+        converged = res <= opts.tol
+        pos = check_positivity(gf, prob, alpha, opts.tol) if converged else INDEFINITE
+    return SolveOutcome(u=gf, residual=float(res), energy=float(J),
+                        iterations=int(iters), converged=bool(converged),
+                        boundary_hit=bool(boundary_hit), positivity=pos,
+                        seed=opts.seed, stop_reason=stop_reason)
 
 
 def solve_newton(prob: ProblemSpec, alpha: float, u0: GridFunction,
@@ -369,7 +356,6 @@ def minimize_on_sublevel(prob: ProblemSpec, alpha: float, sigma: float,
     """
     _positive("sigma", sigma)
     opts = opts if opts is not None else SolverOptions()
-    _positive("alpha", alpha)
     p, T = prob.p, prob.T
 
     def project(vec: np.ndarray) -> np.ndarray:
@@ -378,12 +364,6 @@ def minimize_on_sublevel(prob: ProblemSpec, alpha: float, sigma: float,
 
     def inside(vec: np.ndarray) -> bool:
         return _dirichlet(vec, p) < sigma * (1.0 - _BOUNDARY_SLACK)
-
-    def run(start: np.ndarray) -> SolveOutcome:
-        with np.errstate(over="ignore"):  # as in _solve
-            return _finish(prob, alpha, opts, *_descend(prob, alpha, project(start), opts,
-                                                        newton=False, project=project),
-                           inside=inside)
 
     rng = np.random.Generator(np.random.Philox(opts.seed))
     starts = [np.zeros(T)]
@@ -395,7 +375,9 @@ def minimize_on_sublevel(prob: ProblemSpec, alpha: float, sigma: float,
 
     # lowest energy is the ball minimizer; among runs tied at float
     # resolution, a converged interior one carries the stronger guarantee
-    best = _first_of_ties(sorted((run(s) for s in starts), key=lambda o: o.energy),
+    runs = (_solve(prob, alpha, GridFunction.from_interior(project(s)), opts, False,
+                   project, inside) for s in starts)
+    best = _first_of_ties(sorted(runs, key=lambda o: o.energy),
                           lambda o: o.converged and not o.boundary_hit)
     if best.converged and not best.boundary_hit:
         eps_eq = (sigma / kappa(p, T) ** p) ** (1.0 / p)

@@ -1,15 +1,18 @@
 """Existence, positivity-threshold, and multiplicity certificates."""
 
+import math
+
 import numpy as np
 import pytest
 
-from dplap.core import Nonlinearity, ProblemSpec, c_const, kappa
+from dplap.core import Nonlinearity, ProblemSpec, c_const, kappa, sup_norm
 from dplap.existence import (CHI_SAMPLES, CHI_ZOOM_ROUNDS, ExistenceCertificate,
                              MultiplicityWindow, alpha_threshold, check_thm_esistenza,
                              check_three_solutions_window, chi, find_admissible_eps, h,
                              _max_potentials)
 from dplap.nonlinearities import (_table_gamma, bounded_rational, constant, from_table,
                                   linear, scaled_per_node, truncate_nonnegative, zero)
+from dplap.solver import POSITIVE, ZERO, SolverOptions, multistart_solve
 from dplap.spectrum import lambda1_closed_form_p2
 
 
@@ -309,6 +312,12 @@ def test_find_admissible_eps_validates_range():
         find_admissible_eps(prob, (0.5, 1.0), 0)
 
 
+@pytest.mark.parametrize("eps_range", [(1e-3, 1.0, 5.0), (1e-3,), 1.0])
+def test_find_admissible_eps_names_a_malformed_eps_range(eps_range):
+    with pytest.raises(ValueError, match=r"^eps_range must satisfy 0 < lo < hi < inf$"):
+        find_admissible_eps(_prob(), eps_range)
+
+
 @pytest.mark.parametrize("n_grid", [2.5, np.inf])
 def test_find_admissible_eps_names_a_non_integer_n_grid(n_grid):
     with pytest.raises(ValueError, match="n_grid"):
@@ -379,6 +388,37 @@ def test_gamma_length_mismatch_names_gamma_and_T():
         alpha_threshold(_prob(T=4), gamma=[0.5, 0.5])
     with pytest.raises(ValueError, match="gamma must have length T=4, got 3"):
         scaled_per_node(scaled_per_node(bounded_rational(), [1, 2, 3]), [1, 2, 3, 4])
+
+
+def test_a_declared_gamma_uses_its_first_T_entries():
+    # per-node data longer than T: nodes 1..T use its first T entries
+    prob = ProblemSpec(T=5, p=2.0, nonlinearity=scaled_per_node(bounded_rational(), [1.0] * 7))
+    assert len(prob.nonlinearity.gamma) == 7
+    assert alpha_threshold(prob) == pytest.approx(2.0 - math.sqrt(3.0), rel=1e-14)
+    short = Nonlinearity(f=bounded_rational().f, potential=bounded_rational().potential,
+                         is_nonnegative=True, gamma=(0.5,) * 3)
+    with pytest.raises(ValueError, match="gamma must have length T=5, got 3"):
+        alpha_threshold(ProblemSpec(T=5, p=2.0, nonlinearity=short))
+    # a passed gamma keeps the exact-length rule
+    with pytest.raises(ValueError, match="gamma must have length T=5, got 7"):
+        alpha_threshold(prob, gamma=[0.5] * 7)
+
+
+@pytest.mark.parametrize("T", [10, 50])
+def test_alpha_threshold_is_sharp_at_p2(T):
+    # below alpha* only 0 solves; just above it a positive solution appears,
+    # with sup norm growing like sqrt(alpha / alpha* - 1): from r = 1.01 to
+    # r = 1.1 it grows by sqrt(10).  A 1% error in alpha* breaks either half
+    prob = ProblemSpec(T=T, p=2.0, nonlinearity=bounded_rational())
+    thr = alpha_threshold(prob)
+    sols = {r: multistart_solve(prob, r * thr, 8, SolverOptions(seed=1))
+            for r in (0.9, 0.99, 1.01, 1.1)}
+    for r in (0.9, 0.99):
+        assert [o.positivity for o in sols[r]] == [ZERO], r
+    for r in (1.01, 1.1):
+        assert sols[r][0].positivity == POSITIVE, r
+    ratio = sup_norm(sols[1.1][0].u) / sup_norm(sols[1.01][0].u)
+    assert ratio == pytest.approx(math.sqrt(10.0), rel=0.01)
 
 
 def _rational_table(n=201, shift=0.0):

@@ -1,7 +1,10 @@
-"""The package namespace: public names load their home module on first access."""
+"""The package namespace: public names load their home module on first access;
+the package source keeps its checks and its input rules where they belong."""
 
+import glob
 import importlib
 import os
+import re
 import subprocess
 import sys
 
@@ -34,3 +37,25 @@ def test_lazy_package_surface():
     run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, timeout=60)
     assert run.stdout == "[]\nTrue True\n", run.stderr
+
+
+# python -O strips assert statements: every check in the package must raise
+_BARE_ASSERT = re.compile(r"^\s*assert ")
+# the shared input rules (positive and finite, finite, whole counts, monotone
+# sequences, a grid function on the problem's grid) are written once, in
+# dplap.core; no other module, the CLI's ConfigError included, restates one
+_INPUT_RULE = re.compile(r"(ValueError|ConfigError)\(.*(must be (positive and finite|finite|"
+                         r"a positive integer|a non-negative integer)|"
+                         r"strictly (in|de)creasing, positive|has T=)")
+
+
+def test_no_bare_asserts_and_input_rules_only_in_core():
+    package = os.path.dirname(os.path.abspath(dplap.__file__))
+    found = []
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        name = os.path.basename(path)
+        with open(path, encoding="utf-8") as fh:
+            for n, line in enumerate(fh, 1):
+                if _BARE_ASSERT.match(line) or (name != "core.py" and _INPUT_RULE.search(line)):
+                    found.append(f"{name}:{n}: {line.strip()}")
+    assert not found, "\n".join(found)

@@ -55,14 +55,14 @@ def outcomes_name_their_stop_reason(monkeypatch):
     """Every outcome built by a test in this module says why its Armijo loop
     ended, and a non-converged one never says converged."""
     seen = []
-    finish = dplap.solver._finish
+    solve = dplap.solver._solve
 
-    def recording_finish(*args, **kwargs):
-        out = finish(*args, **kwargs)
+    def recording_solve(*args, **kwargs):
+        out = solve(*args, **kwargs)
         seen.append(out)
         return out
 
-    monkeypatch.setattr(dplap.solver, "_finish", recording_finish)
+    monkeypatch.setattr(dplap.solver, "_solve", recording_solve)
     yield
     reasons = (CONVERGED, ENERGY_FLOOR, STALL_WINDOW, LINE_SEARCH, MAX_ITERS)
     for out in seen:
@@ -153,21 +153,21 @@ def test_a_non_finite_jacobian_takes_no_newton_step():
 
 
 def _recorded_outcomes(monkeypatch):
-    """Every SolveOutcome that _finish builds from here on, kept or not."""
+    """Every SolveOutcome that _solve builds from here on, kept or not."""
     seen = []
-    finish = dplap.solver._finish
+    solve = dplap.solver._solve
 
     def recording(*args, **kwargs):
-        out = finish(*args, **kwargs)
+        out = solve(*args, **kwargs)
         seen.append(out)
         return out
 
-    monkeypatch.setattr(dplap.solver, "_finish", recording)
+    monkeypatch.setattr(dplap.solver, "_solve", recording)
     return seen
 
 
 def test_every_outcome_energy_is_the_energy_at_its_u(monkeypatch):
-    # _finish takes _descend's last energy, or a fresh one when the polish
+    # _solve takes _descend's last energy, or a fresh one when the polish
     # moved u: either way it is J_alpha at the reported u, to the bit
     seen = _recorded_outcomes(monkeypatch)
     runs = [
