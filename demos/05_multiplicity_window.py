@@ -4,8 +4,8 @@ The right-hand side grows like t^3 up to |t| = 10 and is clipped beyond,
 so the potential is steep near the origin and nearly linear far out.  On
 the window (c, d) = (1, 10) the two normalized potential maxima separate,
 which certifies an open alpha interval where the zero solution, a small
-saddle pair, and deep remote minima coexist.  Multistart with a tight
-deduplication radius finds them.
+saddle pair, and deep remote minima coexist.  Multistart from fifteen
+starts finds them.
 """
 
 import numpy as np
@@ -44,8 +44,7 @@ def main():
     alpha = 1.0
     assert win.alpha_lo < alpha < win.alpha_hi
     print(f"\nmultistart at alpha = {alpha} (inside the window)")
-    sols = multistart_solve(prob, alpha, n_starts=12,
-                            opts=SolverOptions(seed=0, dedup_dist=1e-3))
+    sols = multistart_solve(prob, alpha, n_starts=12, opts=SolverOptions(seed=0))
     print(f"{len(sols)} distinct critical points (plus the zero solution "
           f"counts as one of them):")
     for s in sols:

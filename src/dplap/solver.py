@@ -23,7 +23,7 @@ steps from (prob, alpha); the sublevel route adds its projection.  The loop
 evaluates each iterate's gradient once, then stops, in this order, when the
 residual reaches tol, when the step just taken left the energy unchanged in
 floating point (the energy floor), when the residual stalled for
-_STALL_WINDOW iterations, or at max_iters; also when a line search fails.
+_STALL_WINDOW iterations, or at _MAX_ITERS; also when a line search fails.
 Outcomes name the reason in stop_reason.  Every descent runs through one
 runner, _solve, where short of tol the polish finishes the job with plain,
 unshifted Newton steps: near a saddle H is indefinite by nature, and the
@@ -70,6 +70,8 @@ _BACKTRACK = 0.5  # step factor after a rejected trial
 _POLISH_STEPS = 60  # Newton steps the residual polish may take
 _BOUNDARY_SLACK = 1e-8
 _STALL_WINDOW = 2000  # iterations without residual progress before giving up
+_MAX_ITERS = 100_000  # iterations before the Armijo loop stops (MAX_ITERS)
+_DEDUP_DIST = 1e-6  # sup-norm distance below which multistart merges two solutions
 _SHIFT_MARGIN = 0.1  # descent shift: H + tau I has smallest eigenvalue _SHIFT_MARGIN |lam|
 _SECANT_SHARE = 1e-2  # p < 2: secant weights on |du| below this share of max|du|
 _ZETA_GRID = np.geomspace(1.0, 1e-8, 60)  # nontriviality_certificate's decreasing scan
@@ -77,26 +79,23 @@ _ZETA_GRID = np.geomspace(1.0, 1e-8, 60)  # nontriviality_certificate's decreasi
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Settings shared by every solve routine.
+    """Settings shared by every solve routine: the residual tolerance and the seed.
 
     seed drives the counter-based multistart RNG and is recorded in each
-    outcome so runs replay bit-for-bit.  The Armijo test's constants are
-    fixed (_ARMIJO_C, _BACKTRACK).  tol and dedup_dist must be positive and
-    finite, max_iters a positive integer and seed a non-negative one (a
+    outcome so runs replay bit-for-bit.  The rest is fixed: the Armijo
+    test's constants (_ARMIJO_C, _BACKTRACK), the iteration cap
+    (_MAX_ITERS) and multistart's deduplication distance (_DEDUP_DIST).
+    tol must be positive and finite and seed a non-negative integer (a
     whole float is stored as an int); otherwise construction raises a
     ValueError naming the field.
     """
 
     tol: float = SOLVER_TOL
-    max_iters: int = 100_000
     seed: int = 0
-    dedup_dist: float = 1e-6
 
     def __post_init__(self):
         _positive("tol", self.tol)
-        _count("max_iters", self.max_iters)
         object.__setattr__(self, "seed", _count("seed", self.seed, least=0))
-        _positive("dedup_dist", self.dedup_dist)
 
 
 @dataclass(frozen=True)
@@ -250,7 +249,7 @@ def _descend(prob: ProblemSpec, alpha: float, u: np.ndarray, opts: SolverOptions
         stop = (CONVERGED if res <= opts.tol else
                 ENERGY_FLOOR if at_floor else
                 STALL_WINDOW if iters - best_at >= _STALL_WINDOW else  # e.g. circling a saddle
-                MAX_ITERS if iters >= opts.max_iters else None)
+                MAX_ITERS if iters >= _MAX_ITERS else None)
         if stop is not None:
             return u, res, Ju, iters, stop
         s = _shifted_newton_step(prob, alpha, u, g, du) if newton else None
@@ -446,35 +445,33 @@ def _eigen_best_effort(p: float, T: int) -> EigenPair:
 
 
 def multistart_solve(prob: ProblemSpec, alpha: float, n_starts: int,
-                     opts: SolverOptions | None = None,
-                     extra_starts=()) -> list[SolveOutcome]:
-    """Solve from 0, +/- the sup-normalized first eigenfunction, any extra
-    starts, and n_starts seeded uniform random starts; return the distinct
-    converged solutions sorted by energy.
+                     opts: SolverOptions | None = None) -> list[SolveOutcome]:
+    """Solve from 0, +/- the sup-normalized first eigenfunction and n_starts
+    seeded uniform random starts; return the distinct converged solutions
+    sorted by energy.
 
-    Every start runs through solve_newton, so a non-finite one raises a
-    ValueError.  Distinctness is sup-norm distance >= opts.dedup_dist,
-    keeping the lowest-energy representative.
+    Every start runs through solve_newton.  Distinctness is sup-norm
+    distance >= _DEDUP_DIST, keeping the lowest-energy representative.
     The first solution is the one a report shows: among those tied with the
     lowest energy up to rounding, a positive one (odd nonlinearities pair u
     with -u at equal energy).
     """
-    return _multistart(prob, alpha, n_starts, opts, extra_starts,
-                       _eigen_best_effort(prob.p, prob.T))
+    return _multistart(prob, alpha, n_starts, opts, None, _eigen_best_effort(prob.p, prob.T))
 
 
-def _multistart(prob: ProblemSpec, alpha: float, n_starts: int,
-                opts: SolverOptions | None, extra_starts, eig: EigenPair) -> list[SolveOutcome]:
-    """multistart_solve with the first eigenpair given (sweep_alpha reuses one)."""
+def _multistart(prob: ProblemSpec, alpha: float, n_starts: int, opts: SolverOptions | None,
+                warm: np.ndarray | None, eig: EigenPair) -> list[SolveOutcome]:
+    """multistart_solve with the first eigenpair given (sweep_alpha reuses
+    one) and, when warm is not None, warm as one more start after the
+    eigenfunction's."""
     opts = opts if opts is not None else SolverOptions()
     _positive("alpha", alpha)
     n_starts = _count("n_starts", n_starts)
     T = prob.T
     profile = eig.phi.interior / np.max(np.abs(eig.phi.interior))
     starts = [np.zeros(T), profile.copy(), -profile]
-    for extra in extra_starts:
-        vec = extra.interior if isinstance(extra, GridFunction) else extra
-        starts.append(np.array(vec, dtype=float))
+    if warm is not None:
+        starts.append(warm)
     rng = np.random.Generator(np.random.Philox(opts.seed))
     for _ in range(n_starts):
         starts.append(rng.uniform(-2.0, 2.0, T))
@@ -484,7 +481,7 @@ def _multistart(prob: ProblemSpec, alpha: float, n_starts: int,
 
     kept: list[SolveOutcome] = []
     for cand in sorted((o for o in outcomes if o.converged), key=lambda o: o.energy):
-        if all(float(np.max(np.abs(cand.u.interior - seen.u.interior))) >= opts.dedup_dist
+        if all(float(np.max(np.abs(cand.u.interior - seen.u.interior))) >= _DEDUP_DIST
                for seen in kept):
             kept.append(cand)
     if kept:
@@ -529,8 +526,7 @@ def sweep_alpha(prob: ProblemSpec, alphas, opts: SolverOptions | None = None,
     for a in arr:
         a = float(a)
         try:
-            extra = (warm,) if warm is not None else ()
-            sols = _multistart(prob, a, n_starts, opts, extra, eig)
+            sols = _multistart(prob, a, n_starts, opts, warm, eig)
             cert = nontriviality_certificate(prob, a, eig)
             zeta = cert[0] if cert is not None else None
             if sols:

@@ -1,6 +1,9 @@
 """The package namespace: public names load their home module on first access;
-the package source keeps its checks and its input rules where they belong."""
+the package source keeps its checks and its input rules where they belong;
+every solver setting is one the CLI sets."""
 
+import argparse
+import dataclasses
 import glob
 import importlib
 import os
@@ -9,6 +12,8 @@ import subprocess
 import sys
 
 import dplap
+from dplap.cli import build_parser
+from dplap.solver import SolverOptions
 
 
 def test_lazy_package_surface():
@@ -59,3 +64,14 @@ def test_no_bare_asserts_and_input_rules_only_in_core():
                 if _BARE_ASSERT.match(line) or (name != "core.py" and _INPUT_RULE.search(line)):
                     found.append(f"{name}:{n}: {line.strip()}")
     assert not found, "\n".join(found)
+
+
+def test_every_solver_option_is_a_solve_and_a_sweep_flag():
+    # a SolverOptions field no command sets is a constant in disguise
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("solve", "sweep"):
+        parser = sub.choices[command]
+        dests = {a.dest for a in parser._actions}
+        for field in dataclasses.fields(SolverOptions):
+            assert field.name in dests, f"dplap {command} has no flag for {field.name}"
+            assert parser.get_default(field.name) == field.default, (command, field.name)

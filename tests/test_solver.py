@@ -3,6 +3,7 @@
 import collections
 import importlib
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -112,7 +113,7 @@ def test_descend_evaluates_each_iterate_once(monkeypatch, reason):
         prob, newton = esempio0(T=4, p=1.5), False
         vec = np.random.default_rng(0).uniform(-2.0, 2.0, 4)
     elif reason == MAX_ITERS:
-        opts = SolverOptions(max_iters=1)
+        monkeypatch.setattr(dplap.solver, "_MAX_ITERS", 1)
     elif reason == LINE_SEARCH:
         monkeypatch.setattr(dplap.solver, "_armijo", _failing_armijo(2))
         newton = False
@@ -276,7 +277,8 @@ def _check_outcomes_report_what_they_return(prob, alpha, u0, opts):
 @given(solve_cases())
 def test_solve_outcomes_report_what_they_return(case):
     prob, alpha, u0 = case
-    _check_outcomes_report_what_they_return(prob, alpha, u0, SolverOptions(max_iters=500))
+    with mock.patch.object(dplap.solver, "_MAX_ITERS", 500):
+        _check_outcomes_report_what_they_return(prob, alpha, u0, SolverOptions())
 
 
 @st.composite
@@ -299,9 +301,9 @@ def test_solve_outcomes_report_what_they_return_without_warnings(case):
     # also where the energy is unbounded below: the overflow on the way is
     # rejected inside the loop, and no RuntimeWarning reaches the caller
     prob, alpha, u0 = case
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), mock.patch.object(dplap.solver, "_MAX_ITERS", 3000):
         warnings.simplefilter("error", RuntimeWarning)
-        _check_outcomes_report_what_they_return(prob, alpha, u0, SolverOptions(max_iters=3000))
+        _check_outcomes_report_what_they_return(prob, alpha, u0, SolverOptions())
 
 
 def test_overflow_on_an_unbounded_energy_warns_nobody():
@@ -441,16 +443,6 @@ def test_solver_options_validation():
         SolverOptions(tol=0.0)
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         SolverOptions(tol=np.inf)
-    with pytest.raises(ValueError, match="max_iters"):
-        SolverOptions(max_iters=0)
-    with pytest.raises(ValueError, match="dedup_dist"):
-        SolverOptions(dedup_dist=0.0)
-
-
-@pytest.mark.parametrize("bad", [np.inf, np.nan])
-def test_solver_options_reject_a_non_finite_dedup_dist(bad):
-    with pytest.raises(ValueError, match="dedup_dist must be positive and finite"):
-        SolverOptions(dedup_dist=bad)
 
 
 def test_solver_options_seed_is_a_non_negative_int():
@@ -464,7 +456,7 @@ def test_solver_options_seed_is_a_non_negative_int():
     assert sols and all(type(s.seed) is int for s in sols)
 
 
-@pytest.mark.parametrize("field", ["max_iters", "seed"])
+@pytest.mark.parametrize("field", ["seed"])
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_solver_options_name_a_non_finite_count(field, bad):
     # int(inf) raises OverflowError and int(nan) a bare ValueError
@@ -472,13 +464,14 @@ def test_solver_options_name_a_non_finite_count(field, bad):
         SolverOptions(**{field: bad})
 
 
-def test_non_converged_outcome_names_stop_reason():
+def test_non_converged_outcome_names_stop_reason(monkeypatch):
     prob = esempio0()
     unreachable = solve_newton(prob, 1.0, eigen_start(prob), SolverOptions(tol=1e-300))
     assert not unreachable.converged
     assert unreachable.stop_reason in (ENERGY_FLOOR, LINE_SEARCH, STALL_WINDOW)
-    capped = solve_descent(prob, 1.0, eigen_start(prob),
-                           SolverOptions(tol=1e-300, max_iters=1))
+    with monkeypatch.context() as m:
+        m.setattr(dplap.solver, "_MAX_ITERS", 1)
+        capped = solve_descent(prob, 1.0, eigen_start(prob), SolverOptions(tol=1e-300))
     assert not capped.converged
     assert capped.iterations == 1 and capped.stop_reason == MAX_ITERS
     done = solve_newton(prob, 1.0, eigen_start(prob))
@@ -862,8 +855,9 @@ def test_finish_drops_a_polish_that_leaves_the_ball(monkeypatch):
         return ties(outcomes, prefer)
 
     monkeypatch.setattr(dplap.solver, "_first_of_ties", every_run)
+    monkeypatch.setattr(dplap.solver, "_MAX_ITERS", 1)
     prob, sigma = esempio0(), 1.0
-    minimize_on_sublevel(prob, 1.0, sigma, SolverOptions(max_iters=1))
+    minimize_on_sublevel(prob, 1.0, sigma)
     assert calls  # one-iteration descents end above tol and are polished
     assert len(runs) == 9
     for u in (o.u.interior for o in runs):
@@ -874,8 +868,9 @@ def test_finish_drops_a_polish_that_leaves_the_ball(monkeypatch):
 def test_finish_keeps_a_free_polish_with_a_fresh_energy(monkeypatch):
     calls = []
     monkeypatch.setattr(dplap.solver, "_polish", _far_polish(calls))
+    monkeypatch.setattr(dplap.solver, "_MAX_ITERS", 1)
     prob = esempio0()
-    out = solve_newton(prob, 1.0, eigen_start(prob), SolverOptions(max_iters=1))
+    out = solve_newton(prob, 1.0, eigen_start(prob))
     assert len(calls) == 1
     assert np.array_equal(out.u.interior, calls[0] + 10.0)
     assert out.converged and out.residual == 0.0
@@ -929,27 +924,19 @@ def test_multistart_below_threshold_only_zero():
     assert sup_norm(sols[0].u) <= 1e-10
 
 
-def test_multistart_dedup_distance():
+def test_multistart_dedup_distance(monkeypatch):
     prob = esempio0()
     fine = multistart_solve(prob, 1.0, n_starts=8)
-    coarse = multistart_solve(prob, 1.0, n_starts=8,
-                              opts=SolverOptions(dedup_dist=100.0))
+    monkeypatch.setattr(dplap.solver, "_DEDUP_DIST", 100.0)
+    coarse = multistart_solve(prob, 1.0, n_starts=8)
     assert len(coarse) == 1  # everything merges into the lowest-energy one
     assert coarse[0].energy == pytest.approx(min(s.energy for s in fine), rel=1e-12)
-
-
-def test_multistart_extra_starts_are_used():
-    prob = esempio0()
-    known = solve_newton_p2(prob, 1.0, eigen_start(prob))
-    sols = multistart_solve(prob, 1.0, n_starts=1, extra_starts=(known.u,))
-    assert any(np.max(np.abs(s.u.interior - known.u.interior)) < 1e-8 for s in sols)
 
 
 _NON_FINITE_START_ROUTES = {
     "solve_newton": lambda prob, vec: solve_newton(prob, 1.0, GridFunction.from_interior(vec)),
     "solve_descent": lambda prob, vec: solve_descent(prob, 1.0,
                                                      GridFunction.from_interior(vec)),
-    "multistart_solve": lambda prob, vec: multistart_solve(prob, 1.0, 1, extra_starts=(vec,)),
 }
 
 
@@ -1072,8 +1059,7 @@ def test_multistart_multiplicity_inside_window():
     prob = ProblemSpec(T=2, p=2.0, nonlinearity=clipped_cubic())
     win = check_three_solutions_window(prob, 1.0, 10.0)
     assert win.verdict and win.alpha_lo < 1.0 < win.alpha_hi
-    sols = multistart_solve(prob, 1.0, n_starts=8,
-                            opts=SolverOptions(dedup_dist=1e-3))
+    sols = multistart_solve(prob, 1.0, n_starts=8)
     nonzero = [s for s in sols if sup_norm(s.u) > 1e-8]
     assert len(nonzero) >= 2
     # deepest minima sit at the clipping plateau (1000, 1000) with
@@ -1169,7 +1155,7 @@ def test_sweep_names_a_non_finite_alpha_before_the_first_row(alphas, monkeypatch
 def test_sweep_lets_an_internal_error_out(monkeypatch):
     # only the errors a row can raise (ValueError, ArithmeticError) become
     # its error field; a broken invariant leaves the sweep
-    def broken(prob, alpha, n_starts, opts, extra_starts, eig):
+    def broken(prob, alpha, n_starts, opts, warm, eig):
         raise RuntimeError("accepted step raised the energy")
 
     monkeypatch.setattr(dplap.solver, "_multistart", broken)
@@ -1195,15 +1181,15 @@ def test_sweep_failure_rows_keep_the_last_good_warm_start(monkeypatch):
     # alpha 0.7 finds nothing and 0.8 raises; 1.0 still runs, warm-started
     # from the best solution at 0.5
     real = dplap.solver._multistart
-    warm, best = {}, {}
+    warm_starts, best = {}, {}
 
-    def scripted(prob, alpha, n_starts, opts, extra_starts, eig):
-        warm[alpha] = [np.array(x) for x in extra_starts]
+    def scripted(prob, alpha, n_starts, opts, warm, eig):
+        warm_starts[alpha] = None if warm is None else np.array(warm)
         if alpha == 0.7:
             return []
         if alpha == 0.8:
             raise ValueError("scripted failure")
-        sols = real(prob, alpha, n_starts, opts, extra_starts, eig)
+        sols = real(prob, alpha, n_starts, opts, warm, eig)
         best[alpha] = np.array(sols[0].u.interior)
         return sols
 
@@ -1216,9 +1202,9 @@ def test_sweep_failure_rows_keep_the_last_good_warm_start(monkeypatch):
     assert raised.error == "scripted failure"
     assert rows[0].n_solutions > 0 and rows[3].n_solutions > 0
     assert rows[3].error == ""
-    assert warm[0.5] == []
+    assert warm_starts[0.5] is None
     for a in (0.7, 0.8, 1.0):
-        assert len(warm[a]) == 1 and np.array_equal(warm[a][0], best[0.5])
+        assert np.array_equal(warm_starts[a], best[0.5])
 
 
 # ------------------------------------------------------------ determinism
