@@ -27,7 +27,8 @@ EXIT_NO_RESULT = 2
 EXIT_SELFTEST_FAIL = 3
 
 RESULT_HEADER_KEYS = ("T", "p", "alpha", "seed", "residual", "energy")
-_CERTIFICATE_KEYS = ("eps", "chi_eps", "bound", "margin", "sigma", "verdict")
+_CERTIFICATE_KEYS = ("eps", "chi_eps", "bound", "margin", "sigma", "verdict", "alpha",
+                     "alpha_max", "nonzero")
 _WINDOW_KEYS = ("c", "d", "alpha_lo", "alpha_hi", "verdict")
 
 
@@ -259,7 +260,10 @@ def cmd_check(args) -> int:
                             check_three_solutions_window, find_admissible_eps)
     from .spectrum import EigenConvergenceError
     cfg = load_config(args.config)
-    prob, _, gamma = build_problem(cfg)
+    prob, alpha_field, gamma = build_problem(cfg)
+    # a config without alpha, or with a sweep, is certified at alpha = 1
+    alpha = (1.0 if alpha_field is None or isinstance(alpha_field, (dict, list))
+             else scalar_alpha(alpha_field, None))
     verdicts: list[bool] = []
     smallness = args.eps is not None or args.eps_scan
     if smallness:
@@ -270,11 +274,11 @@ def cmd_check(args) -> int:
             smallness = False
             verdicts.append(False)
     if smallness and args.eps is not None:
-        cert = check_thm_esistenza(prob, args.eps)
+        cert = check_thm_esistenza(prob, args.eps, alpha)
         _print_headers(cert, _CERTIFICATE_KEYS)
         verdicts.append(cert.verdict)
     if smallness and args.eps_scan:
-        cert = find_admissible_eps(prob, (args.eps_lo, args.eps_hi), args.eps_n)
+        cert = find_admissible_eps(prob, (args.eps_lo, args.eps_hi), args.eps_n, alpha)
         if cert is None:
             print(f"no admissible eps in [{_fmt(args.eps_lo)}, {_fmt(args.eps_hi)}]")
             verdicts.append(False)

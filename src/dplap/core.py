@@ -108,7 +108,10 @@ class GridFunction:
     @classmethod
     def from_interior(cls, interior: Sequence[float]) -> "GridFunction":
         """Pad interior values u(1..T) with the zero boundary."""
-        return cls(_pad(np.asarray(interior, dtype=float)))
+        vec = np.asarray(interior, dtype=float)
+        values = np.zeros(vec.size + 2)
+        values[1:-1] = vec
+        return cls(values)
 
     @classmethod
     def zero(cls, T: int) -> "GridFunction":
@@ -404,13 +407,6 @@ def p_norm(u: GridFunction, p: float) -> float:
     """(sum over k=1..T+1 of |u(k)-u(k-1)|^p)^(1/p)."""
     _check_p(p)
     return _dirichlet(u.interior, p) ** (1.0 / p)
-
-
-def _pad(vec: np.ndarray) -> np.ndarray:
-    """Interior values u(1..T) with the zero boundary (the solvers' arrays)."""
-    out = np.zeros(vec.size + 2)
-    out[1:-1] = vec
-    return out
 
 
 def _edges(vec: np.ndarray) -> np.ndarray:

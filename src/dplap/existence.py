@@ -28,10 +28,15 @@ CHI_ZOOM_ROUNDS = 32
 
 @dataclass(frozen=True)
 class ExistenceCertificate:
-    """Outcome of the smallness test chi(eps) < kappa^p / p.
+    """Outcome of the smallness test alpha chi(eps) < kappa^p / p.
 
+    The test is homogeneous in alpha: it holds for every alpha below
+    alpha_max = bound / chi_eps (for every alpha when chi_eps <= 0), and
+    margin = bound - alpha chi_eps and verdict are taken at alpha.
     sigma = kappa^p * eps^p is the sublevel radius to hand to the solver;
-    a true verdict promises a solution with sup norm below eps inside it.
+    a true verdict promises a solution at alpha with sup norm below eps
+    inside it.  nonzero is whether f(k, 0) != 0 at some node: when it is
+    false, u = 0 is already such a solution.
     """
 
     eps: float
@@ -40,6 +45,9 @@ class ExistenceCertificate:
     margin: float
     verdict: bool
     sigma: float
+    alpha: float
+    alpha_max: float
+    nonzero: bool
 
 
 @dataclass(frozen=True)
@@ -133,26 +141,34 @@ def h(xi: float, prob: ProblemSpec) -> float:
         return float(np.sum(F)) / xi_p
 
 
-def check_thm_esistenza(prob: ProblemSpec, eps: float) -> ExistenceCertificate:
-    """Evaluate the smallness condition chi(eps) < kappa^p / p at one eps.
+def check_thm_esistenza(prob: ProblemSpec, eps: float,
+                        alpha: float = 1.0) -> ExistenceCertificate:
+    """Evaluate the smallness condition alpha chi(eps) < kappa^p / p at one eps.
 
-    A true verdict certifies at least one solution with sup norm < eps,
-    reachable as a minimizer of the energy on the sublevel set of radius
-    sigma (see minimize_on_sublevel).
+    A true verdict certifies at least one solution at alpha with sup norm
+    < eps, reachable as a minimizer of J_alpha on the sublevel set of
+    radius sigma (see minimize_on_sublevel).  alpha must be positive and
+    finite.
     """
+    alpha = _positive("alpha", alpha)
     chi_eps = chi(eps, prob)
     bound = c_const(prob.p, prob.T)
     sigma = kappa(prob.p, prob.T) ** prob.p * eps ** prob.p
+    f0 = prob.nonlinearity.f_vec(np.zeros(prob.T))
     return ExistenceCertificate(eps=float(eps), chi_eps=chi_eps, bound=bound,
-                                margin=bound - chi_eps,
-                                verdict=bool(chi_eps < bound), sigma=sigma)
+                                margin=bound - alpha * chi_eps,
+                                verdict=bool(alpha * chi_eps < bound), sigma=sigma,
+                                alpha=alpha,
+                                alpha_max=bound / chi_eps if chi_eps > 0.0 else math.inf,
+                                nonzero=bool(np.any(f0 != 0.0)))
 
 
 def find_admissible_eps(prob: ProblemSpec,
                         eps_range: tuple[float, float] = DEFAULT_EPS_RANGE,
-                        n_grid: int = DEFAULT_EPS_GRID) -> ExistenceCertificate | None:
-    """Scan a geometric eps grid; return the passing certificate of largest
-    margin, or None when no grid point passes."""
+                        n_grid: int = DEFAULT_EPS_GRID,
+                        alpha: float = 1.0) -> ExistenceCertificate | None:
+    """Scan a geometric eps grid; return the certificate at alpha that passes
+    with the largest margin, or None when no grid point passes."""
     try:
         lo, hi = eps_range
         ok = 0.0 < lo < hi < math.inf
@@ -165,7 +181,7 @@ def find_admissible_eps(prob: ProblemSpec,
     n_grid = _count("n_grid", n_grid)
     best: ExistenceCertificate | None = None
     for eps in np.geomspace(lo, hi, n_grid):
-        cert = check_thm_esistenza(prob, float(eps))
+        cert = check_thm_esistenza(prob, float(eps), alpha)
         if cert.verdict and (best is None or cert.margin > best.margin):
             best = cert
     return best

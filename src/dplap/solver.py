@@ -49,7 +49,7 @@ import numpy as np
 from .core import (SOLVER_TOL, GridFunction, ProblemSpec, _count, _dirichlet, _edges,
                    _finite, _lapack, _positive, _same_T, _sequence, kappa, p_laplacian,
                    sup_norm)
-from .energy import _energy, _gradient, _jacobian, energy
+from .energy import _energy, _gradient, _jacobian
 from .nonlinearities import truncate_nonnegative  # noqa: F401  (importable from here too)
 from .spectrum import EigenConvergenceError, EigenPair, first_eigenpair
 
@@ -421,8 +421,7 @@ def nontriviality_certificate(prob: ProblemSpec, alpha: float, eigen: EigenPair)
     _positive("alpha", alpha)
     _same_T("eigen.phi", eigen.phi, prob.T)
     for zeta in _ZETA_GRID:
-        scaled = GridFunction(eigen.phi.values * float(zeta))
-        e = energy(scaled, prob, alpha)
+        e = _energy(prob, alpha, eigen.phi.interior * zeta)
         if e < 0.0:
             return float(zeta), float(e)
     return None
@@ -468,8 +467,8 @@ def _multistart(prob: ProblemSpec, alpha: float, n_starts: int, opts: SolverOpti
     _positive("alpha", alpha)
     n_starts = _count("n_starts", n_starts)
     T = prob.T
-    profile = eig.phi.interior / np.max(np.abs(eig.phi.interior))
-    starts = [np.zeros(T), profile.copy(), -profile]
+    profile = eig.phi.interior / eig.phi.interior.max()  # phi > 0 on the interior
+    starts = [np.zeros(T), profile, -profile]
     if warm is not None:
         starts.append(warm)
     rng = np.random.Generator(np.random.Philox(opts.seed))
@@ -519,7 +518,6 @@ def sweep_alpha(prob: ProblemSpec, alphas, opts: SolverOptions | None = None,
     """
     arr = _sequence("alphas", alphas)
     _count("n_starts", n_starts)
-    opts = opts if opts is not None else SolverOptions()
     eig = _eigen_best_effort(prob.p, prob.T)
     rows: list[SweepRow] = []
     warm: np.ndarray | None = None

@@ -349,6 +349,14 @@ def test_read_result_rejects_index_gap(tmp_path):
         read_result(str(path))
 
 
+def test_read_result_skips_blank_lines(tmp_path):
+    path = tmp_path / "blank.txt"
+    path.write_text("\n# T = 2\n\n0 0\n1 0.5\n   \n2 -0.25\n3 0\n\n")
+    headers, u = read_result(str(path))
+    assert headers == {"T": 2.0}
+    assert np.array_equal(u.values, [0.0, 0.5, -0.25, 0.0])
+
+
 # ---------------------------------------------------------------- solve
 
 def test_solve_writes_result_and_exits_0(tmp_path, capsys):
@@ -520,6 +528,26 @@ def test_check_eps_inadmissible_exits_2(tmp_path, capsys):
     rc = main(["check", esempio0_cfg(tmp_path), "--eps", "1e-8"])
     assert rc == EXIT_NO_RESULT
     assert parse_headers(capsys.readouterr().out)["verdict"] == "false"
+
+
+@pytest.mark.parametrize("alpha, rc, verdict_alpha", [
+    (30.0, EXIT_NO_RESULT, 30.0), (None, EXIT_OK, 1.0), ([10.0, 30.0], EXIT_OK, 1.0),
+    ({"lo": 10.0, "hi": 30.0, "n": 3}, EXIT_OK, 1.0)], ids=["scalar", "absent", "list", "range"])
+def test_check_takes_its_verdict_at_a_scalar_config_alpha(tmp_path, capsys, alpha, rc,
+                                                          verdict_alpha):
+    # constant f = 1 at T = 5, p = 2: chi_eps = 1/20 and bound = 1/3 at eps = 100,
+    # so the certificate holds for alpha < alpha_max = eps / 15.  At alpha = 30
+    # the one solution, 30 k (6 - k) / 2, has sup norm 135 > eps.  A config
+    # without a scalar alpha is certified at alpha = 1.
+    cfg = {"T": 5, "p": 2.0, "nonlinearity": {"kind": "constant", "params": [1.0]}}
+    if alpha is not None:
+        cfg["alpha"] = alpha
+    assert main(["check", write_cfg(tmp_path, cfg), "--eps", "100"]) == rc
+    headers = parse_headers(capsys.readouterr().out)
+    assert headers["verdict"] == ("true" if rc == EXIT_OK else "false")
+    assert float(headers["alpha"]) == verdict_alpha
+    assert float(headers["alpha_max"]) == pytest.approx(100.0 / 15.0, rel=1e-15)
+    assert headers["nonzero"] == "true"
 
 
 def test_check_rejects_infinite_eps(tmp_path, capsys):
@@ -801,6 +829,18 @@ def test_selftest_fault_injection(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "FAIL constant-identity" in out
     # checks not routed through the patched helper still pass
+    for name in ("remark-inequality", "p2-spectrum-closed-form", "gradient-vs-fd"):
+        assert f"PASS {name}" in out
+
+
+def test_selftest_reports_a_check_that_raises(capsys, monkeypatch):
+    def planted(p, T):
+        raise ArithmeticError("planted")
+    monkeypatch.setattr(dplap.core, "c_const", planted)
+    rc = main(["selftest"])
+    assert rc == EXIT_SELFTEST_FAIL
+    out = capsys.readouterr().out
+    assert "FAIL constant-identity: raised ArithmeticError: planted" in out
     for name in ("remark-inequality", "p2-spectrum-closed-form", "gradient-vs-fd"):
         assert f"PASS {name}" in out
 

@@ -12,7 +12,7 @@ from dplap.existence import (CHI_SAMPLES, CHI_ZOOM_ROUNDS, ExistenceCertificate,
                              _max_potentials)
 from dplap.nonlinearities import (_table_gamma, bounded_rational, constant, from_table,
                                   linear, scaled_per_node, truncate_nonnegative, zero)
-from dplap.solver import POSITIVE, ZERO, SolverOptions, multistart_solve
+from dplap.solver import POSITIVE, ZERO, SolverOptions, minimize_on_sublevel, multistart_solve
 from dplap.spectrum import lambda1_closed_form_p2
 
 
@@ -284,6 +284,46 @@ def test_certificate_small_eps_fails_for_bounded_rational():
     prob = _prob(T=5)
     cert = check_thm_esistenza(prob, 1e-3)
     assert not cert.verdict
+
+
+def test_certificate_holds_below_alpha_max():
+    # constant f = 1 at T = 5, p = 2: chi(eps) = 5 / eps and bound = 1/3, so
+    # alpha_max = eps / 15; the one solution alpha k (6 - k) / 2 has sup norm
+    # 4.5 alpha, below eps for every alpha < alpha_max
+    prob = _prob(nl=constant(1.0))
+    for eps in (1.0, 100.0):
+        cert = check_thm_esistenza(prob, eps)
+        assert cert.alpha == 1.0 and cert.nonzero
+        assert cert.alpha_max == pytest.approx(eps / 15.0, rel=1e-15)
+        below = check_thm_esistenza(prob, eps, 0.99 * cert.alpha_max)
+        assert below.verdict and below.margin > 0.0
+        above = check_thm_esistenza(prob, eps, 1.01 * cert.alpha_max)
+        assert not above.verdict and above.margin < 0.0
+    zero_cert = check_thm_esistenza(_prob(nl=zero()), 1.0)
+    assert zero_cert.alpha_max == math.inf and not zero_cert.nonzero
+    assert not check_thm_esistenza(_prob(), 1.0).nonzero  # bounded_rational: f(0) = 0
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        check_thm_esistenza(prob, 1.0, math.inf)
+
+
+@pytest.mark.parametrize("eps", [0.5, 3.0])
+def test_sublevel_minimizer_below_alpha_max_is_interior(eps):
+    # p = 3: a certificate at alpha < alpha_max hands minimize_on_sublevel a
+    # ball whose minimizer is a converged interior solution with sup norm < eps
+    prob = _prob(p=3.0, nl=constant(1.0))
+    for share in (0.5, 0.99):
+        cert = check_thm_esistenza(prob, eps, share * check_thm_esistenza(prob, eps).alpha_max)
+        out = minimize_on_sublevel(prob, cert.alpha, cert.sigma, certificate=cert)
+        assert cert.verdict and out.converged and not out.boundary_hit
+        assert 0.0 < sup_norm(out.u) < eps
+
+
+def test_find_admissible_eps_at_alpha():
+    # at alpha = 30 the constant f = 1 (T = 5, p = 2) needs eps > 450
+    prob = _prob(nl=constant(1.0))
+    cert = find_admissible_eps(prob, (1.0, 1e3), 31, alpha=30.0)
+    assert cert.alpha == 30.0 and cert.verdict and cert.eps > 450.0
+    assert find_admissible_eps(prob, (1.0, 400.0), 31, alpha=30.0) is None
 
 
 def test_find_admissible_eps_picks_largest_margin():

@@ -390,6 +390,23 @@ def test_shifted_newton_step_factors_first_and_shifts_only_indefinite_jacobians(
     assert float(g @ s) < 0.0
 
 
+def test_a_failed_eigenvalue_call_falls_back_to_the_gradient_step(monkeypatch):
+    # dstebz reporting info != 0 leaves no Newton direction.  With every
+    # factorisation reported failed too, each iteration asks dstebz, gets no
+    # step and takes the gradient step: solve_newton is solve_descent, bit for bit
+    import scipy.linalg._flapack as lapack
+    monkeypatch.setattr(lapack, "dpttrf", lambda d, e: (d, e, 1))
+    monkeypatch.setattr(lapack, "dstebz", lambda *args: (0, np.zeros(1), None, None, 1))
+    prob = esempio0(T=5)
+    u = np.full(5, 0.1)
+    assert dplap.solver._shifted_newton_step(prob, 3.0, u, _gradient(prob, 3.0, u)) is None
+    u0 = GridFunction.from_interior(u)
+    newton, descent = solve_newton(prob, 3.0, u0), solve_descent(prob, 3.0, u0)
+    assert newton.converged and newton.iterations > 1
+    assert newton.u.values.tobytes() == descent.u.values.tobytes()
+    assert (newton.energy, newton.iterations) == (descent.energy, descent.iterations)
+
+
 def _general_kernels(monkeypatch):
     """Run the p = 2 solver on the kernels of every other p: |du| ** p,
     sign(du) |du| ** (p - 1) and _newton_weights' edge weights."""
