@@ -6,6 +6,8 @@ difference equation, so a converged solver iterate is a solution.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .core import (GridFunction, ProblemSpec, _dirichlet, _edges, _p_laplacian, _positive,
@@ -47,14 +49,24 @@ def _newton_weights(p: float, du: np.ndarray, share: float) -> np.ndarray:
     return np.where(a >= share * top, p - 1.0, 1.0) * a ** (p - 2.0)
 
 
+@functools.lru_cache(maxsize=64)
+def _p2_off(T: int) -> np.ndarray:
+    """The p = 2 Newton matrix's off-diagonal, T - 1 entries -1.0, as one
+    shared read-only array."""
+    off = np.full(T - 1, -1.0)
+    off.setflags(write=False)
+    return off
+
+
 def _jacobian(prob: ProblemSpec, alpha: float, vec: np.ndarray, share: float,
               du: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(diagonal, off-diagonal) of the tridiagonal Newton matrix of J_alpha:
     edge weights from _newton_weights, minus alpha f' on the diagonal.  At
     p = 2 every weight is 1.0 * |du| ** 0.0 = 1.0 exactly, so the Dirichlet
-    part is tridiag(-1, 2, -1), written down without the edges."""
+    part is tridiag(-1, 2, -1), written down without the edges, its
+    off-diagonal one shared read-only array per T (_p2_off)."""
     if prob.p == 2.0:
-        return 2.0 - alpha * prob.nonlinearity.df_vec(vec), np.full(vec.size - 1, -1.0)
+        return 2.0 - alpha * prob.nonlinearity.df_vec(vec), _p2_off(vec.size)
     w = _newton_weights(prob.p, _edges(vec) if du is None else du, share)
     return w[:-1] + w[1:] - alpha * prob.nonlinearity.df_vec(vec), -w[1:-1]
 

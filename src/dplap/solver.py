@@ -1,12 +1,13 @@
 """Critical-point computation for the energy J_alpha.
 
 Routes:
-  - solve_newton: globalised Newton on J (any p > 1).  Each iteration solves
-    the tridiagonal Newton system once.  An LDL^T factorisation (dpttrf)
-    tests the Jacobian for positive definiteness; only when it fails is
-    the smallest eigenvalue computed (dstebz) and the diagonal shifted past
-    it, so the step is a descent direction.  An Armijo test on the energy
-    accepts it, or a gradient step takes over.  At p < 2 the small
+  - solve_newton: globalised Newton on J (any p > 1).  Each iteration
+    factors the tridiagonal Jacobian as LDL^T and solves with it in one
+    call (dptsv), which also decides positive definiteness.  Only when the
+    factorisation fails is the smallest eigenvalue computed (dstebz), to
+    the 0.1% the shift needs, and the diagonal shifted past it, so the
+    step is a descent direction.  An Armijo test on the energy accepts
+    it, or a gradient step takes over.  At p < 2 the small
     differences take secant weights, so a plateau (du = 0) is reached
     instead of overshot.
     multistart_solve runs every start through it; solve_newton_p2 is the
@@ -31,10 +32,12 @@ unshifted step is the one that converges to saddles as well as to minima.
 The sublevel route hands _solve its projection and ball test: a run ending
 on the boundary is not polished, and a polish leaving the ball is dropped.
 
-The three LAPACK routines (dgtsv, dpttrf, dstebz) come from scipy's f2py
-extension, which core._lapack loads on first use without importing the
-scipy.linalg package.  At p = 2 the matrices they factor have the
-constant Dirichlet part tridiag(-1, 2, -1) (energy._jacobian).
+The three LAPACK routines (dptsv and dstebz for the descent, dgtsv for the
+polish) come from scipy's f2py extension, which core._lapack loads on
+first use without importing the scipy.linalg package.  At p = 2 the
+matrices they factor have the constant Dirichlet part tridiag(-1, 2, -1)
+(energy._jacobian).  The first eigenpair that shapes multistart's starts
+is computed once per grid (p, T) and cached.
 
 Positivity classification and the nontriviality certificate live here too.
 truncate_nonnegative lives in nonlinearities and stays importable from here.
@@ -42,6 +45,7 @@ truncate_nonnegative lives in nonlinearities and stays importable from here.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +77,7 @@ _STALL_WINDOW = 2000  # iterations without residual progress before giving up
 _MAX_ITERS = 100_000  # iterations before the Armijo loop stops (MAX_ITERS)
 _DEDUP_DIST = 1e-6  # sup-norm distance below which multistart merges two solutions
 _SHIFT_MARGIN = 0.1  # descent shift: H + tau I has smallest eigenvalue _SHIFT_MARGIN |lam|
+_LAM_RTOL = 1e-3  # dstebz's tolerance on lam, relative to the bound hi >= lam
 _SECANT_SHARE = 1e-2  # p < 2: secant weights on |du| below this share of max|du|
 _ZETA_GRID = np.geomspace(1.0, 1e-8, 60)  # nontriviality_certificate's decreasing scan
 
@@ -113,54 +118,69 @@ class SolveOutcome:
     stop_reason: str = ""  # why the Armijo loop ended: one of the names above
 
 
-def _tridiagonal_solve(lapack, diag: np.ndarray, off: np.ndarray,
-                      g: np.ndarray) -> np.ndarray | None:
-    """s solving H s = -g for the symmetric tridiagonal H = (diag, off), by
-    the _lapack() module's dgtsv; None when the solve fails (H singular) or
-    s is not finite."""
-    s, info = lapack.dgtsv(off, diag, off, -g)[3:]
-    return s if info == 0 and np.isfinite(s).all() else None
-
-
 def _newton_step(prob: ProblemSpec, alpha: float, u: np.ndarray,
                  g: np.ndarray) -> np.ndarray | None:
     """The polish's plain Newton step: s solving H s = -g, unshifted.
 
-    H is energy._jacobian at u with tangent weights (share 0).  None when H
-    is not finite or _tridiagonal_solve finds no step.
+    H is energy._jacobian at u with tangent weights (share 0), solved by
+    the _lapack() module's dgtsv (LU: H may be indefinite).  None when H is
+    not finite, the solve fails (H singular) or s is not finite.
     """
     diag, off = _jacobian(prob, alpha, u, 0.0)
     if not np.isfinite(diag).all():
         return None
-    return _tridiagonal_solve(_lapack(), diag, off, g)
+    s, info = _lapack().dgtsv(off, diag, off, -g)[3:]
+    return s if info == 0 and np.isfinite(s).all() else None
 
 
-def _shifted_newton_step(prob: ProblemSpec, alpha: float, u: np.ndarray,
-                         g: np.ndarray, du: np.ndarray | None = None) -> np.ndarray | None:
-    """The descent loop's Newton direction: s solving (H + tau I) s = -g.
-
-    H is energy._jacobian at u (secant share _SECANT_SHARE), from u's edges
-    du when the caller has them.  The LDL^T factorisation dpttrf decides
-    definiteness: when it succeeds H is positive definite and tau = 0.
-    Only when it fails does dstebz compute the smallest eigenvalue lam, and
-    tau = max(0, -(1 + _SHIFT_MARGIN) lam),
-    so H + tau I is positive definite and s a descent direction (the
-    eigenvalue modification of Nocedal & Wright, Numerical Optimization,
-    2nd ed., section 3.4).  Either way _tridiagonal_solve solves for s.
-    None when H is not finite, the eigenvalue or the solve fails, or s is
-    not finite or not downhill.
-    """
-    lapack = _lapack()
+def _shifted_newton_step(prob: ProblemSpec, alpha: float, u: np.ndarray, g: np.ndarray,
+                         du: np.ndarray | None = None) -> tuple[np.ndarray, float] | None:
+    """The descent loop's Newton direction and its slope: _shifted_solve on
+    H = energy._jacobian at u (secant share _SECANT_SHARE), from u's edges
+    du when the caller has them.  None when H is not finite or
+    _shifted_solve finds no step."""
     diag, off = _jacobian(prob, alpha, u, _SECANT_SHARE, du)
     if not np.isfinite(diag).all():
         return None
-    if lapack.dpttrf(diag, off)[2] != 0:
-        _, lam, _, _, info = lapack.dstebz(diag, off, 2, 0.0, 0.0, 1, 1, 0.0, b"B")
+    return _shifted_solve(diag, off, g)
+
+
+def _shifted_solve(diag: np.ndarray, off: np.ndarray,
+                   g: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """(s, g.s) for s solving (H + tau I) s = -g, H = (diag, off) symmetric
+    tridiagonal.
+
+    One dptsv call factors H as LDL^T and solves: when it succeeds H is
+    positive definite and tau = 0.  When it fails at pivot k, with pivot
+    d_k <= 0, the failed factors bound lam = lambda_min(H) from above:
+    x = L^-T e_k has Rayleigh quotient hi = d_k / ||x||^2 >= lam.  dstebz
+    then bisects for lam only to the absolute tolerance _LAM_RTOL |hi|
+    (to full precision when hi is 0 or not finite), so its estimate lam'
+    is within _LAM_RTOL / 2 |lam| of lam, and dptsv solves again with
+    tau = max(0, -(1 + _SHIFT_MARGIN) lam'): H + tau I keeps smallest
+    eigenvalue at least 0.099 |lam|, so s is a descent direction (the
+    eigenvalue modification of Nocedal & Wright, Numerical Optimization,
+    2nd ed., section 3.4).  None when the eigenvalue call or the shifted
+    factorisation fails, or s is not finite or not downhill.
+    """
+    lapack = _lapack()
+    pivots, lower, s, info = lapack.dptsv(diag, off, -g)
+    if info != 0:
+        # z: the entries of x = L^-T e_k above its unit k-th entry.  A product
+        # that overflows makes hi -0.0 or nan, and the tolerance 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = np.cumprod(-lower[:info - 1][::-1])
+            hi = float(pivots[info - 1] / (1.0 + z @ z))
+        abstol = _LAM_RTOL * -hi if -np.inf < hi < 0.0 else 0.0
+        _, lam, _, _, info = lapack.dstebz(diag, off, 2, 0.0, 0.0, 1, 1, abstol, b"B")
         if info != 0:
             return None
-        diag = diag + max(0.0, -(1.0 + _SHIFT_MARGIN) * float(lam[0]))
-    s = _tridiagonal_solve(lapack, diag, off, g)
-    return s if s is not None and float(g @ s) < 0.0 else None
+        tau = max(0.0, -(1.0 + _SHIFT_MARGIN) * float(lam[0]))
+        s, info = lapack.dptsv(diag + tau, off, -g)[2:]
+    if info != 0 or not np.isfinite(s).all():
+        return None
+    slope = float(g @ s)
+    return (s, slope) if slope < 0.0 else None
 
 
 def _polish(prob: ProblemSpec, alpha: float, u: np.ndarray,
@@ -222,7 +242,7 @@ def _descend(prob: ProblemSpec, alpha: float, u: np.ndarray, opts: SolverOptions
     energy, iterations, stop_reason) at its last iterate.
 
     With newton, each iteration first tries the spectrally shifted Newton
-    step of _shifted_newton_step from t = 1 (one tridiagonal solve);
+    step of _shifted_newton_step from t = 1, with the slope it returns;
     without one, or when its line search fails, a gradient step whose trial
     size doubles after every accepted one, so flat stretches do not trap
     the iteration at a tiny step.  project, when given, maps every trial
@@ -252,9 +272,9 @@ def _descend(prob: ProblemSpec, alpha: float, u: np.ndarray, opts: SolverOptions
                 MAX_ITERS if iters >= _MAX_ITERS else None)
         if stop is not None:
             return u, res, Ju, iters, stop
-        s = _shifted_newton_step(prob, alpha, u, g, du) if newton else None
-        trial = None if s is None else _armijo(prob, alpha, u, Ju, s, float(g @ s), 1.0,
-                                               project)
+        step_slope = _shifted_newton_step(prob, alpha, u, g, du) if newton else None
+        trial = (None if step_slope is None else
+                 _armijo(prob, alpha, u, Ju, *step_slope, 1.0, project))
         if trial is None:
             trial = _armijo(prob, alpha, u, Ju, -g, -float(g @ g), min(2.0 * step, 1e6),
                             project)
@@ -307,13 +327,14 @@ def solve_newton(prob: ProblemSpec, alpha: float, u0: GridFunction,
                  opts: SolverOptions | None = None) -> SolveOutcome:
     """Globalised Newton on J_alpha for any p > 1, O(T) per iteration.
 
-    Each step solves the tridiagonal Newton system once, its diagonal
-    shifted past the smallest eigenvalue when the matrix is not positive
-    definite, and is accepted through an Armijo test on the energy, falling
-    back to a gradient step when the Newton step is rejected.  Near a
-    nondegenerate minimum the full step passes and convergence is
-    quadratic.  When Armijo stops seeing progress a residual-driven polish
-    finishes (it can land on a nearby saddle: a legitimate critical point);
+    Each step factors and solves the tridiagonal Newton system in one
+    call, and solves once more, its diagonal shifted past the smallest
+    eigenvalue, when the matrix is not positive definite; it is accepted
+    through an Armijo test on the energy, falling back to a gradient step
+    when the Newton step is rejected.  Near a nondegenerate minimum the
+    full step passes and convergence is quadratic.  When Armijo stops
+    seeing progress a residual-driven polish finishes (it can land on a
+    nearby saddle: a legitimate critical point);
     only when that fails too does the outcome come back non-converged.
     """
     return _solve(prob, alpha, u0, opts, newton=True)
@@ -436,7 +457,10 @@ def _first_of_ties(outcomes: list[SolveOutcome], prefer) -> SolveOutcome:
     return next((o for o in outcomes if o.energy <= cutoff and prefer(o)), outcomes[0])
 
 
+@functools.lru_cache(maxsize=32)
 def _eigen_best_effort(p: float, T: int) -> EigenPair:
+    """first_eigenpair(p, T), or its best iterate when the eigen solve does
+    not converge; cached, since the pair is a pure function of the grid."""
     try:
         return first_eigenpair(p, T)
     except EigenConvergenceError as exc:

@@ -937,7 +937,7 @@ def test_lapack_accessor_and_scipy_linalg_share_one_module(accessor_first):
             "    import scipy.linalg.lapack as lapack\n"
             "    mod = _lapack()\n"
             "assert mod is sys.modules['scipy.linalg._flapack'] is _lapack()\n"
-            "for name in ('dgtsv', 'dpttrf', 'dstebz'):\n"
+            "for name in ('dgtsv', 'dptsv', 'dstebz'):\n"
             "    assert getattr(lapack, name) is getattr(mod, name), name\n"
             "from scipy.integrate import quad\n"
             "from scipy.linalg import eigh_tridiagonal\n"

@@ -125,6 +125,14 @@ def test_weak_residual_rejects_mismatched_T():
         weak_residual(u, v, prob)
 
 
+def test_the_p2_off_diagonal_is_one_shared_read_only_array():
+    prob = ProblemSpec(T=7, p=2.0, nonlinearity=bounded_rational())
+    u = np.linspace(-1.0, 1.0, 7)
+    off = _jacobian(prob, 1.0, u, 0.0)[1]
+    assert off is _jacobian(prob, 2.0, -u, 0.01)[1]
+    assert not off.flags.writeable and off.tolist() == [-1.0] * 6
+
+
 def test_hessian_p2_structure_and_fd():
     rng = np.random.Generator(np.random.Philox(RNG_SEED + 2))
     prob = ProblemSpec(T=5, p=2.0, nonlinearity=bounded_rational())

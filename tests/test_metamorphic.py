@@ -15,7 +15,7 @@ the two solves are exact mirror images.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from dplap.core import GridFunction, ProblemSpec
@@ -33,6 +33,10 @@ _T, _P = 7, 2.5
 # paths may part and both be right.
 _SOLVE_AGREEMENT = 1e-8
 _SEEDS = st.integers(0, 2**32 - 1)
+# The solve relations draw their cases from a seeded generator, so a shrunk
+# seed is no simpler a case: they skip shrinking, which reruns two solves per
+# step and held a failure back for about 90 s before it was reported.
+_NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
 
 
 def mirrored_tables(rng):
@@ -61,7 +65,8 @@ def test_node_reversal_keeps_chi_and_h(seed, radius):
     assert abs(chi(radius, mirror) - value) <= 8 * _ULP * value
 
 
-@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@settings(max_examples=20, derandomize=True, deadline=None, database=None,
+          phases=_NO_SHRINK)
 @given(_SEEDS, st.floats(0.2, 3.0))
 def test_node_reversal_mirrors_each_solve(seed, alpha):
     rng = np.random.default_rng(seed)
@@ -72,7 +77,8 @@ def test_node_reversal_mirrors_each_solve(seed, alpha):
     assert _far(out.u.interior, back.u.interior[::-1]) <= _SOLVE_AGREEMENT
 
 
-@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@settings(max_examples=20, derandomize=True, deadline=None, database=None,
+          phases=_NO_SHRINK)
 @given(st.integers(2, 8), st.sampled_from([1.5, 2.0, 2.5, 3.0]), _SEEDS)
 def test_scaling_f_is_scaling_alpha(T, p, seed):
     # s in [0.25, 4], alpha in [0.2, 3] and a uniform(-2, 2) start
@@ -113,7 +119,8 @@ def test_scaling_f_divides_alpha_max(seed):
     assert abs(check_thm_esistenza(scaled, eps).alpha_max - expect) <= 10 * _ULP * expect
 
 
-@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@settings(max_examples=20, derandomize=True, deadline=None, database=None,
+          phases=_NO_SHRINK)
 @given(st.integers(2, 8), st.sampled_from([1.5, 2.0, 2.5, 3.0]), _SEEDS)
 def test_odd_f_mirrors_each_solve(T, p, seed):
     # bounded_rational is odd: from -u0 the solve takes the negated path

@@ -1,6 +1,7 @@
 """Solve routines, positivity, sublevel minimization, multistart, sweep."""
 
 import collections
+import contextlib
 import importlib
 import warnings
 from unittest import mock
@@ -338,9 +339,11 @@ def test_shifted_newton_step_is_a_positive_definite_descent_step(case):
     # tau >= 0 that makes H + tau I positive definite, and it points downhill
     prob, alpha, u = case
     g = _gradient(prob, alpha, u)
-    s = dplap.solver._shifted_newton_step(prob, alpha, u, g)
-    if s is None:
+    step = dplap.solver._shifted_newton_step(prob, alpha, u, g)
+    if step is None:
         return
+    s, slope = step
+    assert slope == float(g @ s)
     diag, off = _jacobian(prob, alpha, u, dplap.solver._SECANT_SHARE)
     H = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     tau = -float((H @ s + g) @ s) / float(s @ s)  # the shift s was solved with
@@ -350,20 +353,34 @@ def test_shifted_newton_step_is_a_positive_definite_descent_step(case):
     assert float(g @ s) < 0.0
 
 
-def test_shifted_newton_step_factors_first_and_shifts_only_indefinite_jacobians(monkeypatch):
-    # dpttrf decides definiteness: a positive definite H gets the plain
-    # dgtsv solve and no eigenvalue call; an indefinite one gets one dstebz
-    # call and the shift -1.1 lambda_min
-    import scipy.linalg._flapack as lapack
-    lams = []
-    dstebz = lapack.dstebz
+@contextlib.contextmanager
+def recording_lapack(*names):
+    """Record the named LAPACK routines of the module the solver calls:
+    yields (module, calls), calls mapping each name to a list of (args,
+    outputs), one entry per call."""
+    lapack = dplap.core._lapack()
+    calls = {name: [] for name in names}
 
-    def counting(*args, **kwargs):
-        out = dstebz(*args, **kwargs)
-        lams.append(float(out[1][0]))
-        return out
+    def recorder(name, real):
+        def record(*args):
+            out = real(*args)
+            calls[name].append((args, out))
+            return out
+        return record
 
-    monkeypatch.setattr(lapack, "dstebz", counting)
+    with contextlib.ExitStack() as stack:
+        for name in names:
+            stack.enter_context(mock.patch.object(lapack, name,
+                                                  recorder(name, getattr(lapack, name))))
+        yield lapack, calls
+
+
+def test_shifted_newton_step_factors_first_and_shifts_only_indefinite_jacobians():
+    # dptsv decides definiteness and solves: a positive definite H gets that
+    # one call's step and no eigenvalue call; an indefinite one gets one
+    # dstebz call, lam' within _LAM_RTOL / 2 of lambda_min, and the shift
+    # -1.1 lam'
+    lapack = dplap.core._lapack()
     step = dplap.solver._shifted_newton_step
     share = dplap.solver._SECANT_SHARE
 
@@ -371,34 +388,100 @@ def test_shifted_newton_step_factors_first_and_shifts_only_indefinite_jacobians(
     prob = esempio0(T=50)
     u = np.random.default_rng(3).uniform(-2.0, 2.0, 50)
     g = _gradient(prob, 0.002, u)
-    s = step(prob, 0.002, u, g)
+    with recording_lapack("dptsv", "dstebz") as (_, calls):
+        s, slope = step(prob, 0.002, u, g)
     diag, off = _jacobian(prob, 0.002, u, share)
-    assert lams == []
-    assert s.tobytes() == lapack.dgtsv(off, diag, off, -g)[3].tobytes()
+    assert (len(calls["dptsv"]), len(calls["dstebz"])) == (1, 0)
+    assert s.tobytes() == lapack.dptsv(diag, off, -g)[2].tobytes()
+    assert slope == float(g @ s) < 0.0
 
     # alpha = 3 near 0: H = A - 3 diag(f') has two negative eigenvalues
     prob = esempio0(T=5)
     u = np.full(5, 0.1)
     g = _gradient(prob, 3.0, u)
-    s = step(prob, 3.0, u, g)
+    with recording_lapack("dptsv", "dstebz") as (_, calls):
+        s, slope = step(prob, 3.0, u, g)
     diag, off = _jacobian(prob, 3.0, u, share)
     H = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     lam = float(np.min(np.linalg.eigvalsh(H)))
-    assert len(lams) == 1 and lams[0] == pytest.approx(lam, rel=1e-12) and lam < 0.0
-    tau = -1.1 * lams[0]
-    assert s.tobytes() == lapack.dgtsv(off, diag + tau, off, -g)[3].tobytes()
-    assert float(g @ s) < 0.0
+    assert (len(calls["dptsv"]), len(calls["dstebz"])) == (2, 1) and lam < 0.0
+    estimate = float(calls["dstebz"][0][1][1][0])
+    assert abs(estimate - lam) <= dplap.solver._LAM_RTOL / 2.0 * abs(lam) + 1e-14
+    tau = -1.1 * estimate
+    assert s.tobytes() == lapack.dptsv(diag + tau, off, -g)[2].tobytes()
+    assert slope == float(g @ s) < 0.0
+
+
+@st.composite
+def indefinite_tridiagonals(draw):
+    """(diag, off) of a symmetric tridiagonal matrix of order 2 to 60, entries
+    uniform in [-4, 4], its diagonal shifted when needed so that lambda_min
+    is at most -1e-6: the matrix is not positive definite."""
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    diag, off = rng.uniform(-4.0, 4.0, n), rng.uniform(-4.0, 4.0, n - 1)
+    lam = float(np.min(np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))))
+    if lam > -1e-6:
+        diag = diag - lam - 10.0 ** rng.uniform(-6.0, 0.0)
+    return diag, off
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(indefinite_tridiagonals())
+def test_shifted_solve_bounds_lambda_min_and_keeps_the_shift_margin(case):
+    # the failed factorisation's hi lies in [lambda_min, 0]; dstebz's estimate,
+    # asked for to _LAM_RTOL |hi|, is within _LAM_RTOL / 2 |lambda_min|; and
+    # H + tau I keeps smallest eigenvalue 0.099 |lambda_min|
+    diag, off = case
+    n = diag.size
+    H = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    eigs = np.linalg.eigvalsh(H)
+    lam = float(eigs[0])
+    rounding = 1e-12 * (1.0 + float(np.max(np.abs(eigs))))
+    g = np.random.default_rng(n).standard_normal(n)
+    with recording_lapack("dstebz") as (_, calls):
+        step = dplap.solver._shifted_solve(diag, off, g)
+    (args, out), = calls["dstebz"]
+    hi = -args[7] / dplap.solver._LAM_RTOL
+    assert lam - rounding <= hi <= 0.0
+    estimate = float(out[1][0])
+    assert abs(estimate - lam) <= dplap.solver._LAM_RTOL / 2.0 * abs(lam) + rounding
+    shifted = np.linalg.eigvalsh(H - 1.1 * estimate * np.eye(n))
+    assert shifted[0] >= 0.099 * abs(lam) - rounding
+    if step is not None:
+        s, slope = step
+        assert slope == float(g @ s) < 0.0
+
+
+def test_a_tiny_pivot_asks_dstebz_for_full_precision_without_a_warning():
+    # pivot 1e-300 then a pivot near -1e300: ||x||^2 overflows and hi is
+    # -0.0; a zero first pivot makes hi 0.  Either way dstebz gets tolerance
+    # 0 (full precision), and no RuntimeWarning leaks, outside _solve's
+    # errstate too
+    for first in (1e-300, 0.0):
+        diag, off = np.array([first, 1.0, 2.0]), np.array([-1.0, -1.0])
+        H = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        g = np.array([1.0, -1.0, 0.5])
+        with warnings.catch_warnings(), recording_lapack("dstebz") as (_, calls):
+            warnings.simplefilter("error")
+            s, slope = dplap.solver._shifted_solve(diag, off, g)
+        (args, out), = calls["dstebz"]
+        assert args[7] == 0.0
+        assert float(out[1][0]) == pytest.approx(np.min(np.linalg.eigvalsh(H)), rel=1e-14)
+        assert slope == float(g @ s) < 0.0
 
 
 def test_a_failed_eigenvalue_call_falls_back_to_the_gradient_step(monkeypatch):
-    # dstebz reporting info != 0 leaves no Newton direction.  With every
-    # factorisation reported failed too, each iteration asks dstebz, gets no
-    # step and takes the gradient step: solve_newton is solve_descent, bit for bit
+    # dstebz reporting info != 0 leaves no Newton direction, and so does a
+    # shifted factorisation that fails.  With every factorisation reported
+    # failed, each iteration asks dstebz, gets no step and takes the
+    # gradient step: solve_newton is solve_descent, bit for bit
     import scipy.linalg._flapack as lapack
-    monkeypatch.setattr(lapack, "dpttrf", lambda d, e: (d, e, 1))
-    monkeypatch.setattr(lapack, "dstebz", lambda *args: (0, np.zeros(1), None, None, 1))
+    monkeypatch.setattr(lapack, "dptsv", lambda d, e, b: (d, e, b, 1))
     prob = esempio0(T=5)
     u = np.full(5, 0.1)
+    assert dplap.solver._shifted_newton_step(prob, 3.0, u, _gradient(prob, 3.0, u)) is None
+    monkeypatch.setattr(lapack, "dstebz", lambda *args: (0, np.zeros(1), None, None, 1))
     assert dplap.solver._shifted_newton_step(prob, 3.0, u, _gradient(prob, 3.0, u)) is None
     u0 = GridFunction.from_interior(u)
     newton, descent = solve_newton(prob, 3.0, u0), solve_descent(prob, 3.0, u0)
@@ -1107,7 +1190,9 @@ def test_sweep_rows_and_transition():
 
 
 def test_sweep_computes_the_first_eigenpair_once(monkeypatch):
-    # the sweep's pair shapes every alpha's starts; none is recomputed
+    # the sweep's pair shapes every alpha's starts; none is recomputed.  The
+    # pair is a pure function of (p, T): a later multistart on the grid
+    # reuses it, and another grid gets its own
     calls = []
 
     def counting(p, T, tol=1e-9):
@@ -1115,9 +1200,13 @@ def test_sweep_computes_the_first_eigenpair_once(monkeypatch):
         return first_eigenpair(p, T, tol)
 
     monkeypatch.setattr(dplap.solver, "first_eigenpair", counting)
+    dplap.solver._eigen_best_effort.cache_clear()  # a warm cache would count none
     rows = sweep_alpha(esempio0(), [0.1, 0.5, 1.0], n_starts=2)
     assert [r.error for r in rows] == ["", "", ""]
     assert calls == [(2.0, 5)]
+    multistart_solve(esempio0(), 2.0, n_starts=1)
+    multistart_solve(esempio0(T=6), 1.0, n_starts=1)
+    assert calls == [(2.0, 5), (2.0, 6)]
 
 
 def test_sweep_reports_positive_representative_on_ties():
