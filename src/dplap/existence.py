@@ -31,7 +31,8 @@ class ExistenceCertificate:
     """Outcome of the smallness test alpha chi(eps) < kappa^p / p.
 
     The test is homogeneous in alpha: it holds for every alpha below
-    alpha_max = bound / chi_eps (for every alpha when chi_eps <= 0), and
+    alpha_max = bound / chi_eps (inf, every alpha, when chi_eps <= 0; NaN,
+    no alpha, when chi_eps is NaN), and
     margin = bound - alpha chi_eps and verdict are taken at alpha.
     sigma = kappa^p * eps^p is the sublevel radius to hand to the solver;
     a true verdict promises a solution at alpha with sup norm below eps
@@ -159,7 +160,7 @@ def check_thm_esistenza(prob: ProblemSpec, eps: float,
                                 margin=bound - alpha * chi_eps,
                                 verdict=bool(alpha * chi_eps < bound), sigma=sigma,
                                 alpha=alpha,
-                                alpha_max=bound / chi_eps if chi_eps > 0.0 else math.inf,
+                                alpha_max=math.inf if chi_eps <= 0.0 else bound / chi_eps,
                                 nonzero=bool(np.any(f0 != 0.0)))
 
 
@@ -225,8 +226,9 @@ def check_three_solutions_window(prob: ProblemSpec, c: float, d: float) -> Multi
         ( 2 / (p (h(d) - (c/d)^p chi(c))),  2^p / (p chi(c) (T+1)^{p-1}) )
     yields at least three solutions.  The upper endpoint is +inf when
     chi(c) = 0; the lower is +inf when the bracket is non-positive (the
-    interval is then empty and the verdict false).  A ValueError names d
-    where h(d) overflows.
+    interval is then empty and the verdict false).  A NaN chi(c) or
+    bracket gives NaN endpoints, not an inf that claims every alpha.  A
+    ValueError names d where h(d) overflows.
     """
     if not 0.0 < c < d < math.inf:
         raise ValueError("require 0 < c < d < inf")
@@ -240,13 +242,13 @@ def check_three_solutions_window(prob: ProblemSpec, c: float, d: float) -> Multi
     bracket = h_d - (c / d) ** p * chi_c
     try:  # these forms, bit for bit, wherever (T+1)^(p-1) is a float
         scale = 2.0 ** (p - 1.0) / (T + 1) ** (p - 1.0)
-        alpha_hi = 2.0 ** p / (p * chi_c * (T + 1) ** (p - 1.0)) if chi_c > 0.0 else math.inf
+        alpha_hi = math.inf if chi_c <= 0.0 else 2.0 ** p / (p * chi_c * (T + 1) ** (p - 1.0))
     except OverflowError:  # 2^(p-1) / (T+1)^(p-1) is one power, representable or 0
         scale, alpha_hi = (2.0 / (T + 1)) ** (p - 1.0), 0.0
     if alpha_hi == 0.0:  # (T+1)^(p-1), or p chi(c) times it, overflowed
-        alpha_hi = 2.0 * scale / (p * chi_c) if chi_c > 0.0 else math.inf
+        alpha_hi = math.inf if chi_c <= 0.0 else 2.0 * scale / (p * chi_c)
     rhs = scale * bracket
     verdict = bool(chi_c < rhs)
-    alpha_lo = 2.0 / (p * bracket) if bracket > 0.0 else math.inf
+    alpha_lo = math.inf if bracket <= 0.0 else 2.0 / (p * bracket)
     return MultiplicityWindow(c=float(c), d=float(d), alpha_lo=alpha_lo,
                               alpha_hi=alpha_hi, verdict=verdict)

@@ -7,9 +7,9 @@ Rayleigh quotient sum |du|^p / sum |u(k)|^p over non-zero grid functions.
 In one dimension the eigen equation is the three-term recurrence
     phi_p(d(k)) = phi_p(d(k-1)) - lambda phi_p(u(k)),   d(k) = u(k+1) - u(k),
 so first_eigenpair shoots it from u(0) = 0, u(1) = 1 over half the grid and
-finds lambda on the sign of the symmetry defect: Illinois regula falsi
-narrows a bracket on [0, 2] to adjacent floats.  O(T) per shot, no linear
-algebra and no solver code.
+finds lambda on the sign of the symmetry defect: bisection narrows a
+bracket on [0, 2] to adjacent floats.  O(T) per shot, no linear algebra
+and no solver code.
 """
 
 from __future__ import annotations
@@ -99,38 +99,24 @@ def _shoot(lam: float, p: float, T: int) -> tuple[float, list[float] | None]:
     return (1 + T % 2) * flux - lam * x ** e, half
 
 
-def _illinois_bracket(p: float, T: int) -> tuple[tuple[float, list[float] | None], ...]:
+def _bracket(p: float, T: int) -> tuple[tuple[float, list[float] | None], ...]:
     """((a, half_a), (b, half_b)): adjacent floats a < b in [0, 2] with a
     shot defect > 0 at a and <= 0 at b, each with the half profile its own
     shot returned.
 
-    Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971): the secant
-    point of the bracket ends, with the value kept at one end halved each
-    time that end survives twice in a row, so the bracket shrinks
-    superlinearly where bisection gains one bit per shot.  A secant point
-    that rounds onto an end falls back to the midpoint, and the search
-    stops when no float lies strictly between the ends.
+    Plain bisection: it shoots 0 and 2 once, then each midpoint, and stops
+    when no float lies strictly between the ends.  One bit per shot, so a
+    cell takes about 55 shots where lambda_1 is of order 1, and more where
+    it is tiny: the count is bounded by the float exponent range.
     """
-    a, (fa, half_a) = 0.0, _shoot(0.0, p, T)
-    b, (fb, half_b) = 2.0, _shoot(2.0, p, T)
-    kept = 0  # +1: a moved last, -1: b moved last
+    a, half_a = 0.0, _shoot(0.0, p, T)[1]
+    b, half_b = 2.0, _shoot(2.0, p, T)[1]
     while a < (mid := 0.5 * (a + b)) < b:
-        # a defect of exactly 0 at b pins the secant point to b: probe the
-        # float below it, which ends the search where the sign change is clean
-        c = math.nextafter(b, 0.0) if fb == 0.0 else (a * fb - b * fa) / (fb - fa)
-        if not a < c < b:
-            c = mid
-        fc, half = _shoot(c, p, T)
-        if fc > 0.0:
-            a, fa, half_a = c, fc, half
-            if kept > 0:
-                fb *= 0.5
-            kept = 1
+        defect, half = _shoot(mid, p, T)
+        if defect > 0.0:
+            a, half_a = mid, half
         else:
-            b, fb, half_b = c, fc, half
-            if kept < 0:
-                fa *= 0.5
-            kept = -1
+            b, half_b = mid, half
     return (a, half_a), (b, half_b)
 
 
@@ -138,16 +124,14 @@ def first_eigenpair(p: float, T: int, tol: float = EIGEN_TOL) -> EigenPair:
     """First eigenpair by symmetric shooting and a bracketed search on lambda.
 
     _shoot runs the eigen recurrence over half the grid; by discrete Sturm
-    theory its symmetry defect changes sign once, at lambda_1, so
-    _illinois_bracket narrows [0, 2] (the one-peak quotient is 2, so
-    lambda_1 < 2) until its ends are adjacent floats, shooting no lambda
-    twice.  Where the sign change is clean these are the ends any search
-    to adjacent floats finds, plain bisection's included; where rounding
+    theory its symmetry defect changes sign once, at lambda_1, so _bracket
+    bisects [0, 2] (the one-peak quotient is 2, so lambda_1 < 2) until its
+    ends are adjacent floats, shooting no lambda twice.  Where rounding
     noise flips the sign of the defect over a few floats next to lambda_1,
-    they are one of the adjacent pairs that straddle a flip.  Of the two
-    ends, the one whose mirrored, normalised half profile (kept from that
-    end's own shot) has the smaller defect wins: phi is positive and
-    exactly symmetric by construction.
+    the ends straddle one of the flips.  Of the two ends, the one whose
+    mirrored, normalised half profile (from that end's own shot) has
+    the smaller defect wins: phi is positive and exactly symmetric by
+    construction.
     lambda_ is the Rayleigh quotient of that phi, hence >= lambda_1 up to
     rounding: the safe side for existence.alpha_threshold.
 
@@ -170,7 +154,7 @@ def first_eigenpair(p: float, T: int, tol: float = EIGEN_TOL) -> EigenPair:
     T = _check_T(T)
     _positive("tol", tol)
     try:
-        ends = _illinois_bracket(p, T)
+        ends = _bracket(p, T)
     except OverflowError:
         raise ValueError(f"first eigenpair (p={p}, T={T}): the shot's u(k) ** (p - 1) "
                          "overflows a float") from None

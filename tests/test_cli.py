@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
@@ -471,6 +472,15 @@ def test_p2_spectrum_deviation_builds_no_dense_matrix(monkeypatch):
         closed, deviation = cli._p2_spectrum_deviation(T)
         assert np.array_equal(closed, eigenvalues_p2(T))
         assert deviation <= 1e-10
+
+
+def test_a_failed_dsterf_is_an_error_and_a_selftest_failure(capsys, monkeypatch):
+    failing = types.SimpleNamespace(dsterf=lambda d, e: (d, 1))
+    monkeypatch.setattr(dplap.core, "_lapack", lambda: failing)
+    assert main(["eigen", "--p", "2", "--T", "5"]) == EXIT_ERROR
+    assert "dsterf did not converge at T=5 (info 1)" in capsys.readouterr().err
+    assert main(["selftest"]) == EXIT_SELFTEST_FAIL
+    assert "FAIL p2-spectrum-closed-form: raised RuntimeError: dsterf" in capsys.readouterr().out
 
 
 def test_eigen_p3_skips_closed_form_block(capsys):

@@ -764,6 +764,13 @@ def test_problem_spec_rejects_table_with_fewer_rows_than_T():
         ProblemSpec(T=3, p=2.0, nonlinearity=nl)
 
 
+def test_table_on_no_nodes_returns_empty_arrays():
+    # no node index to check: f and F of a per-node table on zero nodes are empty
+    nl = from_table(TABLE_T, np.vstack((TABLE_F, -TABLE_F)))
+    for values in (nl.f_vec(np.array([])), nl.F_vec(np.array([]))):
+        assert values.shape == (0,) and values.dtype == float
+
+
 def test_problem_spec_rejects_scale_shorter_than_T():
     nl = scaled_per_node(bounded_rational(), [1.0, 2.0, 3.0])
     ProblemSpec(T=3, p=2.0, nonlinearity=nl)

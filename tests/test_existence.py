@@ -306,6 +306,21 @@ def test_certificate_holds_below_alpha_max():
         check_thm_esistenza(prob, 1.0, math.inf)
 
 
+def test_a_nan_chi_backs_no_alpha():
+    # F is NaN on 3.5 < |xi| < 3.9, past the consistency check's sample
+    # points: chi(4) is NaN, and an alpha_max, alpha_lo or alpha_hi of inf
+    # would claim every alpha
+    nl = Nonlinearity(f=lambda k, t: np.asarray(t, float),
+                      potential=lambda k, xi: np.where((abs(xi) > 3.5) & (abs(xi) < 3.9),
+                                                       np.nan, xi * xi / 2))
+    prob = _prob(T=3, nl=nl)  # ProblemSpec runs check_consistency
+    cert = check_thm_esistenza(prob, 4.0, 2.0)
+    assert math.isnan(cert.chi_eps) and math.isnan(cert.alpha_max) and not cert.verdict
+    window = check_three_solutions_window(prob, 4.0, 5.0)
+    assert math.isnan(window.alpha_lo) and math.isnan(window.alpha_hi)
+    assert not window.verdict
+
+
 @pytest.mark.parametrize("eps", [0.5, 3.0])
 def test_sublevel_minimizer_below_alpha_max_is_interior(eps):
     # p = 3: a certificate at alpha < alpha_max hands minimize_on_sublevel a

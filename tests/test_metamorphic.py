@@ -7,6 +7,9 @@ runs together where no closed form gives the answer.
 - alpha-homogeneity: the right-hand side s f at alpha is f at s alpha, so the
   certificate's alpha_max for s f is alpha_max for f divided by s.
 - Odd symmetry: for an odd f, -u is a solution exactly when u is.
+- Table refinement: a knot inserted inside a linear piece of a table, at its
+  interpolated value, leaves chi, h, gamma, is_nonnegative and each solve
+  unchanged.
 
 The two runs of a relation take different rounding paths (sums in another
 order, s alpha f for alpha s f), so they agree to rounding, not bit for bit.
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 
 from dplap.core import GridFunction, ProblemSpec
 from dplap.existence import check_thm_esistenza, chi, h
-from dplap.nonlinearities import bounded_rational, from_table, scaled_per_node
+from dplap.nonlinearities import _table_gamma, bounded_rational, from_table, scaled_per_node
 from dplap.solver import solve_newton
 
 _ULP = np.finfo(float).eps
@@ -131,3 +134,53 @@ def test_odd_f_mirrors_each_solve(T, p, seed):
     neg = solve_newton(prob, alpha, GridFunction.from_interior(-u0))
     assert np.array_equal(neg.u.values, -out.u.values)
     assert neg.energy == out.energy
+
+
+def refined_tables(rng, p):
+    """(problem, the same table with one knot inserted inside a piece) for a
+    random 13-point table with one row per node, T = 7.  Half the tables
+    are nonnegative, and half have a knot at 0 where f is 0, so that
+    is_nonnegative and a finite gamma are drawn too; half the knots go into
+    the piece right of the knot nearest 0, whose slope sets gamma."""
+    ts = np.cumsum(rng.uniform(0.05, 1.0, 13)) - 3.0
+    rows = rng.uniform(-2.0, 2.0, (_T, 13))
+    if rng.random() < 0.5:
+        rows = np.abs(rows)
+    z = int(np.argmin(np.abs(ts)))
+    if rng.random() < 0.5:
+        ts[z], rows[:, z] = 0.0, 0.0
+    j = rng.integers(0, 12) if rng.random() < 0.5 else min(z, 11)
+    t = ts[j] + rng.uniform(0.1, 0.9) * (ts[j + 1] - ts[j])
+    col = [np.interp(t, ts, r) for r in rows]
+    fine = from_table(np.insert(ts, j + 1, t), np.insert(rows, j + 1, col, axis=1))
+    return (ProblemSpec(T=_T, p=p, nonlinearity=from_table(ts, rows)),
+            ProblemSpec(T=_T, p=p, nonlinearity=fine))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(_SEEDS, st.sampled_from([2.0, 2.5]), st.floats(0.1, 4.0))
+def test_table_refinement_keeps_chi_h_and_gamma(seed, p, radius):
+    # the refined potential sums one more trapezoid, and the new knot's value
+    # is the line's rounded: F_k moves by an ulp or so of max |f| |xi|, |f| <= 2
+    prob, fine = refined_tables(np.random.default_rng(seed), p)
+    tol = 4 * _ULP * _T * 2.0 * radius / radius ** p
+    assert abs(h(radius, fine) - h(radius, prob)) <= tol
+    assert abs(chi(radius, fine) - chi(radius, prob)) <= tol
+    assert fine.nonlinearity.is_nonnegative == prob.nonlinearity.is_nonnegative
+    gamma = _table_gamma(prob.nonlinearity, _T, p)
+    fine_gamma = _table_gamma(fine.nonlinearity, _T, p)
+    finite = np.isfinite(gamma)
+    assert np.array_equal(np.isfinite(fine_gamma), finite)
+    assert np.array_equal(fine_gamma[~finite], gamma[~finite])
+    assert np.allclose(fine_gamma[finite], gamma[finite], rtol=1e-14, atol=0.0)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None,
+          phases=_NO_SHRINK)
+@given(_SEEDS, st.sampled_from([2.0, 2.5]), st.floats(0.2, 3.0))
+def test_table_refinement_keeps_each_solve(seed, p, alpha):
+    rng = np.random.default_rng(seed)
+    prob, fine = refined_tables(rng, p)
+    u0 = GridFunction.from_interior(rng.uniform(-2.0, 2.0, _T))
+    out, refined = solve_newton(prob, alpha, u0), solve_newton(fine, alpha, u0)
+    assert _far(out.u.interior, refined.u.interior) <= _SOLVE_AGREEMENT

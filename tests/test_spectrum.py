@@ -262,9 +262,9 @@ def test_first_eigenpair_p2_large_T_matches_closed_form(T):
 
 
 def _bisection_pair(p, T, tol=1e-9):
-    """The search first_eigenpair ran before its Illinois bracket, inlined:
-    plain bisection on [0, 2] to adjacent floats, then the pair of the end
-    with the smaller defect.  Returns (pair, error message or None)."""
+    """The reference search, inlined: plain bisection on [0, 2] to adjacent
+    floats, then the pair of the end with the smaller defect, each end shot
+    again.  Returns (pair, error message or None)."""
     shoot = dplap.spectrum._shoot
     lo, hi = 0.0, 2.0
     while lo < (mid := 0.5 * (lo + hi)) < hi:
@@ -294,12 +294,10 @@ _EIGEN_GRID = [(p, T) for p in (1.1, 1.5, 2.0, 3.0, 10.0) for T in (2, 3, 4, 9, 
 _EIGEN_GRID += [(1.5, 2000), (2.5, 5000), (3.0, 5000)]  # raise at float resolution
 
 
-def test_first_eigenpair_matches_bisection_bit_for_bit_in_half_the_shots(monkeypatch):
-    # one Illinois search to adjacent floats: on these cells the defect
-    # changes sign cleanly, so its secant and midpoint steps end at the two
-    # floats bisection ends at, and the pair built from those ends' own
-    # shots is the bisection's, message and .best included; no cell takes
-    # more shots than bisection, and the grid takes at most half as many
+def test_first_eigenpair_matches_bisection_bit_for_bit(monkeypatch):
+    # one bisection to adjacent floats: it shoots the lambda values the
+    # reference does, so the pair built from its ends' own shots is the
+    # reference's, message and .best included, and no cell takes more shots
     shots = []
     shoot = dplap.spectrum._shoot
 
@@ -308,7 +306,7 @@ def test_first_eigenpair_matches_bisection_bit_for_bit_in_half_the_shots(monkeyp
         return shoot(lam, p, T)
 
     monkeypatch.setattr(dplap.spectrum, "_shoot", counted)
-    total_ref = total = raised = 0
+    raised = 0
     for p, T in _EIGEN_GRID:
         shots.clear()
         ref, ref_msg = _bisection_pair(p, T)
@@ -324,29 +322,7 @@ def test_first_eigenpair_matches_bisection_bit_for_bit_in_half_the_shots(monkeyp
         assert got.residual == ref.residual, (p, T)
         assert got.phi.values.tobytes() == ref.phi.values.tobytes(), (p, T)
         assert len(shots) <= n_ref, (p, T)
-        total_ref += n_ref
-        total += len(shots)
     assert raised >= 5  # the grid holds cells that raise
-    assert 2 * total <= total_ref
-
-
-def test_a_zero_defect_end_is_probed_at_the_adjacent_float(monkeypatch):
-    # at T = 2 the defect is 1 - lambda, exactly 0 at the secant point
-    # lambda_1 = 1: the float below it ends the search, not some 30 bisections
-    shots = []
-    shoot = dplap.spectrum._shoot
-
-    def counted(lam, p, T):
-        shots.append(lam)
-        return shoot(lam, p, T)
-
-    monkeypatch.setattr(dplap.spectrum, "_shoot", counted)
-    got = first_eigenpair(2.0, 2)
-    assert len(shots) <= 5
-    ref, ref_msg = _bisection_pair(2.0, 2)
-    assert ref_msg is None
-    assert (got.lambda_, got.residual) == (ref.lambda_, ref.residual)
-    assert got.phi.values.tobytes() == ref.phi.values.tobytes()
 
 
 def test_first_eigenpair_shoots_no_lambda_twice(monkeypatch):
@@ -368,10 +344,10 @@ def test_first_eigenpair_shoots_no_lambda_twice(monkeypatch):
         assert len(set(shots)) == len(shots), (p, T)
 
 
-def test_illinois_bracket_ends_are_adjacent_floats():
+def test_bracket_ends_are_adjacent_floats():
     shoot = dplap.spectrum._shoot
     for p, T in _EIGEN_GRID:
-        (a, half_a), (b, half_b) = dplap.spectrum._illinois_bracket(p, T)
+        (a, half_a), (b, half_b) = dplap.spectrum._bracket(p, T)
         (fa, ha), (fb, hb) = shoot(a, p, T), shoot(b, p, T)
         assert np.nextafter(a, 2.0) == b, (p, T)
         assert fa > 0.0 >= fb, (p, T)
