@@ -220,15 +220,16 @@ def check_three_solutions_window(prob: ProblemSpec, c: float, d: float) -> Multi
     """Evaluate the two-radius inequality at 0 < c < d < inf and report the
     open alpha interval it yields.
 
-    The inequality is
-        chi(c) < (2^{p-1} / (T+1)^{p-1}) * (h(d) - (c/d)^p chi(c)),
-    and when it holds every alpha in
-        ( 2 / (p (h(d) - (c/d)^p chi(c))),  2^p / (p chi(c) (T+1)^{p-1}) )
-    yields at least three solutions.  The upper endpoint is +inf when
-    chi(c) = 0; the lower is +inf when the bracket is non-positive (the
-    interval is then empty and the verdict false).  A NaN chi(c) or
-    bracket gives NaN endpoints, not an inf that claims every alpha.  A
-    ValueError names d where h(d) overflows.
+    With the bracket B = h(d) - (c/d)^p chi(c) and the one factor
+    s = (2/(T+1))^{p-1}, the inequality is chi(c) < s B, and when it holds
+    every alpha in
+        ( 2 / (p B),  2 s / (p chi(c)) = 2^p / (p chi(c) (T+1)^{p-1}) )
+    yields at least three solutions.  s is a power of a number in (0, 1], so
+    it cannot overflow; where it underflows the upper endpoint is 0 and the
+    verdict false.  The upper endpoint is +inf when chi(c) <= 0; the lower is
+    +inf when B <= 0 (the interval is then empty and the verdict false).  A
+    NaN chi(c) or B gives NaN endpoints, not an inf that claims every alpha.
+    A ValueError names d where h(d) overflows.
     """
     if not 0.0 < c < d < math.inf:
         raise ValueError("require 0 < c < d < inf")
@@ -240,15 +241,9 @@ def check_three_solutions_window(prob: ProblemSpec, c: float, d: float) -> Multi
     if not math.isfinite(h_d):
         raise ValueError(f"h(d) = sum_k F_k(d) / d^p overflows at d = {float(d)!r}")
     bracket = h_d - (c / d) ** p * chi_c
-    try:  # these forms, bit for bit, wherever (T+1)^(p-1) is a float
-        scale = 2.0 ** (p - 1.0) / (T + 1) ** (p - 1.0)
-        alpha_hi = math.inf if chi_c <= 0.0 else 2.0 ** p / (p * chi_c * (T + 1) ** (p - 1.0))
-    except OverflowError:  # 2^(p-1) / (T+1)^(p-1) is one power, representable or 0
-        scale, alpha_hi = (2.0 / (T + 1)) ** (p - 1.0), 0.0
-    if alpha_hi == 0.0:  # (T+1)^(p-1), or p chi(c) times it, overflowed
-        alpha_hi = math.inf if chi_c <= 0.0 else 2.0 * scale / (p * chi_c)
-    rhs = scale * bracket
-    verdict = bool(chi_c < rhs)
+    scale = (2.0 / (T + 1)) ** (p - 1.0)
+    alpha_hi = math.inf if chi_c <= 0.0 else 2.0 * scale / (p * chi_c)
+    verdict = bool(chi_c < scale * bracket)
     alpha_lo = math.inf if bracket <= 0.0 else 2.0 / (p * bracket)
     return MultiplicityWindow(c=float(c), d=float(d), alpha_lo=alpha_lo,
                               alpha_hi=alpha_hi, verdict=verdict)

@@ -395,8 +395,8 @@ def minimize_on_sublevel(prob: ProblemSpec, alpha: float, sigma: float,
 
     # lowest energy is the ball minimizer; among runs tied at float
     # resolution, a converged interior one carries the stronger guarantee
-    runs = (_solve(prob, alpha, GridFunction.from_interior(project(s)), opts, False,
-                   project, inside) for s in starts)
+    runs = (_solve(prob, alpha, GridFunction.from_interior(s), opts, False, project, inside)
+            for s in starts)
     best = _first_of_ties(sorted(runs, key=lambda o: o.energy),
                           lambda o: o.converged and not o.boundary_hit)
     if best.converged and not best.boundary_hit:

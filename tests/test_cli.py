@@ -941,19 +941,24 @@ def test_lapack_accessor_and_scipy_linalg_share_one_module(accessor_first):
             "from dplap.solver import _lapack\n"
             f"if {accessor_first}:\n"
             "    mod = _lapack()\n"
-            "    assert 'scipy.linalg' not in sys.modules\n"
+            "    if 'scipy.linalg' in sys.modules:\n"
+            "        sys.exit('_lapack() imported scipy.linalg')\n"
             "    import scipy.linalg.lapack as lapack\n"
             "else:\n"
             "    import scipy.linalg.lapack as lapack\n"
             "    mod = _lapack()\n"
-            "assert mod is sys.modules['scipy.linalg._flapack'] is _lapack()\n"
+            "if not (mod is sys.modules['scipy.linalg._flapack'] is _lapack()):\n"
+            "    sys.exit('_lapack() is not scipy.linalg._flapack')\n"
             "for name in ('dgtsv', 'dptsv', 'dstebz'):\n"
-            "    assert getattr(lapack, name) is getattr(mod, name), name\n"
+            "    if getattr(lapack, name) is not getattr(mod, name):\n"
+            "        sys.exit(f'scipy.linalg.lapack.{name} is not _lapack().{name}')\n"
             "from scipy.integrate import quad\n"
             "from scipy.linalg import eigh_tridiagonal\n"
-            "assert abs(quad(lambda x: x * x, 0.0, 1.0)[0] - 1.0 / 3.0) < 1e-14\n"
+            "if not abs(quad(lambda x: x * x, 0.0, 1.0)[0] - 1.0 / 3.0) < 1e-14:\n"
+            "    sys.exit('scipy.integrate.quad is wrong')\n"
             "w = eigh_tridiagonal(np.full(3, 2.0), np.full(2, -1.0), eigvals_only=True)\n"
-            "assert np.allclose(w, 2.0 - 2.0 * np.cos(np.arange(1, 4) * np.pi / 4.0))\n")
+            "if not np.allclose(w, 2.0 - 2.0 * np.cos(np.arange(1, 4) * np.pi / 4.0)):\n"
+            "    sys.exit('scipy.linalg.eigh_tridiagonal is wrong')\n")
     run = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
@@ -987,15 +992,20 @@ def test_quadpack_loader_and_scipy_integrate_share_one_module(loader_first):
             "from dplap.core import _scipy_extension, quad\n"
             f"if {loader_first}:\n"
             "    mod = _scipy_extension('integrate', '_quadpack')\n"
-            "    assert 'scipy.integrate' not in sys.modules\n"
+            "    if 'scipy.integrate' in sys.modules:\n"
+            "        sys.exit('the loader imported scipy.integrate')\n"
             "    import scipy.integrate\n"
             "else:\n"
             "    import scipy.integrate\n"
             "    mod = _scipy_extension('integrate', '_quadpack')\n"
-            "assert mod is sys.modules['scipy.integrate._quadpack']\n"
-            "assert mod is scipy.integrate._quadpack_py._quadpack\n"
-            "assert abs(scipy.integrate.quad(lambda x: x * x, 0.0, 1.0)[0] - 1.0 / 3.0) < 1e-14\n"
-            "assert quad(abs, -1.0, 2.0) == scipy.integrate.quad(abs, -1.0, 2.0)\n")
+            "if mod is not sys.modules['scipy.integrate._quadpack']:\n"
+            "    sys.exit('the loader did not return scipy.integrate._quadpack')\n"
+            "if mod is not scipy.integrate._quadpack_py._quadpack:\n"
+            "    sys.exit('scipy.integrate.quad calls another _quadpack')\n"
+            "if not abs(scipy.integrate.quad(lambda x: x * x, 0.0, 1.0)[0] - 1.0 / 3.0) < 1e-14:\n"
+            "    sys.exit('scipy.integrate.quad is wrong')\n"
+            "if quad(abs, -1.0, 2.0) != scipy.integrate.quad(abs, -1.0, 2.0):\n"
+            "    sys.exit('core.quad differs from scipy.integrate.quad')\n")
     run = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr

@@ -2,6 +2,7 @@
 
 import collections
 import contextlib
+import dataclasses
 import importlib
 import warnings
 from unittest import mock
@@ -907,6 +908,28 @@ def test_sublevel_esempio0_certificate_route():
     assert sup_norm(out.u) < cert.eps
     # the ball is huge, so the constrained minimizer is the global one
     assert out.energy == pytest.approx(-1.3080511229489105, rel=1e-9)
+
+
+def test_sublevel_raises_where_an_interior_minimizer_breaks_the_embedding_bound(monkeypatch):
+    # a kappa 1000 times too large shrinks (sigma / kappa^p)^(1/p) below the
+    # minimizer's sup norm (1.96 against 1.0): the a posteriori check raises
+    from dplap.existence import find_admissible_eps
+    prob = esempio0()
+    cert = find_admissible_eps(prob)
+    monkeypatch.setattr(dplap.solver, "kappa", lambda p, T: 1000.0 * kappa(p, T))
+    with pytest.raises(RuntimeError, match="embedding bound"):
+        minimize_on_sublevel(prob, 1.0, cert.sigma)
+
+
+def test_sublevel_raises_where_an_interior_minimizer_breaks_the_certificate_bound():
+    # a certificate whose eps is the minimizer's own sup norm: the embedding
+    # bound holds, sup_norm < eps does not
+    from dplap.existence import find_admissible_eps
+    prob = esempio0()
+    cert = find_admissible_eps(prob)
+    s = sup_norm(minimize_on_sublevel(prob, 1.0, cert.sigma).u)
+    with pytest.raises(RuntimeError, match="certificate bound"):
+        minimize_on_sublevel(prob, 1.0, cert.sigma, certificate=dataclasses.replace(cert, eps=s))
 
 
 def test_sublevel_boundary_case_is_flagged():

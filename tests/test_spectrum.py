@@ -213,6 +213,12 @@ def test_first_eigenpair_near_p1_overflowing_step_is_a_shot_below_zero(p, T):
     assert np.all(np.isfinite(best.phi.values)) and np.min(best.phi.interior) > 0.0
 
 
+def test_shoot_counts_an_overflowing_flux_step_as_a_shot_above_lambda1():
+    # p - 1 = 5e-4: the second step raises |flux| = 1.6 to the power 2000,
+    # past the float range, and that step is a value <= 0
+    assert dplap.spectrum._shoot(1.3, 1.0005, 9) == (-1.0, None)
+
+
 @pytest.mark.parametrize("p, T", [(200, 200), (300, 50), (500, 10)])
 def test_first_eigenpair_names_p_and_T_where_the_shot_overflows(p, T):
     # ceil(T/2)^(p-1) is past the float range: u(k) ** (p - 1) overflows in the
