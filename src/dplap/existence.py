@@ -121,7 +121,9 @@ def _pth_power(name: str, x: float, p: float) -> float:
 
 
 def chi(eps: float, prob: ProblemSpec) -> float:
-    """sum_k max_{|xi| <= eps} F_k(xi), divided by eps^p.
+    """sum_k max_{|xi| <= eps} F_k(xi) / eps^p, each node's max divided
+    before the sum, so a sum past the float range of finite maxima does not
+    overflow.
 
     Exact when the nonlinearity is flagged nonnegative or has breakpoints;
     otherwise the max is sampled (_max_potentials), a lower bound."""
@@ -131,15 +133,16 @@ def chi(eps: float, prob: ProblemSpec) -> float:
         # so the max sits at the right endpoint.
         return h(eps, prob)
     with np.errstate(over="ignore"):  # an F_k past the float range: inf, a false verdict
-        return float(np.sum(_max_potentials(prob, eps))) / eps_p
+        return float(np.sum(_max_potentials(prob, eps) / eps_p))
 
 
 def h(xi: float, prob: ProblemSpec) -> float:
-    """sum_k F_k(xi) / xi^p for xi > 0; inf where an F_k or the sum overflows."""
+    """sum_k F_k(xi) / xi^p for xi > 0, each F_k(xi) divided before the sum;
+    inf where an F_k or the sum of the quotients overflows."""
     xi_p = _pth_power("xi", xi, prob.p)
     with np.errstate(over="ignore"):
         F = prob.nonlinearity.F_at(np.arange(1, prob.T + 1), np.full(prob.T, float(xi)))
-        return float(np.sum(F)) / xi_p
+        return float(np.sum(F / xi_p))
 
 
 def check_thm_esistenza(prob: ProblemSpec, eps: float,

@@ -6,8 +6,9 @@ Routes:
     call (dptsv), which also decides positive definiteness.  Only when the
     factorisation fails is the smallest eigenvalue computed (dstebz), to
     the 0.1% the shift needs, and the diagonal shifted past it, so the
-    step is a descent direction.  An Armijo test on the energy accepts
-    it, or a gradient step takes over.  At p < 2 the small
+    step is a descent direction; it is tried only when its slope g.s is
+    finite and negative.  An Armijo test on the energy accepts it, or a
+    gradient step takes over.  At p < 2 the small
     differences take secant weights, so a plateau (du = 0) is reached
     instead of overshot.
     multistart_solve runs every start through it; solve_newton_p2 is the
@@ -46,6 +47,7 @@ truncate_nonnegative lives in nonlinearities and stays importable from here.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,33 +120,6 @@ class SolveOutcome:
     stop_reason: str = ""  # why the Armijo loop ended: one of the names above
 
 
-def _newton_step(prob: ProblemSpec, alpha: float, u: np.ndarray,
-                 g: np.ndarray) -> np.ndarray | None:
-    """The polish's plain Newton step: s solving H s = -g, unshifted.
-
-    H is energy._jacobian at u with tangent weights (share 0), solved by
-    the _lapack() module's dgtsv (LU: H may be indefinite).  None when H is
-    not finite, the solve fails (H singular) or s is not finite.
-    """
-    diag, off = _jacobian(prob, alpha, u, 0.0)
-    if not np.isfinite(diag).all():
-        return None
-    s, info = _lapack().dgtsv(off, diag, off, -g)[3:]
-    return s if info == 0 and np.isfinite(s).all() else None
-
-
-def _shifted_newton_step(prob: ProblemSpec, alpha: float, u: np.ndarray, g: np.ndarray,
-                         du: np.ndarray | None = None) -> tuple[np.ndarray, float] | None:
-    """The descent loop's Newton direction and its slope: _shifted_solve on
-    H = energy._jacobian at u (secant share _SECANT_SHARE), from u's edges
-    du when the caller has them.  None when H is not finite or
-    _shifted_solve finds no step."""
-    diag, off = _jacobian(prob, alpha, u, _SECANT_SHARE, du)
-    if not np.isfinite(diag).all():
-        return None
-    return _shifted_solve(diag, off, g)
-
-
 def _shifted_solve(diag: np.ndarray, off: np.ndarray,
                    g: np.ndarray) -> tuple[np.ndarray, float] | None:
     """(s, g.s) for s solving (H + tau I) s = -g, H = (diag, off) symmetric
@@ -160,9 +135,13 @@ def _shifted_solve(diag: np.ndarray, off: np.ndarray,
     tau = max(0, -(1 + _SHIFT_MARGIN) lam'): H + tau I keeps smallest
     eigenvalue at least 0.099 |lam|, so s is a descent direction (the
     eigenvalue modification of Nocedal & Wright, Numerical Optimization,
-    2nd ed., section 3.4).  None when the eigenvalue call or the shifted
-    factorisation fails, or s is not finite or not downhill.
+    2nd ed., section 3.4).  None when diag is not finite (LAPACK never sees
+    it), when the eigenvalue call or the shifted factorisation fails, and
+    unless -inf < g.s < 0: a non-finite s or g makes the slope non-finite,
+    and a step whose slope overflows is refused with it.
     """
+    if not np.isfinite(diag).all():
+        return None
     lapack = _lapack()
     pivots, lower, s, info = lapack.dptsv(diag, off, -g)
     if info != 0:
@@ -177,10 +156,10 @@ def _shifted_solve(diag: np.ndarray, off: np.ndarray,
             return None
         tau = max(0.0, -(1.0 + _SHIFT_MARGIN) * float(lam[0]))
         s, info = lapack.dptsv(diag + tau, off, -g)[2:]
-    if info != 0 or not np.isfinite(s).all():
+    if info != 0:
         return None
     slope = float(g @ s)
-    return (s, slope) if slope < 0.0 else None
+    return (s, slope) if -math.inf < slope < 0.0 else None
 
 
 def _polish(prob: ProblemSpec, alpha: float, u: np.ndarray,
@@ -190,25 +169,30 @@ def _polish(prob: ProblemSpec, alpha: float, u: np.ndarray,
     Energy line searches bottom out once per-step decreases drop below the
     float resolution of the energy (residuals around 1e-8 when it is order
     one); contracting the residual directly needs no energy comparisons and
-    pushes to the tolerance.  Each iteration takes one plain Newton step
-    (_newton_step: unshifted, so it can land on a saddle) and halves it
-    until the residual drops; the polish stops when there is no step or no
-    trial lowers the residual, returning the input if nothing improved.
+    pushes to the tolerance.  Each iteration takes one plain Newton step:
+    s solving H s = -g, H being energy._jacobian at u with tangent weights
+    (share 0), solved unshifted by dgtsv (LU: H may be indefinite), so it
+    can land on a saddle.  The step is halved until the residual drops.
+    The polish stops when H or s is not finite, H is singular or no trial
+    lowers the residual, returning the input if nothing improved.
     """
     g = _gradient(prob, alpha, u)
     res = float(np.abs(g).max())
     for _ in range(_POLISH_STEPS):
         if res <= 0.5 * tol:
             break
-        s = _newton_step(prob, alpha, u, g)
-        if s is None:
+        diag, off = _jacobian(prob, alpha, u, 0.0)
+        if not np.isfinite(diag).all():
+            break
+        s, info = _lapack().dgtsv(off, diag, off, -g)[3:]
+        if info != 0 or not np.isfinite(s).all():
             break
         t = 1.0
         while t >= 1e-12:
             cand = u + t * s
             gc = _gradient(prob, alpha, cand)
             rc = float(np.abs(gc).max())
-            if np.isfinite(rc) and rc < res:
+            if math.isfinite(rc) and rc < res:
                 break
             t *= 0.5
         else:
@@ -230,7 +214,7 @@ def _armijo(prob: ProblemSpec, alpha: float, u: np.ndarray, Ju: float,
             cand = project(cand)
         du = _edges(cand)
         Jc = _energy(prob, alpha, cand, du)
-        if np.isfinite(Jc) and Jc <= Ju + _ARMIJO_C * t * slope:
+        if math.isfinite(Jc) and Jc <= Ju + _ARMIJO_C * t * slope:
             return t, cand, du, Jc
         t *= _BACKTRACK
     return None
@@ -242,7 +226,9 @@ def _descend(prob: ProblemSpec, alpha: float, u: np.ndarray, opts: SolverOptions
     energy, iterations, stop_reason) at its last iterate.
 
     With newton, each iteration first tries the spectrally shifted Newton
-    step of _shifted_newton_step from t = 1, with the slope it returns;
+    step that _shifted_solve finds for H = energy._jacobian at u (secant
+    share _SECANT_SHARE, from the iterate's edges du) from t = 1, with the
+    slope it returns;
     without one, or when its line search fails, a gradient step whose trial
     size doubles after every accepted one, so flat stretches do not trap
     the iteration at a tiny step.  project, when given, maps every trial
@@ -272,7 +258,8 @@ def _descend(prob: ProblemSpec, alpha: float, u: np.ndarray, opts: SolverOptions
                 MAX_ITERS if iters >= _MAX_ITERS else None)
         if stop is not None:
             return u, res, Ju, iters, stop
-        step_slope = _shifted_newton_step(prob, alpha, u, g, du) if newton else None
+        step_slope = (_shifted_solve(*_jacobian(prob, alpha, u, _SECANT_SHARE, du), g)
+                      if newton else None)
         trial = (None if step_slope is None else
                  _armijo(prob, alpha, u, Ju, *step_slope, 1.0, project))
         if trial is None:
@@ -305,9 +292,11 @@ def _solve(prob: ProblemSpec, alpha: float, u0: GridFunction, opts: SolverOption
     _same_T("start", u0, prob.T)
     start = np.array(_finite("start", u0.interior))
     # an energy unbounded below drives iterates to overflow: _armijo rejects a
-    # trial whose energy is not finite, _shifted_newton_step and _polish a step
-    # that is not, so the warnings say nothing the outcome does not
-    with np.errstate(over="ignore"):
+    # trial whose energy is not finite, _shifted_solve a step whose slope is
+    # not (a step past the float range makes it inf or, by inf - inf, NaN)
+    # and _polish a step that is not, so the warnings say nothing the
+    # outcome does not
+    with np.errstate(over="ignore", invalid="ignore"):
         vec, res, J, iters, stop_reason = _descend(prob, alpha, start, opts, newton, project)
         boundary_hit = inside is not None and not inside(vec)
         if not boundary_hit and res > opts.tol:

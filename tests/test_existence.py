@@ -11,7 +11,7 @@ from dplap.existence import (CHI_SAMPLES, CHI_ZOOM_ROUNDS, ExistenceCertificate,
                              check_three_solutions_window, chi, find_admissible_eps, h,
                              _max_potentials)
 from dplap.nonlinearities import (_table_gamma, bounded_rational, constant, from_table,
-                                  linear, scaled_per_node, truncate_nonnegative, zero)
+                                  linear, power, scaled_per_node, truncate_nonnegative, zero)
 from dplap.solver import POSITIVE, ZERO, SolverOptions, minimize_on_sublevel, multistart_solve
 from dplap.spectrum import lambda1_closed_form_p2
 
@@ -235,6 +235,18 @@ def test_h_hand_values():
     prob2 = ProblemSpec(T=2, p=2.0, nonlinearity=bounded_rational())
     assert h(1.0, prob2) == pytest.approx(np.log(2.0), rel=1e-12)
     assert h(1.0, prob2) / 2.0 == pytest.approx(0.5 * np.log(2.0), rel=1e-12)
+
+
+def test_h_and_chi_divide_each_node_before_the_sum():
+    # each F_k(5e76) = 1.5625e306 is finite but 1000 of them are not: divided
+    # by xi^p = 2.5e153 first, the sum is 6.25e155, in h and in chi's sampled
+    # branch (the same potential, not flagged nonnegative)
+    cubic = power(3.0)
+    assert h(5e76, ProblemSpec(T=1000, p=2.0, nonlinearity=cubic)) == pytest.approx(
+        6.25e155, rel=1e-12)
+    sampled = Nonlinearity(f=cubic.f, potential=cubic.potential, df=cubic.df)
+    assert chi(5e76, ProblemSpec(T=1000, p=2.0, nonlinearity=sampled)) == pytest.approx(
+        6.25e155, rel=1e-12)
 
 
 def test_h_equals_chi_for_nonneg_increasing_potential():

@@ -145,8 +145,8 @@ def test_a_non_finite_jacobian_takes_no_newton_step():
     u0 = GridFunction.from_interior(np.linspace(0.2, 1.0, 6))
     u = u0.interior
     g = _gradient(prob, 0.5, u)
-    assert dplap.solver._newton_step(prob, 0.5, u, g) is None
-    assert dplap.solver._shifted_newton_step(prob, 0.5, u, g) is None
+    assert dplap.solver._polish(prob, 0.5, u, SolverOptions().tol)[0] is u
+    assert shifted_step(prob, 0.5, u, g) is None
     newton, descent = solve_newton(prob, 0.5, u0), solve_descent(prob, 0.5, u0)
     assert np.array_equal(newton.u.values, descent.u.values)
     assert (newton.residual, newton.energy, newton.iterations, newton.stop_reason) == (
@@ -322,6 +322,13 @@ def test_overflow_on_an_unbounded_energy_warns_nobody():
     assert out.energy < -1e200 and np.isfinite(out.energy)
 
 
+def shifted_step(prob, alpha, u, g):
+    """The descent loop's Newton step at u and its slope, or None:
+    _shifted_solve on the Jacobian that _descend builds there."""
+    diag, off = _jacobian(prob, alpha, u, dplap.solver._SECANT_SHARE)
+    return dplap.solver._shifted_solve(diag, off, g)
+
+
 @st.composite
 def newton_step_cases(draw):
     """(prob, alpha, u) over p in [1.3, 4], T in [2, 40], alpha in [0.05, 5],
@@ -340,7 +347,7 @@ def test_shifted_newton_step_is_a_positive_definite_descent_step(case):
     # tau >= 0 that makes H + tau I positive definite, and it points downhill
     prob, alpha, u = case
     g = _gradient(prob, alpha, u)
-    step = dplap.solver._shifted_newton_step(prob, alpha, u, g)
+    step = shifted_step(prob, alpha, u, g)
     if step is None:
         return
     s, slope = step
@@ -382,7 +389,7 @@ def test_shifted_newton_step_factors_first_and_shifts_only_indefinite_jacobians(
     # dstebz call, lam' within _LAM_RTOL / 2 of lambda_min, and the shift
     # -1.1 lam'
     lapack = dplap.core._lapack()
-    step = dplap.solver._shifted_newton_step
+    step = shifted_step
     share = dplap.solver._SECANT_SHARE
 
     # alpha max f' = 0.002 < lambda_1 = 3.8e-3 at T = 50: the energy is convex
@@ -472,6 +479,18 @@ def test_a_tiny_pivot_asks_dstebz_for_full_precision_without_a_warning():
         assert slope == float(g @ s) < 0.0
 
 
+def test_a_step_is_taken_only_on_a_finite_negative_slope():
+    # H = diag(1e-150, 2) is positive definite and s = (-1e300, -0.5) is
+    # finite, but g.s overflows to -inf: refused at once, as is a step that
+    # overflows itself (s_1 = -1e10 / 1e-300)
+    off = np.array([0.0])
+    with np.errstate(over="ignore"):
+        assert dplap.solver._shifted_solve(np.array([1e-150, 2.0]), off,
+                                           np.array([1e150, 1.0])) is None
+        assert dplap.solver._shifted_solve(np.array([1e-300, 2.0]), off,
+                                           np.array([1e10, 1.0])) is None
+
+
 def test_a_failed_eigenvalue_call_falls_back_to_the_gradient_step(monkeypatch):
     # dstebz reporting info != 0 leaves no Newton direction, and so does a
     # shifted factorisation that fails.  With every factorisation reported
@@ -481,9 +500,9 @@ def test_a_failed_eigenvalue_call_falls_back_to_the_gradient_step(monkeypatch):
     monkeypatch.setattr(lapack, "dptsv", lambda d, e, b: (d, e, b, 1))
     prob = esempio0(T=5)
     u = np.full(5, 0.1)
-    assert dplap.solver._shifted_newton_step(prob, 3.0, u, _gradient(prob, 3.0, u)) is None
+    assert shifted_step(prob, 3.0, u, _gradient(prob, 3.0, u)) is None
     monkeypatch.setattr(lapack, "dstebz", lambda *args: (0, np.zeros(1), None, None, 1))
-    assert dplap.solver._shifted_newton_step(prob, 3.0, u, _gradient(prob, 3.0, u)) is None
+    assert shifted_step(prob, 3.0, u, _gradient(prob, 3.0, u)) is None
     u0 = GridFunction.from_interior(u)
     newton, descent = solve_newton(prob, 3.0, u0), solve_descent(prob, 3.0, u0)
     assert newton.converged and newton.iterations > 1

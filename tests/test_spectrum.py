@@ -203,9 +203,10 @@ def test_first_eigenpair_near_p1_failure_carries_best():
 
 @pytest.mark.parametrize("p, T", [(1.0002, 300), (1.00001, 100), (1.000001, 50),
                                   (1.0001, 5000)])
-def test_first_eigenpair_near_p1_overflowing_step_is_a_shot_below_zero(p, T):
-    # abs(flux) ** (1/(p-1)) once left _shoot as a bare OverflowError; flux
-    # <= 1 throughout, so an overflowing step is a step down past 0
+def test_first_eigenpair_near_p1_raises_with_a_finite_positive_best_pair(p, T):
+    # close to p = 1 the shooting does not reach the residual tolerance: the
+    # EigenConvergenceError names p and T and carries a best pair with a
+    # finite lambda > 0 and a finite profile positive on the interior
     with pytest.raises(EigenConvergenceError, match=f"p={p}, T={T}") as info:
         first_eigenpair(p, T)
     best = info.value.best
